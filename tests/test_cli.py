@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line front end."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,44 @@ def test_values_reads_game_files(tmp_path, capsys):
     assert code == 0
     assert report["rows"][0]["nc_value_exact"] == "4/5"
     assert report["rows"][0]["quantum_value"] is None
+
+
+def test_values_float_weights_are_exact(tmp_path, capsys):
+    game, _ = games.kcbs()
+    data = json.loads(game.to_json())
+    data["context_weights"] = [0.2] * 5
+    path = tmp_path / "kcbs-float.json"
+    path.write_text(json.dumps(data))
+    code, report, _ = run_cli(capsys, ["values", "--game", str(path)])
+    assert code == 0
+    assert report["rows"][0]["nc_value_exact"] == "4/5"
+
+
+def test_values_rejects_a_game_past_the_search_bound(tmp_path, capsys):
+    n = 25  # 2**25 tables
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "questions": list(range(n)), "answers": [0, 1],
+        "contexts": [[q] for q in range(n)],
+        "context_weights": [f"1/{n}"] * n,
+        "predicate": {str(q): [[0]] for q in range(n)},
+    }))
+    code, report, err = run_cli(capsys, ["values", "--game", str(path)])
+    assert code == 3
+    assert report is None
+    assert "exceed the brute-force bound" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(games.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ctxsim",
+                           "values", "--game", "kcbs"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["rows"][0]["nc_value_exact"] == "4/5"
+    assert "Warning" not in done.stderr
 
 
 def test_unknown_game_is_a_config_error(capsys):

@@ -1,9 +1,15 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctxsim import games
 from ctxsim.games import (
+    NC_SEARCH_BOUND,
     Assignment,
     ContextualityGame,
     QuantumStrategy,
@@ -19,6 +25,31 @@ from ctxsim.games import (
     quantum_value_of,
 )
 from ctxsim.qsim import Observable, StateVector, X, Z
+
+
+def reference_nc_value_with_table(game):
+    """Oracle: every assignment in itertools.product order, scored with
+    Fraction sums; the first maximum wins."""
+    best = None
+    best_table = None
+    for combo in itertools.product(game.answers, repeat=len(game.questions)):
+        table = dict(zip(game.questions, combo))
+        value = sum(
+            (w for i, w in enumerate(game.context_weights)
+             if tuple(table[q] for q in game.contexts[i]) in game.accepts[i]),
+            Fraction(0),
+        )
+        if best is None or value > best:
+            best, best_table = value, table
+    return best, Assignment(best_table)
+
+
+def assert_matches_reference(game):
+    value, table = nc_value_with_table(game)
+    ref_value, ref_table = reference_nc_value_with_table(game)
+    assert type(value) is Fraction
+    assert value == ref_value
+    assert table.table == ref_table.table
 
 
 def toy_game():
@@ -150,6 +181,16 @@ def test_weights_must_sum_to_one():
         )
 
 
+@pytest.mark.parametrize("answers", [(0, 1, 0), ()])
+def test_answers_must_be_distinct_and_nonempty(answers):
+    # the search codes tables by answer position
+    with pytest.raises(ValueError, match="answers must be distinct"):
+        ContextualityGame(
+            questions=(0,), answers=answers, contexts=((0,),),
+            context_weights=(1,), accepts={},
+        )
+
+
 def test_pad_contexts_equalizes_and_preserves_nc():
     mixed = ContextualityGame(
         questions=(0, 1, 2),
@@ -234,3 +275,133 @@ def test_embed_in_qubits_preserves_value():
     embedded = embed_in_qubits(strat, fill_answer=game.answers[0])
     assert embedded.psi.dims == (2, 2)
     assert quantum_value_of(game, embedded) == pytest.approx(2 / np.sqrt(5), abs=1e-9)
+
+
+@pytest.mark.parametrize("build", [magic_square, kcbs, chsh])
+def test_nc_search_matches_reference_on_builtin_games(build):
+    game, _ = build()
+    assert_matches_reference(game)
+
+
+@st.composite
+def random_games(draw):
+    """1-6 questions, 2-3 non-integer answer labels, contexts of mixed
+    sizes with possibly empty accept sets, small-denominator weights (so
+    ties are common)."""
+    n = draw(st.integers(1, 6))
+    questions = tuple(f"q{i}" for i in range(n))
+    answers = draw(st.sampled_from([(1, -1), ("a", "b", "c"), (0.5, "x")]))
+    n_contexts = draw(st.integers(1, 5))
+    contexts, accepts = [], {}
+    for i in range(n_contexts):
+        size = draw(st.integers(1, min(n, 3)))
+        ctx = tuple(draw(st.permutations(questions))[:size])
+        tuples = list(itertools.product(answers, repeat=size))
+        keep = draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))
+        contexts.append(ctx)
+        accepts[i] = {t for t, k in zip(tuples, keep) if k}
+    raw = draw(st.lists(st.integers(0, 3), min_size=n_contexts, max_size=n_contexts))
+    if not any(raw):
+        raw[0] = 1
+    weights = tuple(Fraction(r, sum(raw)) for r in raw)
+    return ContextualityGame(questions=questions, answers=answers,
+                             contexts=tuple(contexts), context_weights=weights,
+                             accepts=accepts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_games())
+def test_nc_search_matches_reference_on_random_games(game):
+    assert_matches_reference(game)
+
+
+def test_nc_search_ties_take_the_first_table():
+    # (b, a) and (a, b) both win; with answers ordered (b, a) the first is
+    # x=b, y=a
+    game = ContextualityGame(
+        questions=("x", "y"), answers=("b", "a"), contexts=(("x", "y"),),
+        context_weights=(1,), accepts={0: {("a", "b"), ("b", "a")}},
+    )
+    value, table = nc_value_with_table(game)
+    assert value == 1
+    assert table.table == {"x": "b", "y": "a"}
+    assert_matches_reference(game)
+
+
+def test_nc_search_ties_across_blocks():
+    # odd 13-cycle: flipping every answer keeps a table's score, so each
+    # optimum with q0=0 (first block) has a twin with q0=1 (second block)
+    n = 13
+    assert 2 ** (n - 1) >= games._NC_BLOCK
+    game = ContextualityGame(
+        questions=tuple(range(n)), answers=(0, 1),
+        contexts=tuple((i, (i + 1) % n) for i in range(n)),
+        context_weights=(Fraction(1, n),) * n,
+        accepts={i: {(0, 1), (1, 0)} for i in range(n)},
+    )
+    value, table = nc_value_with_table(game)
+    assert value == Fraction(n - 1, n)
+    assert table.table[0] == 0
+    assert_matches_reference(game)
+
+
+def test_nc_search_exact_past_int64():
+    # the weights' common denominator p * r exceeds int64
+    p, r = 2 ** 61 - 1, 2 ** 31 - 1
+    game = ContextualityGame(
+        questions=(0, 1, 2), answers=(0, 1),
+        contexts=((0, 1), (1, 2), (0, 2)),
+        context_weights=(Fraction(1, p), Fraction(1, r), 1 - Fraction(1, p) - Fraction(1, r)),
+        accepts={i: {(0, 1), (1, 0)} for i in range(3)},
+    )
+    assert p * r > 2 ** 63
+    # a frustrated triangle: the lightest edge, 1/p, is the one given up
+    value, _ = nc_value_with_table(game)
+    assert value == 1 - Fraction(1, p)
+    assert_matches_reference(game)
+
+
+def test_nc_search_rejects_oversized_games_before_allocating(monkeypatch):
+    over = ContextualityGame(
+        questions=tuple(range(25)), answers=(0, 1), contexts=((0,),),
+        context_weights=(1,), accepts={0: {(0,)}},
+    )
+    assert 2 ** 25 > NC_SEARCH_BOUND
+    # any numpy use would fail, so the error comes before any array
+    monkeypatch.setattr(games, "np", None)
+    with pytest.raises(ValueError, match="exceed the brute-force bound"):
+        nc_value_with_table(over)
+
+
+def test_nc_search_rejects_oversized_accept_lookups(monkeypatch):
+    questions = tuple(range(24))
+    wide = ContextualityGame(
+        questions=questions, answers=(0, 1), contexts=(questions, questions[::-1]),
+        context_weights=(Fraction(1, 2), Fraction(1, 2)),
+        accepts={0: {(0,) * 24}, 1: {(1,) * 24}},
+    )
+    monkeypatch.setattr(games, "np", None)
+    with pytest.raises(ValueError, match="accept lookups"):
+        nc_value_with_table(wide)
+
+
+def test_nc_search_memory_stays_flat():
+    # 2**16 tables: an odd 15-cycle plus one edge, so no table scores 1 and
+    # every block is searched
+    n = 16
+    contexts = tuple((i, (i + 1) % 15) for i in range(15)) + ((14, 15),)
+    game = ContextualityGame(
+        questions=tuple(range(n)), answers=(0, 1), contexts=contexts,
+        context_weights=(Fraction(1, n),) * n,
+        accepts={i: {(0, 1), (1, 0)} for i in range(n)},
+    )
+    tracemalloc.start()
+    try:
+        value, table = nc_value_with_table(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(15, 16)
+    assert sum(game.predicate(i, table.on_context(c))
+               for i, c in enumerate(game.contexts)) == 15
+    assert peak < 1 << 20
