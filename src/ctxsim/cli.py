@@ -305,6 +305,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
     if fields["trials"] is not None and fields["trials"] < 1:
         raise ConfigError("trials must be at least 1")
+    if fields["lam"] is not None and not 3 <= fields["lam"] <= tcf.MAX_DOMAIN_BITS:
+        raise ConfigError(f"--lambda must be 3 to {tcf.MAX_DOMAIN_BITS}, "
+                          f"not {fields['lam']}")
     return RunConfig(**fields)
 
 

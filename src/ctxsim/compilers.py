@@ -315,7 +315,8 @@ class CompiledTranscript:
 
     def to_json(self) -> str:
         pk = self.message1.opad_pk
-        digest = hashlib.sha256(json.dumps(pk.tables).encode()).hexdigest()[:16]
+        tables_text = json.dumps([t.tolist() for t in pk.tables])
+        digest = hashlib.sha256(tables_text.encode()).hexdigest()[:16]
         return json.dumps({
             "kind": self.kind,
             "ctx_index": self.ctx_index,

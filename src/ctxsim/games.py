@@ -64,8 +64,10 @@ class ContextualityGame:
             raise ValueError("one weight per context required")
         if any(w < 0 for w in weights):
             raise ValueError("context weights must be nonnegative")
-        if abs(float(sum(weights)) - 1.0) > 1e-12:
-            raise ValueError("context weights must sum to 1")
+        if sum(weights) != 1:
+            raise ValueError(
+                f"context weights must sum to exactly 1, not {sum(weights)}; "
+                'write thirds and the like as fraction strings such as "1/3"')
         qset = set(questions)
         for c in contexts:
             if not c:

@@ -114,11 +114,6 @@ def gen(lam: int, rng: np.random.Generator) -> tcf.TcfKeyPair:
     return tcf.gen(lam, hidden=None, backend="ideal", rng=rng)
 
 
-def claw_from_public_tables(pk: tcf.IdealPublicKey, y: int):
-    """(x0, x1) for y, read off the published branch tables (no trapdoor)."""
-    return tcf.public_claw(pk, y)
-
-
 def _phase_bit(oracle: PhaseOracle, d: int, x0: int, x1: int) -> int:
     return tcf.dot_bits(d, x0 ^ x1) ^ oracle.query(x0) ^ oracle.query(x1)
 
@@ -134,7 +129,7 @@ def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng
     y_reg = base + n
     (y,), work = measure_registers(work, [y_reg], rng=rng)
     work = remove_registers(work, [y_reg])
-    x0, x1 = claw_from_public_tables(pk, y)
+    x0, x1 = tcf.public_claw(pk, y)
 
     signs = np.ones(size, dtype=complex)
     signs[x0] = 1 - 2 * oracle.query(x0)
@@ -158,7 +153,7 @@ def _collapsed_round(pk, oracle: PhaseOracle, rng):
     size = 1 << pk.n
     y = int(rng.integers(0, size))
     d = int(rng.integers(1, size))
-    x0, x1 = claw_from_public_tables(pk, y)
+    x0, x1 = tcf.public_claw(pk, y)
     return (d, y), _phase_bit(oracle, d, x0, x1)
 
 

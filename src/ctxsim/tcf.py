@@ -3,9 +3,11 @@
 The idealized backend realizes the claw relation exactly: a seeded random
 permutation PRP over n-bit strings and a secret nonzero mask delta define
 f_b(x) = PRP(x xor b*delta), so f_0(x0) = f_1(x1) iff x1 = x0 xor delta.
-Both branch tables are part of the public key; claw-freeness is a
-cryptographic property this toolkit never asserts, only the functional
-ones (injectivity per branch, perfect claw matching, hidden-bit xor).
+Both branch tables are part of the public key, held (like the secret
+inverse table) as read-only int64 arrays that become lists only in JSON;
+claw-freeness is a cryptographic property this toolkit never asserts,
+only the functional ones (injectivity per branch, perfect claw matching,
+hidden-bit xor).
 
 The toy-LWE backend demonstrates the noisy shape f_b(x) = A x + b*u + e
 with u = A s + e_u at classroom parameters.  It supports eval/inv/chk but
@@ -19,11 +21,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .qsim import StateVector
+
+
+# One ideal gen at the bound takes about 64 ms and leaves three 2^20-entry
+# int64 tables (24 MB, 32 MB at peak); the first public_claw on the key adds
+# its two inverse tables (16 MB, about 26 ms). Measured on one core of a
+# 2-vCPU Xeon VM, CPython 3.11, numpy 2.4.
+MAX_DOMAIN_BITS = 20
 
 
 class UnsupportedBackend(ValueError):
@@ -45,20 +54,56 @@ def dot_bits(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-@dataclass(frozen=True)
+def _readonly(values) -> np.ndarray:
+    """values as a read-only int64 array; an int64 array is frozen in place, not copied."""
+    table = np.asarray(values, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _inverse_permutation(table: np.ndarray) -> np.ndarray:
+    inverse = np.empty_like(table)
+    inverse[table] = np.arange(len(table))
+    return _readonly(inverse)
+
+
+@dataclass(frozen=True, eq=False)
 class IdealPublicKey:
     n: int
-    tables: tuple  # tables[b][x] = f_b(x), both branches public
+    tables: tuple  # tables[b][x] = f_b(x), both branches public, read-only int64 arrays
+
+    def __post_init__(self):
+        object.__setattr__(self, "tables", tuple(_readonly(t) for t in self.tables))
+
+    def __eq__(self, other):
+        if not isinstance(other, IdealPublicKey):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
 
     def table_array(self, b: int) -> np.ndarray:
-        return np.asarray(self.tables[b], dtype=np.int64)
+        return self.tables[b]
+
+    @cached_property
+    def inverse_tables(self) -> tuple:
+        """inverse_tables[b][y] = the branch-b preimage of y, built once per key."""
+        return tuple(_inverse_permutation(t) for t in self.tables)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealSecretKey:
     n: int
-    inv_prp: tuple  # PRP^-1 as a table
+    inv_prp: np.ndarray  # PRP^-1 as a read-only table
     delta: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "inv_prp", _readonly(self.inv_prp))
+
+    def __eq__(self, other):
+        if not isinstance(other, IdealSecretKey):
+            return NotImplemented
+        return (self.n, self.delta) == (other.n, other.delta) and np.array_equal(
+            self.inv_prp, other.inv_prp)
 
 
 @dataclass(frozen=True)
@@ -90,8 +135,8 @@ class TcfKeyPair:
                 "backend": "ideal",
                 "domain_bits": self.domain_bits,
                 "hidden_bit": self.hidden_bit,
-                "tables": [list(t) for t in self.pk.tables],
-                "secret": {"inv_prp": list(self.sk.inv_prp), "delta": self.sk.delta},
+                "tables": [t.tolist() for t in self.pk.tables],
+                "secret": {"inv_prp": self.sk.inv_prp.tolist(), "delta": self.sk.delta},
             })
         return json.dumps({
             "backend": "lwe",
@@ -108,8 +153,8 @@ class TcfKeyPair:
         n = d["domain_bits"]
         hidden = d["hidden_bit"]
         if d["backend"] == "ideal":
-            pk = IdealPublicKey(n, tuple(tuple(t) for t in d["tables"]))
-            sk = IdealSecretKey(n, tuple(d["secret"]["inv_prp"]), d["secret"]["delta"])
+            pk = IdealPublicKey(n, tuple(d["tables"]))
+            sk = IdealSecretKey(n, d["secret"]["inv_prp"], d["secret"]["delta"])
         else:
             pk = LwePublicKey(n, d["m"], d["q"], tuple(tuple(r) for r in d["a"]),
                               tuple(d["u"]), d["bound"])
@@ -130,18 +175,16 @@ def gen(bits: int, hidden=None, backend: str = "ideal", rng: np.random.Generator
     """Key generation; bits is the domain size n of X = {0,1}^n."""
     if rng is None:
         raise ValueError("an explicit rng is required")
-    if bits < 3:
-        raise ValueError("domain must have at least 3 bits")
+    if not 3 <= bits <= MAX_DOMAIN_BITS:
+        raise ValueError(f"domain must have 3 to {MAX_DOMAIN_BITS} bits, not {bits}")
     if hidden is not None and hidden not in (0, 1):
         raise ValueError("hidden bit must be 0 or 1")
     if backend == "ideal":
         size = 1 << bits
         prp = rng.permutation(size)
         delta = _sample_mask(bits, hidden, rng)
-        t0 = prp
-        t1 = prp[np.arange(size) ^ delta]
-        pk = IdealPublicKey(bits, (tuple(int(v) for v in t0), tuple(int(v) for v in t1)))
-        sk = IdealSecretKey(bits, tuple(int(v) for v in np.argsort(prp)), delta)
+        pk = IdealPublicKey(bits, (prp, prp[np.arange(size) ^ delta]))
+        sk = IdealSecretKey(bits, _inverse_permutation(prp), delta)
         return TcfKeyPair(pk, sk, bits, hidden)
     if backend == "lwe":
         q, m = 97, 3 * bits
@@ -201,7 +244,8 @@ def chk(pk, b: int, x: int, y) -> int:
     except ValueError:
         return 0
     if isinstance(pk, IdealPublicKey):
-        return int(pk.tables[b][x] == y)
+        # a Python int, so a tuple y compares unequal instead of broadcasting
+        return int(int(pk.tables[b][x]) == y)
     if isinstance(pk, LwePublicKey):
         return int(_lwe_dist(pk, y, _lwe_center(pk, b, x)) <= pk.bound)
     raise UnsupportedBackend(f"unknown public key type {type(pk)!r}")
@@ -238,11 +282,6 @@ def claw(sk: IdealSecretKey, y: int):
     return x0, x0 ^ sk.delta
 
 
-@lru_cache(maxsize=64)
-def _inverse_tables(pk: IdealPublicKey):
-    return tuple(np.argsort(pk.table_array(b)) for b in (0, 1))
-
-
 def public_claw(pk, y: int):
     """(x0, x1) for y, read off the published branch tables.
 
@@ -254,7 +293,7 @@ def public_claw(pk, y: int):
     y = int(y)
     if not 0 <= y < (1 << pk.n):
         raise ValueError("y outside the image")
-    inv0, inv1 = _inverse_tables(pk)
+    inv0, inv1 = pk.inverse_tables
     return int(inv0[y]), int(inv1[y])
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxsim import cli, games
+from ctxsim import cli, games, tcf
 
 
 def run_cli(capsys, argv):
@@ -61,6 +61,27 @@ def test_values_float_weights_are_exact(tmp_path, capsys):
     code, report, _ = run_cli(capsys, ["values", "--game", str(path)])
     assert code == 0
     assert report["rows"][0]["nc_value_exact"] == "4/5"
+
+
+def test_values_rejects_weights_that_miss_one_exactly(tmp_path, capsys):
+    game, _ = games.kcbs()
+    data = json.loads(game.to_json())
+    data["context_weights"] = [0.3333333333333333] * 3 + [0, 0]
+    path = tmp_path / "kcbs-thirds.json"
+    path.write_text(json.dumps(data))
+    code, report, err = run_cli(capsys, ["values", "--game", str(path)])
+    assert code == 3
+    assert report is None
+    assert "sum to exactly 1" in err
+
+
+@pytest.mark.parametrize("command", [["poq"], ["compile", "--game", "kcbs", "--compiler", "1-1"]])
+@pytest.mark.parametrize("lam", [2, tcf.MAX_DOMAIN_BITS + 1, 64])
+def test_lambda_outside_the_key_bound_exits_3(capsys, command, lam):
+    code, report, err = run_cli(capsys, command + ["--lambda", str(lam), "--seed", "1"])
+    assert code == 3
+    assert report is None
+    assert f"3 to {tcf.MAX_DOMAIN_BITS}" in err
 
 
 def test_values_rejects_a_game_past_the_search_bound(tmp_path, capsys):

@@ -179,6 +179,18 @@ def test_weights_must_sum_to_one():
             questions=(0,), answers=(0,), contexts=((0,),),
             context_weights=(Fraction(1, 2),), accepts={0: {(0,)}},
         )
+    # three float thirds sum to 9999999999999999/10000000000000000, not 1
+    with pytest.raises(ValueError, match='"1/3"'):
+        ContextualityGame(
+            questions=(0, 1, 2), answers=(0,), contexts=((0,), (1,), (2,)),
+            context_weights=(0.3333333333333333,) * 3,
+            accepts={i: {(0,)} for i in range(3)},
+        )
+    thirds = ContextualityGame(
+        questions=(0, 1, 2), answers=(0,), contexts=((0,), (1,), (2,)),
+        context_weights=("1/3",) * 3, accepts={i: {(0,)} for i in range(3)},
+    )
+    assert nc_value(thirds) == 1
 
 
 @pytest.mark.parametrize("answers", [(0, 1, 0), ()])

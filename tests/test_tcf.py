@@ -1,7 +1,11 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
-from ctxsim import tcf
+from ctxsim import compilers, games, tcf
 from ctxsim.qsim import H, StateVector, apply_unitary, measure_registers, register_distribution, remove_registers
 
 # chi-square critical value, df = 15, p = 0.001
@@ -46,6 +50,7 @@ def test_chk_accepts_eval_and_rejects_others():
     y0 = tcf.eval(kp.pk, 0, 0)
     assert tcf.chk(kp.pk, 0, 1, y0) == 0
     assert tcf.chk(kp.pk, 0, -1, y0) == 0
+    assert tcf.chk(kp.pk, 0, 0, (y0, y0)) == 0
 
 
 def test_branch_injectivity_exhaustive():
@@ -185,6 +190,66 @@ def test_keypair_json_roundtrip():
     assert back.pk == kp.pk
     assert back.sk == kp.sk
     assert back.hidden_bit == 1
+    other = ideal_pair(6, hidden=1, seed=13)
+    assert other.pk != kp.pk
+    assert other.sk != kp.sk
+
+
+class _NoDrawRng:
+    """An rng that fails on any draw, so a check that runs late shows up."""
+
+    def permutation(self, *args, **kwargs):
+        raise AssertionError("gen drew a permutation before checking the domain")
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("gen drew a mask before checking the domain")
+
+
+@pytest.mark.parametrize("bits", [tcf.MAX_DOMAIN_BITS + 1, 64])
+@pytest.mark.parametrize("backend", ["ideal", "lwe"])
+def test_gen_bounds_the_domain_before_drawing(bits, backend):
+    with pytest.raises(ValueError, match=f"3 to {tcf.MAX_DOMAIN_BITS} bits"):
+        tcf.gen(bits, backend=backend, rng=_NoDrawRng())
+
+
+def test_key_tables_are_read_only():
+    kp = ideal_pair(6)
+    for table in (*kp.pk.tables, kp.sk.inv_prp, *kp.pk.inverse_tables):
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0] = 1
+    back = tcf.TcfKeyPair.from_json(kp.to_json())
+    with pytest.raises(ValueError):
+        back.pk.table_array(1)[0] = 1
+
+
+def test_public_claw_is_the_inverse_of_both_tables():
+    kp = ideal_pair(6, seed=15)
+    t0, t1 = kp.pk.tables
+    for y in range(64):
+        claw = tcf.public_claw(kp.pk, y)
+        assert claw == (int(np.argsort(t0)[y]), int(np.argsort(t1)[y]))
+        assert claw == tcf.claw(kp.sk, y)
+        assert all(type(x) is int for x in claw)
+
+
+def test_used_public_key_is_not_kept_alive():
+    kp = ideal_pair(6, seed=16)
+    tcf.public_claw(kp.pk, 3)
+    ref = weakref.ref(kp.pk)
+    del kp
+    gc.collect()
+    assert ref() is None
+
+
+def test_transcript_table_digest_is_stable():
+    # the digest hashes the JSON text of the tables; this value predates
+    # the array representation of keys
+    game, strategy = games.kcbs()
+    _, state = compilers.run_session(game, "1-1", compilers.honest_quantum_prover(strategy),
+                                     np.random.default_rng(3))
+    body = json.loads(state.transcript().to_json())
+    assert body["t2_opad_pk"] == {"domain_bits": 8, "table_digest": "7c1cc4c7137dcbdc"}
 
 
 def test_lwe_round_trip_and_claws():
