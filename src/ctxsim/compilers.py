@@ -373,15 +373,6 @@ def verifier_new(game: ContextualityGame, kind, lam: int, rng: np.random.Generat
     return state, state.message1
 
 
-def verifier_message3(state: CompiledVerifier, message2: Message2,
-                      rng: np.random.Generator = None):
-    return state.message3(message2, rng)
-
-
-def verifier_decide(state: CompiledVerifier, answer) -> bool:
-    return state.decide(answer)
-
-
 _PAULI = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): X @ Z}
 
 

@@ -30,6 +30,7 @@ from .qsim import (
     H,
     PauliKey,
     StateVector,
+    apply_diagonal,
     apply_pauli_pad,
     apply_unitary,
     measure_registers,
@@ -131,11 +132,11 @@ def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng
     work = remove_registers(work, [y_reg])
     x0, x1 = tcf.public_claw(pk, y)
 
-    signs = np.ones(size, dtype=complex)
+    signs = np.ones(size)
     signs[x0] = 1 - 2 * oracle.query(x0)
     signs[x1] = 1 - 2 * oracle.query(x1)
     x_regs = list(range(base, base + n))
-    work = apply_unitary(work, np.diag(signs), x_regs)
+    work = apply_diagonal(work, signs, x_regs)
 
     # Condition the Hadamard measurement on d != 0 (Samp never emits 0).
     for _ in range(_MAX_NONZERO_RETRIES):

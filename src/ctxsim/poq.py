@@ -44,10 +44,13 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+# Basis changes of rotated_measure, indexed by the challenge: +pi/8, -pi/8.
+_ROTATED_BASES = (rotation(math.pi / 8).T.astype(complex), rotation(-math.pi / 8).T.astype(complex))
+
+
 def rotated_measure(qubit: StateVector, c: int, rng: np.random.Generator) -> int:
     """Measure a single qubit in the basis rotated by +pi/8 (c=0) or -pi/8."""
-    theta = math.pi / 8 if c == 0 else -math.pi / 8
-    probe = apply_unitary(qubit, rotation(theta).T, [0])
+    probe = apply_unitary(qubit, _ROTATED_BASES[0 if c == 0 else 1], [0])
     (bit,), _ = measure_registers(probe, [0], rng=rng)
     return int(bit)
 

@@ -238,18 +238,17 @@ def _peek_bits(c: ClassicalCiphertext) -> tuple:
     return tuple(masked ^ c.backend.peek(token) for masked, token in c.bits)
 
 
-def _unpad(cipher: QfheCiphertext) -> StateVector:
-    k = PauliKey.from_bits(_peek_bits(cipher.pad_hat))
+def _unpad(cipher: QfheCiphertext, bits) -> StateVector:
+    """Undo the pad whose key payload is bits."""
+    state = cipher.padded_state
     # X^x Z^z inverts itself up to a global phase.
-    return apply_pauli_pad(cipher.padded_state, k, range(cipher.padded_state.num_registers))
+    return apply_pauli_pad(state, PauliKey.from_bits(bits), range(state.num_registers))
 
 
 def dec_quantum(sk: QfheSecretKey, cipher: QfheCiphertext) -> StateVector:
     if not isinstance(sk, QfheSecretKey):
         raise TypeError("decryption requires the secret key")
-    bits = dec_classical(sk, cipher.pad_hat)
-    k = PauliKey.from_bits(bits)
-    return apply_pauli_pad(cipher.padded_state, k, range(cipher.padded_state.num_registers))
+    return _unpad(cipher, dec_classical(sk, cipher.pad_hat))
 
 
 def _match_outcome(outcomes, value: float):
@@ -271,7 +270,7 @@ def eval(instructions, cipher: QfheCiphertext, rng: np.random.Generator, aux: St
     uniform key either way, so emitted pad keys are always uniform.
     """
     be = cipher.backend
-    state = _unpad(cipher)
+    state = _unpad(cipher, _peek_bits(cipher.pad_hat))
     if aux is not None:
         state = state.tensor(aux)
     answer_bits = []

@@ -323,20 +323,20 @@ def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Gene
     if state.dims[control] != 2:
         raise ValueError("control must be a qubit register")
 
+    # Views with (control, preimage qubits..., image, rest...) as the axes.
     regs = [control] + out
-    rest = [i for i in range(state.num_registers) if i not in regs]
-    perm = regs + rest
-    rest_dim = int(np.prod([state.dims[i] for i in rest])) if rest else 1
-    arr = state.amps.reshape(state.dims).transpose(perm).reshape(2, size, size, rest_dim)
-    tail = np.linalg.norm(arr[:, 1:, :, :]) ** 2 + np.linalg.norm(arr[:, 0, 1:, :]) ** 2
+    moved = range(len(regs))
+    view = np.moveaxis(state.amps.reshape(state.dims), regs, moved)
+    head = view[(slice(None),) + (0,) * (n + 1)]
+    tail = np.vdot(state.amps, state.amps).real - np.vdot(head, head).real
     if tail > 1e-12:
         raise ValueError("out registers must start in |0>")
 
-    new = np.zeros_like(arr)
-    src = arr[:, 0, 0, :] / np.sqrt(size)
+    amps = np.zeros_like(state.amps)
+    new = np.moveaxis(amps.reshape(state.dims), regs, moved)
+    xs = np.arange(size)
+    x_digits = tuple((xs >> (n - 1 - j)) & 1 for j in range(n))
+    src = head / np.sqrt(size)
     for b in (0, 1):
-        new[b, np.arange(size), pk.table_array(b), :] = src[b][None, :]
-    permuted_dims = [state.dims[p] for p in perm]
-    inv_perm = np.argsort(perm)
-    amps = new.reshape(permuted_dims).transpose(inv_perm).reshape(-1)
-    return StateVector(state.dims, amps)
+        new[(b,) + x_digits + (pk.table_array(b),)] = src[b][None]
+    return StateVector._own(state.dims, amps)

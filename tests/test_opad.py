@@ -1,4 +1,5 @@
 """Oblivious Pauli pad: round-trips, exact marginals, security game, extraction."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -345,3 +346,18 @@ def test_collapsed_and_circuit_paths_share_slot_statistics():
         a = np.mean([k.bits()[bit] for k in counts["circuit"]])
         b = np.mean([k.bits()[bit] for k in counts["collapsed"]])
         assert abs(a - b) < 0.1
+
+
+def test_circuit_enc_refuses_oversized_state_before_allocating():
+    # At lambda = 12 a round on two qubits spans 2^2 * 2^12 * 2^12 = 2^26
+    # amplitudes; the fresh out registers alone (2^24) are refused.
+    keys, oracle, rng = fresh(12, 18)
+    state = StateVector.basis((2, 2), (0, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_AMPS"):
+            opad.enc(keys.pk, state, [0, 1], oracle, rng, path="circuit")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,11 +1,12 @@
 """Two-round quantumness test: honest rate, classical ceiling, rewinding."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ctxsim import poq, tcf
+from ctxsim import opad, poq, qsim, tcf
 from ctxsim.qsim import StateVector, equal_up_to_global_phase
 
 HONEST = math.cos(math.pi / 8) ** 2
@@ -136,6 +137,40 @@ def test_honest_prover_rejects_lwe_and_bad_path():
     ideal = tcf.gen(4, rng=rng)
     with pytest.raises(ValueError):
         poq.HonestProver(ideal.pk, rng, path="warp")
+
+
+def test_circuit_prover_refuses_oversized_state_before_allocating():
+    rng = np.random.default_rng(17)
+    prover = poq.HonestProver(tcf.gen(12, rng=rng).pk, rng, path="circuit")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_AMPS"):
+            prover.round1()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_circuit_paths_read_every_target_list_through_a_view(monkeypatch):
+    transposed = []
+    blocks = qsim._blocks
+
+    def spy(amps, dims, targets):
+        arr, perm = blocks(amps, dims, targets)
+        if perm is not None:
+            transposed.append(list(targets))
+        return arr, perm
+
+    monkeypatch.setattr(qsim, "_blocks", spy)
+    rng = np.random.default_rng(19)
+    prover = poq.HonestProver(tcf.gen(5, rng=rng).pk, rng, path="circuit")
+    prover.round1()
+    prover.round2(1)
+    keys = opad.gen(4, rng)
+    state = StateVector((2, 2), np.array([0.5, 0.5, 0.5, -0.5]))
+    opad.enc(keys.pk, state, [0, 1], opad.PhaseOracle("hash", seed=19), rng, path="circuit")
+    assert transposed == []
 
 
 def test_honest_round2_consumes_the_qubit():

@@ -1,7 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctxsim import qsim
 from ctxsim.qsim import (
     H,
     I2,
@@ -10,6 +14,7 @@ from ctxsim.qsim import (
     StateVector,
     X,
     Z,
+    apply_diagonal,
     apply_pauli_pad,
     apply_unitary,
     branch_measure,
@@ -247,3 +252,239 @@ def test_measure_targets_out_of_range():
 def test_pauli_key_payload_roundtrip():
     k = PauliKey((1, 0, 1), (0, 0, 1))
     assert PauliKey.from_bits(k.bits()) == k
+
+
+# Reference kernels: move the targets to the front by a transpose, act on
+# the (block, rest) matrix, transpose back.  The kernels under test read
+# consecutive targets through views instead.
+
+def ref_to_front(amps, dims, targets):
+    rest = [i for i in range(len(dims)) if i not in targets]
+    perm = list(targets) + rest
+    block = int(np.prod([dims[t] for t in targets]))
+    return amps.reshape(dims).transpose(perm).reshape(block, -1), perm
+
+
+def ref_from_front(arr, dims, perm):
+    return arr.reshape([dims[p] for p in perm]).transpose(np.argsort(perm)).reshape(-1)
+
+
+def ref_apply(state, m, targets):
+    arr, perm = ref_to_front(state.amps, state.dims, targets)
+    return ref_from_front(m @ arr, state.dims, perm)
+
+
+def ref_rotate(state, targets, basis):
+    amps = state.amps
+    if basis == "hadamard":
+        for t in targets:
+            amps = ref_apply(StateVector(state.dims, amps), H, [t])
+    return amps
+
+
+def ref_measure_registers(state, targets, basis, rng):
+    amps = ref_rotate(state, targets, basis)
+    arr, perm = ref_to_front(amps, state.dims, targets)
+    probs = np.einsum("ij,ij->i", arr, arr.conj()).real
+    r = rng.random() * float(probs.sum())
+    acc = 0.0
+    idx = len(probs) - 1
+    for i, p in enumerate(probs):
+        acc += p
+        if r < acc:
+            idx = i
+            break
+    collapsed = np.zeros_like(arr)
+    collapsed[idx] = arr[idx] / np.sqrt(probs[idx])
+    return idx, ref_from_front(collapsed, state.dims, perm)
+
+
+def ref_remove_registers(state, targets):
+    arr, _ = ref_to_front(state.amps, state.dims, targets)
+    weights = np.einsum("ij,ij->i", arr, arr.conj()).real
+    row = arr[int(np.argmax(weights))]
+    return row / np.linalg.norm(row)
+
+
+def ref_distribution(state, targets, basis):
+    arr, _ = ref_to_front(ref_rotate(state, targets, basis), state.dims, targets)
+    return np.einsum("ij,ij->i", arr, arr.conj()).real
+
+
+def pauli_matrix(dims, key, targets):
+    """kron of X^x Z^z on the padded qubits and identities elsewhere."""
+    factors = [np.eye(d) for d in dims]
+    for t, x, z in zip(targets, key.x, key.z):
+        factors[t] = np.linalg.matrix_power(X, x) @ np.linalg.matrix_power(Z, z) @ factors[t]
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+# (dims, targets): a qutrit sits between padded qubits in the last layouts.
+PAD_LAYOUTS = [((2,), [0]), ((2, 2), [0, 1]), ((2, 2), [1, 0]), ((2, 2, 2), [0, 1, 2]),
+               ((2, 2, 2), [2, 0, 1]), ((2, 3, 2), [0, 2]), ((2, 3, 2), [2, 0]),
+               ((2, 3, 2, 2), [0, 2, 3])]
+
+
+@pytest.mark.parametrize("dims,targets", PAD_LAYOUTS)
+def test_pauli_pad_equals_kron_reference_for_every_key(dims, targets):
+    rng = np.random.default_rng(11)
+    s = random_state(dims, rng)
+    n = len(targets)
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        key = PauliKey(bits[:n], bits[n:])
+        out = apply_pauli_pad(s, key, targets)
+        assert np.allclose(out.amps, pauli_matrix(dims, key, targets) @ s.amps, rtol=0, atol=1e-12)
+
+
+def test_pauli_pad_rejects_bad_targets():
+    with pytest.raises(ValueError):
+        apply_pauli_pad(ket(0, dims=(3,)), PauliKey((1,), (0,)), [0])
+    with pytest.raises(ValueError):
+        apply_pauli_pad(ket(0), PauliKey((1,), (0,)), [1])
+
+
+# (dims, targets): consecutive, non-consecutive and reversed target lists.
+TARGET_LAYOUTS = [((2, 3, 2), [1]), ((2, 2, 2, 2), [1, 2]), ((2, 3, 2, 2), [1, 2, 3]),
+                  ((2, 2, 2, 2), [0, 2]), ((2, 3, 2, 2), [3, 1]), ((2, 2, 2), [2, 1, 0]),
+                  ((2, 2, 2, 2), [3, 2]), ((2, 2, 2, 2, 2), [1]), ((3, 2, 2), [])]
+
+
+@pytest.mark.parametrize("dims,targets", TARGET_LAYOUTS)
+def test_apply_diagonal_equals_dense_unitary(dims, targets):
+    rng = np.random.default_rng(12)
+    s = random_state(dims, rng)
+    block = int(np.prod([dims[t] for t in targets]))
+    phases = np.exp(2j * np.pi * rng.random(block))
+    out = apply_diagonal(s, phases, targets)
+    assert np.allclose(out.amps, apply_unitary(s, np.diag(phases), targets).amps, rtol=0, atol=1e-12)
+    assert np.allclose(out.amps, ref_apply(s, np.diag(phases), targets), rtol=0, atol=1e-12)
+
+
+def test_apply_diagonal_rejects_bad_phases():
+    s = ket(0, 0)
+    with pytest.raises(ValueError):
+        apply_diagonal(s, [1.0, 1.0, 1.0, 1.001], [0, 1])
+    with pytest.raises(ValueError):
+        apply_diagonal(s, [1.0, 0.5j], [0])
+    with pytest.raises(ValueError):
+        apply_diagonal(s, [1.0, 1.0, 1.0], [0])
+    with pytest.raises(ValueError):
+        apply_diagonal(s, [1.0, -1.0], [0, 1])
+
+
+@pytest.mark.parametrize("dims,targets", TARGET_LAYOUTS)
+def test_unitary_and_branch_measure_match_reference(dims, targets):
+    rng = np.random.default_rng(13)
+    s = random_state(dims, rng)
+    block = int(np.prod([dims[t] for t in targets]))
+    u, _ = np.linalg.qr(rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block)))
+    assert np.allclose(apply_unitary(s, u, targets).amps, ref_apply(s, u, targets), rtol=0, atol=1e-12)
+    g = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+    obs = Observable(g + g.conj().T)
+    for (val, p, post), (_, proj) in zip(branch_measure(s, obs, targets), obs.eigensystem):
+        raw = ref_apply(s, proj, targets)
+        assert p == pytest.approx(float(np.vdot(raw, raw).real), abs=1e-12)
+        assert np.allclose(post.amps, raw / np.sqrt(p), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("basis", ["standard", "hadamard"])
+@pytest.mark.parametrize("dims,targets", TARGET_LAYOUTS)
+def test_register_measurement_matches_reference(dims, targets, basis):
+    if basis == "hadamard" and any(dims[t] != 2 for t in targets):
+        return
+    rng = np.random.default_rng(14)
+    tdims = [dims[t] for t in targets]
+    for trial in range(20):
+        s = random_state(dims, rng)
+        probs = ref_distribution(s, targets, basis)
+        dist = register_distribution(s, targets, basis)
+        for i, p in enumerate(probs):
+            assert dist[qsim._digits_of(i, tdims)] == pytest.approx(p, abs=1e-12)
+
+        seed = 1000 * trial + len(targets)
+        idx, ref_post = ref_measure_registers(s, targets, basis, np.random.default_rng(seed))
+        digits, post = measure_registers(s, targets, basis, np.random.default_rng(seed))
+        assert digits == qsim._digits_of(idx, tdims)
+        assert np.allclose(post.amps, ref_post, rtol=0, atol=1e-12)
+
+        kept = remove_registers(post, targets)
+        assert kept.dims == tuple(d for i, d in enumerate(dims) if i not in targets)
+        assert np.allclose(kept.amps, ref_remove_registers(post, targets), rtol=0, atol=1e-12)
+
+
+class FixedDraw:
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def test_measure_registers_falls_back_to_the_last_outcome():
+    # r equals the total weight, so no running sum exceeds it.
+    digits, post = measure_registers(apply_unitary(ket(0, 0), np.kron(H, H), [0, 1]), [0, 1], rng=FixedDraw(1.0))
+    assert digits == (1, 1)
+    assert np.allclose(post.amps, ket(1, 1).amps)
+
+
+def test_measure_registers_never_picks_a_zero_weight_outcome():
+    # A draw of exactly 0 equals the running sum of the leading zero weights.
+    s = StateVector((3,), np.array([0, 1, 1]) / np.sqrt(2))
+    assert measure_registers(s, [0], rng=FixedDraw(0.0))[0] == (1,)
+    assert measure_registers(s, [0], rng=FixedDraw(0.5))[0] == (2,)
+
+
+def test_every_result_is_read_only():
+    rng = np.random.default_rng(15)
+    s = random_state((2, 2, 2), rng)
+    obs = Observable(np.kron(X, Z))
+    _, measured = measure_registers(s, [1, 2], "hadamard", rng)
+    results = [s, ket(0, 1), s.tensor(ket(1)), apply_unitary(s, H, [1]),
+               apply_diagonal(s, [1, -1], [2]), apply_pauli_pad(s, PauliKey((1, 0), (1, 1)), [0, 2]),
+               measure_observable(s, obs, [0, 2], rng)[1], measured,
+               remove_registers(measured, [1, 2])]
+    results += [post for _, _, post in branch_measure(s, obs, [2, 0]) if post is not None]
+    for state in results:
+        assert not state.amps.flags.writeable
+        with pytest.raises(ValueError):
+            state.amps[0] = 0
+
+
+def test_public_constructor_copies_caller_data():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    s = StateVector((2,), amps)
+    amps[:] = [0.0, 1.0]
+    assert np.array_equal(s.amps, [1.0, 0.0])
+    assert amps.flags.writeable
+
+
+def test_private_constructor_still_checks_norm_and_size():
+    with pytest.raises(ValueError):
+        StateVector._own((2,), np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(ValueError):
+        StateVector._own((2, 2), np.array([1.0, 0.0], dtype=complex))
+
+
+def test_state_size_is_bounded_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_AMPS"):
+            StateVector.basis((2,) * 23, (0,) * 23)
+        with pytest.raises(ValueError, match="MAX_AMPS"):
+            ket(*(0,) * 12).tensor(ket(*(0,) * 11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_state_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(qsim, "MAX_AMPS", 16)
+    assert StateVector.basis((2,) * 4, (0,) * 4).tensor(StateVector.basis((), ())).dims == (2,) * 4
+    with pytest.raises(ValueError):
+        StateVector.basis((2,) * 5, (0,) * 5)
+    with pytest.raises(ValueError):
+        ket(0, 0, 0).tensor(ket(0, 0))
