@@ -250,6 +250,12 @@ def cmd_compile(config: RunConfig, want_transcripts: bool):
 COMMANDS = {"values": cmd_values, "poq": cmd_poq, "compile": cmd_compile}
 
 
+LAMBDA_HELP = (f"claw-free domain bits, 3 to {tcf.MAX_DOMAIN_BITS} (default 8); "
+               f"every trial draws fresh keys, whose cost doubles per bit: about "
+               f"64 ms per trial at {tcf.MAX_DOMAIN_BITS}, so 20000 trials take "
+               f"about 20 minutes per row there")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ctxsim",
                      description="simulators for compiled contextuality "
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("all", "honest", "zoo") + poq.CLASSICAL_KINDS)
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, default=8)
+    p.add_argument("--lambda", dest="lam", type=int, default=8, help=LAMBDA_HELP)
     p.add_argument("--tcf", default="ideal", choices=("ideal", "lwe"))
     p.add_argument("--out")
     p.add_argument("--assert", dest="assert_bounds", action="store_true",
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("all", "honest", "truthtable", "feasible"))
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, default=8)
+    p.add_argument("--lambda", dest="lam", type=int, default=8, help=LAMBDA_HELP)
     p.add_argument("--tcf", default="ideal", choices=("ideal", "lwe"))
     p.add_argument("--fhe", default="stub", choices=("stub", "leaky", "lwe"))
     p.add_argument("--out")

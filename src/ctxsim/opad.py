@@ -2,9 +2,11 @@
 plus the general unitary-family variant and the claw-extraction hook.
 
 Per qubit and per Pauli component the prover runs one round: evaluate the
-claw pair coherently against the data qubit, measure the image register
-(y), flip signs through a binary phase oracle, then measure the preimage
-block in the Hadamard basis (d, conditioned on d != 0 to match Samp).
+claw pair coherently against the data qubit and measure the image (y) in
+one step (tcf.measure_claw, which builds only the preimage qubits, never an
+image register), flip signs through a binary phase oracle, then measure
+the preimage block in the Hadamard basis (d, conditioned on d != 0 to
+match Samp).
 The physically applied pad bit is
 
     phase(d, x0, x1) = d.(x0 xor x1) + H(x0) + H(x1)   (mod 2),
@@ -121,21 +123,12 @@ def _phase_bit(oracle: PhaseOracle, d: int, x0: int, x1: int) -> int:
 
 def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng):
     """One pad round on the computational basis (a Z round on `target`)."""
-    n = pk.n
-    size = 1 << n
-    base = state.num_registers
-    tail = StateVector.basis((2,) * n + (size,), (0,) * (n + 1))
-    work = tcf.coherent_samp(pk, state.tensor(tail), target, list(range(base, base + n + 1)))
+    y, x0, x1, work = tcf.measure_claw(pk, state, target, rng)
 
-    y_reg = base + n
-    (y,), work = measure_registers(work, [y_reg], rng=rng)
-    work = remove_registers(work, [y_reg])
-    x0, x1 = tcf.public_claw(pk, y)
-
-    signs = np.ones(size)
+    signs = np.ones(1 << pk.n)
     signs[x0] = 1 - 2 * oracle.query(x0)
     signs[x1] = 1 - 2 * oracle.query(x1)
-    x_regs = list(range(base, base + n))
+    x_regs = list(range(state.num_registers, work.num_registers))
     work = apply_diagonal(work, signs, x_regs)
 
     # Condition the Hadamard measurement on d != 0 (Samp never emits 0).

@@ -186,10 +186,7 @@ class HonestProver:
         rng = self._rng
         if self.path == "circuit":
             plus = StateVector((2,), np.array([1.0, 1.0]) / np.sqrt(2))
-            tail = StateVector.basis((2,) * n + (size,), (0,) * (n + 1))
-            state = tcf.coherent_samp(self.pk, plus.tensor(tail), 0, list(range(1, n + 2)))
-            (y,), state = measure_registers(state, [n + 1], rng=rng)
-            state = remove_registers(state, [n + 1])
+            y, _, _, state = tcf.measure_claw(self.pk, plus, 0, rng)
             (mu,), state = measure_registers(state, [1], rng=rng)
             digits, state = measure_registers(state, list(range(2, n + 1)),
                                               basis="hadamard", rng=rng)

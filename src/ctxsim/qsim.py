@@ -21,7 +21,8 @@ ATOL_EIG = 1e-8
 # Largest state basis() and tensor() build: 2^22 complex128 amplitudes,
 # 64 MiB.  One basis() at the bound takes about 3 ms (6 ms cold) and holds
 # 64 MiB (tracemalloc; one core of a 2-vCPU Xeon VM, numpy 2.4).  A circuit
-# pad round on two qubits fills it at lambda 10 and is refused from 11.
+# pad round holds data * 2^lambda amplitudes: on two qubits it fills the
+# bound at lambda 20 (tcf.MAX_DOMAIN_BITS), on three it is refused there.
 MAX_AMPS = 2 ** 22
 
 I2 = np.eye(2, dtype=complex)
@@ -55,7 +56,7 @@ class StateVector:
         size = math.prod(dims)
         if amps.size != size:
             raise ValueError(f"expected {size} amplitudes for dims {dims}, got {amps.size}")
-        norm = math.sqrt(np.vdot(amps, amps).real)
+        norm = _norm(amps)
         if abs(norm - 1.0) > ATOL_STATE:
             raise ValueError(f"state norm {norm} is not 1 within {ATOL_STATE}")
         amps.setflags(write=False)
@@ -89,6 +90,21 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(dims={self.dims})"
+
+
+# OpenBLAS runs a dot product of more than 10^4 elements on several threads;
+# between kernels those threads sleep, and waking them took about 6 ms per
+# call on a 2-vCPU Xeon VM (a lambda-12 pad round on two qubits took 32 ms
+# with one dot, 1.9 ms with dots of this block size, which stay on one thread).
+_DOT_BLOCK = 2 ** 13
+
+
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm of a flat amplitude array, in single-threaded blocks."""
+    if amps.size <= _DOT_BLOCK:
+        return math.sqrt(np.vdot(amps, amps).real)
+    blocks = (amps[i:i + _DOT_BLOCK] for i in range(0, amps.size, _DOT_BLOCK))
+    return math.sqrt(math.fsum(np.vdot(b, b).real for b in blocks))
 
 
 def _checked_dims(dims) -> tuple:
@@ -323,11 +339,23 @@ def _rotate_for_basis(state: StateVector, targets, basis: str) -> StateVector:
     for t in targets:
         if state.dims[t] != 2:
             raise ValueError("hadamard basis requires qubit registers")
-    amps = state.amps
+    # H per qubit as the sum and the difference of the |0> and |1> halves of
+    # one working copy; the 1/sqrt(2) factors are applied once at the end.
+    work = state.amps.copy()
     for t in targets:
-        arr, perm = _blocks(amps, state.dims, [t])
-        amps = _unblock(np.matmul(H, arr), state.dims, perm)
-    return StateVector._own(state.dims, amps)
+        pair = work.reshape(math.prod(state.dims[:t]), 2, -1)
+        half = pair[:, 0].copy()
+        pair[:, 0] += pair[:, 1]
+        np.subtract(half, pair[:, 1], out=pair[:, 1])
+    work *= 2.0 ** (-len(targets) / 2)
+    return StateVector._own(state.dims, work)
+
+
+def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to probs, from one uniform."""
+    r = rng.random() * float(probs.sum())
+    # The first outcome whose running sum exceeds r, else the last one.
+    return min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
 
 
 def measure_registers(state: StateVector, targets, basis: str = "standard", rng: np.random.Generator = None):
@@ -343,9 +371,7 @@ def measure_registers(state: StateVector, targets, basis: str = "standard", rng:
     work = _rotate_for_basis(state, targets, basis)
     arr, perm = _blocks(work.amps, work.dims, targets)
     probs = _born_weights(arr)
-    r = rng.random() * float(probs.sum())
-    # The first outcome whose running sum exceeds r, else the last one.
-    idx = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
+    idx = _sample_index(probs, rng)
     collapsed = np.zeros_like(arr)
     collapsed[:, idx] = arr[:, idx] / np.sqrt(probs[idx])
     tdims = [state.dims[t] for t in targets]

@@ -20,12 +20,13 @@ that convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .qsim import StateVector
+from .qsim import StateVector, _checked_size, _norm, _sample_index
 
 
 # One ideal gen at the bound takes about 64 ms and leaves three 2^20-entry
@@ -309,7 +310,8 @@ def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Gene
     Maps (sum_b alpha_b |b>)|0...0>|0> on (control, out) to
     2^{-n/2} sum_{b,x} alpha_b |b>|x>|f_b(x)>, exactly.  out must list n
     qubit registers (the preimage, most significant first) followed by one
-    image-sized register, all holding |0>.
+    image-sized register, all holding |0>.  The protocols run measure_claw,
+    which this dense form is the reference for.
     """
     if not isinstance(pk, IdealPublicKey):
         raise UnsupportedBackend("coherent sampling is only exact on the ideal backend")
@@ -340,3 +342,37 @@ def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Gene
     for b in (0, 1):
         new[(b,) + x_digits + (pk.table_array(b),)] = src[b][None]
     return StateVector._own(state.dims, amps)
+
+
+def measure_claw(pk, state: StateVector, control: int, rng: np.random.Generator):
+    """Coherent claw evaluation and image measurement in one step.
+
+    For a state sum_b alpha_b |b> on the control qubit (the other registers
+    arbitrary), returns (y, x0, x1, post) with post = sum_b alpha_b |b>|x_b(y)>
+    over the registers of state followed by n preimage qubits, most
+    significant first.  This is the state coherent_samp into fresh
+    registers, a measurement of the image register and its removal leave,
+    with the same y for the same rng state.  Both f_b are permutations, so
+    the image marginal is exactly uniform whatever the control holds; y is
+    drawn from it by the sampler of qsim.measure_registers, and only the
+    2^n-fold state is built, never the 2^(2n)-fold one.
+    """
+    if not isinstance(pk, IdealPublicKey):
+        raise UnsupportedBackend("coherent sampling is only exact on the ideal backend")
+    if rng is None:
+        raise ValueError("an explicit rng is required")
+    if not 0 <= control < state.num_registers or state.dims[control] != 2:
+        raise ValueError("control must be a qubit register")
+    size = 1 << pk.n
+    dims = state.dims + (2,) * pk.n
+    _checked_size(dims)
+
+    norm = _norm(state.amps)
+    y = _sample_index(np.full(size, norm * norm / size), rng)
+    x0, x1 = public_claw(pk, y)
+    # (left of control, control, right of control) and the preimage last.
+    src = state.amps.reshape(math.prod(state.dims[:control]), 2, -1) / norm
+    amps = np.zeros(src.shape + (size,), dtype=complex)
+    amps[:, 0, :, x0] = src[:, 0]
+    amps[:, 1, :, x1] = src[:, 1]
+    return y, x0, x1, StateVector._own(dims, amps)

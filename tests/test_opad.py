@@ -1,4 +1,5 @@
 """Oblivious Pauli pad: round-trips, exact marginals, security game, extraction."""
+import copy
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxsim import opad, tcf
+from ctxsim import opad, qsim, tcf
 from ctxsim.qsim import (
     H,
     PauliKey,
@@ -94,10 +95,10 @@ def test_qubit_enc_applies_exactly_the_returned_key():
             assert d != 0
 
 
-def test_roundtrip_both_paths_all_widths():
+def check_roundtrip_both_paths_all_widths(lam):
     for j in (1, 2, 3):
         for path in ("circuit", "collapsed"):
-            keys, oracle, rng = fresh(4, 90 + j)
+            keys, oracle, rng = fresh(lam, 90 + j)
             targets = list(range(j))
             for _ in range(10):
                 psi = random_state((2,) * j, rng)
@@ -106,6 +107,14 @@ def test_roundtrip_both_paths_all_widths():
                 assert opad.dec(keys.sk, s, oracle) == key
                 restored = apply_pauli_pad(padded, key, targets)
                 assert equal_up_to_global_phase(restored, psi, tol=1e-10)
+
+
+def test_roundtrip_both_paths_all_widths():
+    check_roundtrip_both_paths_all_widths(4)
+
+
+def test_roundtrip_both_paths_all_widths_at_lambda_12():
+    check_roundtrip_both_paths_all_widths(12)
 
 
 def test_enc_without_key_returns_pair():
@@ -334,8 +343,8 @@ def test_general_u_key_distribution_matches_qubit_enc():
     assert tv / 2 < 0.1
 
 
-def test_collapsed_and_circuit_paths_share_slot_statistics():
-    keys, oracle, rng = fresh(4, 73)
+def check_collapsed_and_circuit_paths_share_slot_statistics(lam):
+    keys, oracle, rng = fresh(lam, 73)
     counts = {"circuit": [], "collapsed": []}
     for path in counts:
         for _ in range(500):
@@ -348,15 +357,74 @@ def test_collapsed_and_circuit_paths_share_slot_statistics():
         assert abs(a - b) < 0.1
 
 
+def test_collapsed_and_circuit_paths_share_slot_statistics():
+    check_collapsed_and_circuit_paths_share_slot_statistics(4)
+
+
+def test_collapsed_and_circuit_paths_share_slot_statistics_at_lambda_12():
+    check_collapsed_and_circuit_paths_share_slot_statistics(12)
+
+
+# (lambda, data qubits, target): the target first, in the middle and last
+ROUND_SWEEP = [(lam, data, target) for lam in (3, 4, 5, 6) for data in (1, 2, 3)
+               for target in sorted({0, data // 2, data - 1})]
+
+
+@pytest.mark.parametrize("lam,data,target", ROUND_SWEEP)
+def test_circuit_rounds_match_the_dense_reference(lam, data, target, dense_claw):
+    keys, oracle, rng = fresh(lam, 200 + 10 * data + target)
+    state = random_state((2,) * data, rng)
+    for _ in range(6):
+        ref_rng = copy.deepcopy(rng)
+        work, slot, bit = opad._circuit_round(keys.pk, state, target, oracle, rng)
+        with dense_claw():
+            ref_work, ref_slot, ref_bit = opad._circuit_round(keys.pk, state, target, oracle, ref_rng)
+        assert (slot, bit) == (ref_slot, ref_bit)
+        assert work.dims == ref_work.dims == state.dims
+        assert np.allclose(work.amps, ref_work.amps, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # alternate the Z and X frames, as qubit_enc does
+        state = apply_unitary(work, H, [target])
+
+
+@pytest.mark.parametrize("lam", [3, 4, 5, 6])
+@pytest.mark.parametrize("data", [1, 2, 3])
+def test_general_u_enc_matches_the_dense_reference(lam, data, dense_claw):
+    # each key bit runs a round on an auxiliary qubit appended after the data
+    keys, oracle, rng = fresh(lam, 300 + data)
+    family = opad.pauli_family(range(data))
+    for trial in range(3):
+        psi = random_state((2,) * data, rng)
+        out, s, bits = opad.general_u_enc(keys.pk, psi, family, oracle,
+                                          np.random.default_rng(trial), with_key=True)
+        with dense_claw():
+            ref_out, ref_s, ref_bits = opad.general_u_enc(keys.pk, psi, family, oracle,
+                                                          np.random.default_rng(trial),
+                                                          with_key=True)
+        assert (s, bits) == (ref_s, ref_bits)
+        assert np.allclose(out.amps, ref_out.amps, rtol=0, atol=1e-12)
+
+
+def test_circuit_pad_runs_on_two_qubits_at_every_lambda():
+    # a round holds 2^2 * 2^lambda amplitudes; the largest lambda still fits
+    assert 4 << tcf.MAX_DOMAIN_BITS <= qsim.MAX_AMPS
+    for lam in range(3, 17):
+        keys, oracle, rng = fresh(lam, 400 + lam)
+        psi = random_state((2, 2), rng)
+        padded, s = opad.enc(keys.pk, psi, [0, 1], oracle, rng, path="circuit")
+        restored = apply_pauli_pad(padded, opad.dec(keys.sk, s, oracle), [0, 1])
+        assert equal_up_to_global_phase(restored, psi, tol=1e-10)
+
+
 def test_circuit_enc_refuses_oversized_state_before_allocating():
-    # At lambda = 12 a round on two qubits spans 2^2 * 2^12 * 2^12 = 2^26
-    # amplitudes; the fresh out registers alone (2^24) are refused.
-    keys, oracle, rng = fresh(12, 18)
-    state = StateVector.basis((2, 2), (0, 1))
+    # A round on three qubits at the domain bound needs 2^3 * 2^20 = 2^23
+    # amplitudes, twice MAX_AMPS.
+    keys, oracle, rng = fresh(tcf.MAX_DOMAIN_BITS, 18)
+    state = StateVector.basis((2, 2, 2), (0, 1, 0))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MAX_AMPS"):
-            opad.enc(keys.pk, state, [0, 1], oracle, rng, path="circuit")
+            opad.enc(keys.pk, state, [0, 1, 2], oracle, rng, path="circuit")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -61,13 +61,13 @@ def test_transcript_roundtrip_and_gating():
     assert t.lam == 4
 
 
-def test_honest_leftover_is_the_predicted_bb84_state():
+def check_honest_leftover_is_the_predicted_bb84_state(lam):
     # the committed qubit is |mu xor mu0(y)> when the key hides 1, and
     # |0> + (-1)^{d.(v0 xor v1)} |1> when it hides 0
     for path in ("circuit", "collapsed"):
         for s in (0, 1):
             rng = np.random.default_rng(10 + s)
-            keys = tcf.gen(5, hidden=s, rng=rng)
+            keys = tcf.gen(lam, hidden=s, rng=rng)
             n = keys.domain_bits
             for _ in range(25):
                 prover = poq.HonestProver(keys.pk, rng, path=path)
@@ -81,6 +81,28 @@ def test_honest_leftover_is_the_predicted_bb84_state():
                         d, tcf.trailing_bits(x0, n) ^ tcf.trailing_bits(x1, n))
                     expected = StateVector((2,), np.array([1.0, float(sign)]) / np.sqrt(2))
                 assert equal_up_to_global_phase(prover.leftover, expected, tol=1e-10)
+
+
+def test_honest_leftover_is_the_predicted_bb84_state():
+    check_honest_leftover_is_the_predicted_bb84_state(5)
+
+
+def test_honest_leftover_is_the_predicted_bb84_state_at_lambda_12():
+    check_honest_leftover_is_the_predicted_bb84_state(12)
+
+
+@pytest.mark.parametrize("lam", [3, 4, 5, 6])
+def test_circuit_commitments_match_the_dense_reference(lam, dense_claw):
+    keys = tcf.gen(lam, hidden=lam % 2, rng=np.random.default_rng(lam))
+    for trial in range(20):
+        prover = poq.HonestProver(keys.pk, np.random.default_rng(trial), path="circuit")
+        commit = prover.round1()
+        with dense_claw():
+            ref = poq.HonestProver(keys.pk, np.random.default_rng(trial), path="circuit")
+            ref_commit = ref.round1()
+        assert commit == ref_commit
+        assert np.allclose(prover.leftover.amps, ref.leftover.amps, rtol=0, atol=1e-12)
+        assert prover.round2(trial % 2) == ref.round2(trial % 2)
 
 
 def test_honest_commit_labels_look_uniform():
@@ -139,7 +161,10 @@ def test_honest_prover_rejects_lwe_and_bad_path():
         poq.HonestProver(ideal.pk, rng, path="warp")
 
 
-def test_circuit_prover_refuses_oversized_state_before_allocating():
+def test_circuit_prover_refuses_oversized_state_before_allocating(monkeypatch):
+    # every lambda fits the real bound now, so lower it: the claw state at
+    # lambda 12 needs 2 * 2^12 amplitudes
+    monkeypatch.setattr(qsim, "MAX_AMPS", 1 << 12)
     rng = np.random.default_rng(17)
     prover = poq.HonestProver(tcf.gen(12, rng=rng).pk, rng, path="circuit")
     tracemalloc.start()
@@ -150,6 +175,16 @@ def test_circuit_prover_refuses_oversized_state_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_circuit_prover_runs_at_the_domain_bound():
+    rng = np.random.default_rng(18)
+    keys = tcf.gen(tcf.MAX_DOMAIN_BITS, hidden=1, rng=rng)
+    prover = poq.HonestProver(keys.pk, rng, path="circuit")
+    mu, d, y = prover.round1()
+    x0, _ = tcf.claw(keys.sk, y)
+    expected = StateVector.basis((2,), (mu ^ tcf.first_bit(x0, tcf.MAX_DOMAIN_BITS),))
+    assert equal_up_to_global_phase(prover.leftover, expected, tol=1e-10)
 
 
 def test_circuit_paths_read_every_target_list_through_a_view(monkeypatch):

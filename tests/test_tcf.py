@@ -184,6 +184,47 @@ def test_coherent_samp_requires_cleared_out_registers():
         tcf.coherent_samp(kp.pk, dirty, 0, list(range(1, bits + 2)))
 
 
+def random_state(dims, rng):
+    amps = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
+    return StateVector(dims, amps / np.linalg.norm(amps))
+
+
+# (dims, control): the control first, in the middle and last, next to a qutrit
+CLAW_LAYOUTS = [((2,), 0), ((2, 2), 0), ((2, 2), 1), ((2, 2, 2), 0), ((2, 2, 2), 1),
+                ((2, 2, 2), 2), ((3, 2, 2), 1), ((2, 3, 2), 2), ((2, 2, 3), 0)]
+
+
+@pytest.mark.parametrize("bits", [3, 4, 5, 6])
+@pytest.mark.parametrize("dims,control", CLAW_LAYOUTS)
+def test_measure_claw_matches_the_dense_reference(bits, dims, control, dense_claw):
+    kp = ideal_pair(bits, seed=bits)
+    states = np.random.default_rng(20 + bits)
+    for trial in range(8):
+        state = random_state(dims, states)
+        rng, ref_rng = (np.random.default_rng(100 * bits + trial) for _ in range(2))
+        y, x0, x1, post = tcf.measure_claw(kp.pk, state, control, rng)
+        with dense_claw():
+            ref_y, ref_x0, ref_x1, ref_post = tcf.measure_claw(kp.pk, state, control, ref_rng)
+        assert (y, x0, x1) == (ref_y, ref_x0, ref_x1) == (y,) + tcf.claw(kp.sk, y)
+        assert post.dims == ref_post.dims == dims + (2,) * bits
+        assert np.allclose(post.amps, ref_post.amps, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_measure_claw_validates_its_inputs():
+    kp = ideal_pair(4)
+    rng = np.random.default_rng(21)
+    state = StateVector.basis((2, 3), (0, 0))
+    for control in (1, 2, -1):
+        with pytest.raises(ValueError, match="control must be a qubit"):
+            tcf.measure_claw(kp.pk, state, control, rng)
+    with pytest.raises(ValueError, match="explicit rng"):
+        tcf.measure_claw(kp.pk, state, 0, None)
+    lwe = tcf.gen(4, backend="lwe", rng=rng)
+    with pytest.raises(tcf.UnsupportedBackend):
+        tcf.measure_claw(lwe.pk, state, 0, rng)
+
+
 def test_keypair_json_roundtrip():
     kp = ideal_pair(6, hidden=1, seed=12)
     back = tcf.TcfKeyPair.from_json(kp.to_json())
