@@ -41,7 +41,7 @@ from .games import (
     nc_value,
     nc_value_with_table,
 )
-from .qsim import I2, Observable, PauliKey, StateVector, X, Z, branch_measure, measure_observable
+from .qsim import PauliKey, apply_pauli_pad, measure_observable
 
 
 class CompilerKind(enum.Enum):
@@ -373,16 +373,6 @@ def verifier_new(game: ContextualityGame, kind, lam: int, rng: np.random.Generat
     return state, state.message1
 
 
-_PAULI = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): X @ Z}
-
-
-def _pad_matrix(key: PauliKey) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for x, z in zip(key.x, key.z):
-        out = np.kron(out, _PAULI[(x, z)])
-    return out
-
-
 class HonestQuantumProver:
     """Measures the encrypted round-1 questions on its own strategy state.
 
@@ -390,7 +380,8 @@ class HonestQuantumProver:
     selected observables homomorphically, wraps the re-padded
     post-measurement state in an oblivious pad, and forwards the answer and
     re-pad ciphertexts.  The padded state is held un-decrypted; round 2
-    measures the k-conjugated observable on it, never removing the pad.
+    measures the k-conjugated observable on it, as the cached observable
+    between undoing and re-applying U_k, so held_state stays padded.
     """
 
     replayable = False
@@ -452,16 +443,22 @@ class HonestQuantumProver:
         if self.held_state is None:
             raise RuntimeError("round 2 needs a prior round 1")
         emb = self._embedded
-        u = _pad_matrix(key)
-        conjugated = Observable(u @ emb.observables[question].matrix @ u.conj().T)
-        targets = list(range(self.held_state.num_registers))
-        value, post = measure_observable(self.held_state, conjugated, targets, rng)
-        self.held_state = post
+        targets = range(self.held_state.num_registers)
+        # Measuring U_k M U_k^dagger on the held state is measuring M on the
+        # state with U_k undone; X^x Z^z is its own inverse up to a phase.
+        unpadded = apply_pauli_pad(self.held_state, key, targets)
+        value, post = measure_observable(unpadded, emb.observables[question], targets, rng)
+        self.held_state = apply_pauli_pad(post, key, targets)
         return emb.answer_for(self._game, value)
 
 
 def _selection_circuit(n_inputs: int, rows: dict, out_width: int) -> qfhe.ClassicalCircuit:
-    """Multiplexer: output bits are xors of mutually exclusive row indicators."""
+    """Multiplexer: output bits are xors of mutually exclusive row indicators.
+
+    Only rows with a one in some output column get an indicator.  The
+    indicators share prefixes in a decoder tree, one and per prefix of two
+    or more input bits, and an all-zero column is a single const gate.
+    """
     gates = []
 
     def emit(gate):
@@ -477,16 +474,22 @@ def _selection_circuit(n_inputs: int, rows: dict, out_width: int) -> qfhe.Classi
             negated[j] = emit(("not", j))
         return negated[j]
 
-    indicators = {}
-    for idx in sorted(rows):
-        bits = _bits_of(idx, n_inputs)
-        acc = literal(0, bits[0])
-        for j in range(1, n_inputs):
-            acc = emit(("and", acc, literal(j, bits[j])))
-        indicators[idx] = acc
+    prefixes = {}
+
+    def indicator(bits):
+        if bits not in prefixes:
+            if len(bits) == 1:
+                prefixes[bits] = literal(0, bits[0])
+            else:
+                prefixes[bits] = emit(("and", indicator(bits[:-1]),
+                                       literal(len(bits) - 1, bits[-1])))
+        return prefixes[bits]
+
+    live_rows = [idx for idx in sorted(rows) if any(rows[idx])]
+    indicators = {idx: indicator(_bits_of(idx, n_inputs)) for idx in live_rows}
     outputs = []
     for pos in range(out_width):
-        live = [indicators[idx] for idx in sorted(rows) if rows[idx][pos]]
+        live = [indicators[idx] for idx in live_rows if rows[idx][pos]]
         if not live:
             outputs.append(emit(("const", 0)))
         else:

@@ -13,6 +13,15 @@ Three pluggable classical backends:
          that security games and reductions detect a broken scheme.
   lwe    toy Regev bit encryption (additive xor, plaintext-assisted and).
 
+The stub and leaky backends encrypt and evaluate on plain bits.  An
+encryption makes one draw of a 63-bit integer per payload bit: bit 62 is
+the pad and bits 0-61 the token's nonce.  ceval runs the gates on
+(mask, pad) int pairs, draws the fresh pad bits of all and/const gates in
+one call, and builds tokens only for the output wires, with their nonces
+drawn in one more call; an output that is an input wire or a chain of
+nots of one keeps that input's token.  Backends without these fast paths
+(lwe) combine tokens gate by gate, drawing a nonce per token.
+
 Decrypting with the wrong key yields keyed pseudorandom garbage instead
 of an error, as a real scheme would.
 """
@@ -20,7 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +41,8 @@ _LWE_Q = 257
 _LWE_DIM = 16
 _LWE_PK_ROWS = 48
 _LWE_SUBSET = 3
+_NONCE_BITS = 62
+_NONCE_MASK = (1 << _NONCE_BITS) - 1
 
 
 def _garbage_bit(reader_key: str, token_key: str, nonce: int, position: int) -> int:
@@ -76,6 +89,30 @@ class _StubBackend:
 
     def and_(self, t0, t1, rng):
         return StubToken(self.key_id, int(rng.integers(0, 2 ** 62)), t0._bit & t1._bit)
+
+    def encrypt(self, bits, rng: np.random.Generator) -> tuple:
+        """(masked, token) pairs for checked payload bits, from one draw."""
+        out = []
+        for b, v in zip(bits, rng.integers(0, 2 ** 63, size=len(bits)).tolist()):
+            pad = v >> _NONCE_BITS
+            out.append((b ^ pad, StubToken(self.key_id, v & _NONCE_MASK, pad)))
+        return tuple(out)
+
+    def ceval(self, circuit: "ClassicalCircuit", pairs, rng: np.random.Generator) -> tuple:
+        """Output (masked, token) pairs of circuit on input pairs.
+
+        The gates run on plain bits through stub_wires; only output wires
+        that are not an input's token (see ClassicalCircuit.token_sources)
+        get a new token.
+        """
+        r = rng.integers(0, 2, size=circuit.random_gates).tolist()
+        masks, pads = stub_wires(circuit, [m for m, _ in pairs], [t._bit for _, t in pairs], r)
+        sources = circuit.token_sources
+        fresh = [w for w in dict.fromkeys(circuit.outputs) if sources[w] is None]
+        nonces = rng.integers(0, 2 ** _NONCE_BITS, size=len(fresh)).tolist()
+        tokens = {w: StubToken(self.key_id, nonce, pads[w]) for w, nonce in zip(fresh, nonces)}
+        return tuple((masks[w], tokens[w] if sources[w] is None else pairs[sources[w]][1])
+                     for w in circuit.outputs)
 
     def token_json(self, token) -> dict:
         d = {"key_id": token.key_id, "nonce": token.nonce}
@@ -189,14 +226,28 @@ def _backend_of(key) -> object:
     raise TypeError("expected a secret key or public handle")
 
 
+def _checked_bits(bits) -> tuple:
+    """Payload as Python ints, refusing anything but the integers 0 and 1."""
+    out = []
+    for b in bits:
+        try:
+            b = operator.index(b)
+        except TypeError:
+            raise ValueError(f"payload must be bits, got {b!r}") from None
+        if b not in (0, 1):
+            raise ValueError(f"payload must be bits, got {b!r}")
+        out.append(int(b))
+    return tuple(out)
+
+
 def enc_classical(key, bits, rng: np.random.Generator) -> ClassicalCiphertext:
     """Encrypt a bit string; works with a secret key or a public handle."""
     be = _backend_of(key)
+    bits = _checked_bits(bits)
+    if hasattr(be, "encrypt"):
+        return ClassicalCiphertext(be.encrypt(bits, rng), be)
     out = []
     for b in bits:
-        b = int(b)
-        if b not in (0, 1):
-            raise ValueError("payload must be bits")
         pad = int(rng.integers(0, 2))
         out.append((b ^ pad, be.enc_bit(pad, rng)))
     return ClassicalCiphertext(tuple(out), be)
@@ -333,17 +384,70 @@ class ClassicalCircuit:
                 raise ValueError(f"unsupported gate {op!r}")
         return tuple(wires[i] for i in self.outputs)
 
+    @cached_property
+    def random_gates(self) -> int:
+        """Gates that draw a fresh pad bit under ceval: every and and const."""
+        return sum(g[0] in ("and", "const") for g in self.gates)
+
+    @cached_property
+    def token_sources(self) -> tuple:
+        """Per wire, the input whose pad token it carries under ceval, or None.
+
+        Inputs and chains of nots of an input keep the input's token; every
+        other wire carries a token of its own.
+        """
+        sources = list(range(self.n_inputs))
+        for g in self.gates:
+            sources.append(sources[g[1]] if g[0] == "not" else None)
+        return tuple(sources)
+
+
+def stub_wires(circuit: ClassicalCircuit, masks, pads, r) -> tuple:
+    """(masks, pads) of every wire of circuit on plain input bits.
+
+    r holds the fresh pad bit of each and/const gate, in gate order.  The
+    formulas are those of the token-by-token ceval loop: xor and not act on
+    masks and pads directly, an and outputs mask m0*m1 ^ r and pad
+    k0*k1 ^ k0*m1 ^ k1*m0 ^ r, and a const c outputs mask c ^ r, pad r.
+    """
+    masks = list(masks)
+    pads = list(pads)
+    fresh = iter(r)
+    for g in circuit.gates:
+        op = g[0]
+        if op == "xor":
+            masks.append(masks[g[1]] ^ masks[g[2]])
+            pads.append(pads[g[1]] ^ pads[g[2]])
+        elif op == "and":
+            m0, m1, k0, k1 = masks[g[1]], masks[g[2]], pads[g[1]], pads[g[2]]
+            rb = next(fresh)
+            masks.append((m0 & m1) ^ rb)
+            pads.append((k0 & k1) ^ (k0 & m1) ^ (k1 & m0) ^ rb)
+        elif op == "not":
+            masks.append(masks[g[1]] ^ 1)
+            pads.append(pads[g[1]])
+        elif op == "const":
+            rb = next(fresh)
+            masks.append(int(g[1]) ^ rb)
+            pads.append(rb)
+        else:
+            raise ValueError(f"unsupported gate {op!r}")
+    return masks, pads
+
 
 def ceval(circuit: ClassicalCircuit, c: ClassicalCiphertext, rng: np.random.Generator) -> ClassicalCiphertext:
     """Homomorphic evaluation of a classical circuit on a classical ciphertext.
 
     xor combines masks and pad encryptions directly; and re-randomizes with
     a fresh uniform pad, so the output distribution matches a fresh
-    encryption of the gate output.
+    encryption of the gate output.  Backends with a ceval method (stub,
+    leaky) evaluate there; the loop below combines tokens gate by gate.
     """
     if len(c.bits) != circuit.n_inputs:
         raise ValueError("ciphertext width does not match circuit inputs")
     be = c.backend
+    if hasattr(be, "ceval"):
+        return ClassicalCiphertext(be.ceval(circuit, c.bits, rng), be)
     wires = list(c.bits)
     for g in circuit.gates:
         op = g[0]

@@ -1,4 +1,5 @@
 """Compiled contextuality games: rates, faithfulness, message discipline."""
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -12,11 +13,33 @@ from ctxsim import compilers as cp
 from ctxsim import games, opad, qfhe, tcf
 from ctxsim.compilers import CompilerKind
 from ctxsim.games import ContextualityGame, nc_value_with_table, quantum_value_of
-from ctxsim.qsim import PauliKey, apply_pauli_pad, branch_measure, equal_up_to_global_phase
+from ctxsim.qsim import (
+    I2,
+    Observable,
+    PauliKey,
+    StateVector,
+    X,
+    Z,
+    apply_pauli_pad,
+    branch_measure,
+    equal_up_to_global_phase,
+    measure_observable,
+)
 
 
 def three_sigma(p: float, n: int) -> float:
     return 3 * math.sqrt(p * (1 - p) / n) + 1e-12
+
+
+_PAULI = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): X @ Z}
+
+
+def pad_matrix(key: PauliKey) -> np.ndarray:
+    """U_k = X^x Z^z over all qubits, as one matrix."""
+    out = np.eye(1, dtype=complex)
+    for x, z in zip(key.x, key.z):
+        out = np.kron(out, _PAULI[(x, z)])
+    return out
 
 
 def nonuniform_game() -> ContextualityGame:
@@ -142,6 +165,54 @@ def test_selection_circuit_multiplexes(data):
         assert circuit.run_plain(cp._bits_of(k, n_inputs)) == bits
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_selection_circuit_ands_are_live_prefixes(data):
+    n_inputs = data.draw(st.integers(min_value=1, max_value=5))
+    out_width = data.draw(st.integers(min_value=1, max_value=4))
+    keys = data.draw(st.lists(st.sampled_from(range(2 ** n_inputs)), min_size=1, unique=True))
+    rows = {k: tuple(data.draw(st.integers(0, 1)) for _ in range(out_width))
+            for k in keys}
+    circuit = cp._selection_circuit(n_inputs, rows, out_width)
+    live = [cp._bits_of(k, n_inputs) for k, bits in rows.items() if any(bits)]
+    prefixes = {bits[:n] for bits in live for n in range(2, n_inputs + 1)}
+    assert sum(g[0] == "and" for g in circuit.gates) <= len(prefixes)
+    zero_columns = sum(not any(bits[pos] for bits in rows.values()) for pos in range(out_width))
+    assert sum(g[0] == "const" for g in circuit.gates) == zero_columns
+
+
+def test_magic_square_cm1_1_table_circuit_has_no_and():
+    game, _ = games.magic_square()
+    _, table = nc_value_with_table(game)
+    circuit = cp.truthtable_prover(table)._circuit_for(game, CompilerKind.ALL_BUT_ONE)
+    assert [g[0] for g in circuit.gates] == ["const", "const"]
+
+
+def test_honest_round2_matches_the_conjugated_observable():
+    # The form round 2 replaced: measure U_k M U_k^dagger on the held state.
+    rng = np.random.default_rng(41)
+    for game, strat in (games.kcbs(), games.chsh(), games.magic_square()):
+        emb = games.embed_in_qubits(strat, game.answers[0])
+        n = emb.psi.num_registers
+        targets = list(range(n))
+        prover = cp.honest_quantum_prover(strat)
+        prover._embed_for(game)
+        for bits in itertools.product((0, 1), repeat=2 * n):
+            key = PauliKey.from_bits(bits)
+            u = pad_matrix(key)
+            for q in game.questions:
+                amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+                held = StateVector((2,) * n, amps / np.linalg.norm(amps))
+                seed = int(rng.integers(2 ** 32))
+                old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                conjugated = Observable(u @ emb.observables[q].matrix @ u.conj().T)
+                value, expected = measure_observable(held, conjugated, targets, old_rng)
+                prover.held_state = held
+                assert prover.round2(q, key, new_rng) == emb.answer_for(game, value)
+                assert equal_up_to_global_phase(prover.held_state, expected, 1e-9)
+                assert old_rng.bit_generator.state == new_rng.bit_generator.state
+
+
 def test_answer_decoding_rejects_malformed_payloads():
     game = ContextualityGame(
         questions=(0, 1),
@@ -181,8 +252,8 @@ def test_key_composition_is_componentwise_xor():
     k_prime = opad.dec(state.opad_keys.sk, m2.pad_string, state.oracle)
     k_dbl = PauliKey.from_bits(qfhe.dec_classical(state.fhe_sk, m2.pad_cipher))
     assert k == k_prime ^ k_dbl
-    u = cp._pad_matrix(k)
-    composed = cp._pad_matrix(k_dbl) @ cp._pad_matrix(k_prime)
+    u = pad_matrix(k)
+    composed = pad_matrix(k_dbl) @ pad_matrix(k_prime)
     ratio = composed @ u.conj().T
     assert np.allclose(ratio, ratio[0, 0] * np.eye(4), atol=1e-12)
     assert abs(abs(ratio[0, 0]) - 1) < 1e-12

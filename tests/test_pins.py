@@ -20,10 +20,10 @@ CLI_PINS = [
     (["poq", "--trials", "200", "--seed", "7"],
      "25e23a66cf868e9766b1e3408049d1bc5ce9e56285e3492da37e94aa269aac0d", None),
     (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "200", "--seed", "7"],
-     "edbd94efc442cbe5729f0a323b2a3b5af8ee26ed51b03aa69e95662343556d62",
-     "d8b72b3e5eecb0bc5157c0a1eadc45b49cdd47ea1ab545d74a00bc2b194204f2"),
+     "8330c1464c4e37c98c745d299c2d37310106ded4fb5bb99854b9ce7a9a808fdd",
+     "5fe2efc4d5c279474d9738773923614ff3530182729046a5c6aaa7f53e2908bd"),
     (["compile", "--game", "magic-square", "--compiler", "cm1-1", "--trials", "200", "--seed", "7"],
-     "e8ab5ed56965e1138bbe0af7b536b5061cf04b7941360b431dc6a9a57bb61979", None),
+     "4f56deb796bc3c7fb251c9f815f9fe30c02fffeac1a42222eef3df740b313b6f", None),
 ]
 
 
@@ -50,4 +50,4 @@ def test_circuit_path_outcomes_are_pinned():
                                 compilers.honest_quantum_prover(strategy, opad_path="circuit"),
                                 100, np.random.default_rng(2025), lam=5, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "0e3767b9bd8b0b08b83ee78310ec693d84e0f7beb2750e056181e6252d935e05"
+        "ccce961b6adebb85e9a5a6e90c2a38d3fb649e4ca1dfefdfd10d3a0e62406ae9"

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -233,6 +235,178 @@ def test_ceval_output_distribution_equals_fresh_encryption():
     fa, fb = pair_freq(via_ceval), pair_freq(via_fresh)
     tv = 0.5 * sum(abs(fa.get(k, 0.0) - fb.get(k, 0.0)) for k in set(fa) | set(fb))
     assert tv < 0.05
+
+
+class ScriptedRng:
+    """Feeds scripted bits to integers(0, 2) draws, scalar or array, and
+    counting nonces to integers(0, 2**62) draws."""
+
+    def __init__(self, r):
+        self.r = list(r)
+        self.nonce = 0
+
+    def integers(self, low, high, size=None):
+        assert low == 0
+        n = 1 if size is None else size
+        if high == 2:
+            out, self.r = self.r[:n], self.r[n:]
+            assert len(out) == n, "more pad-bit draws than scripted bits"
+        else:
+            assert high == 2 ** 62
+            out = list(range(self.nonce, self.nonce + n))
+            self.nonce += n
+        return out[0] if size is None else np.array(out, dtype=np.int64)
+
+
+class TokenLoop:
+    """A backend seen through the token-by-token interface only, so that
+    ceval runs its reference loop on it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.scheme = inner.scheme
+        self.key_id = inner.key_id
+
+    def enc_bit(self, bit, rng):
+        return self._inner.enc_bit(bit, rng)
+
+    def peek(self, token):
+        return self._inner.peek(token)
+
+    def leak(self, token):
+        return self._inner.leak(token)
+
+    def xor(self, t0, t1, rng):
+        return self._inner.xor(t0, t1, rng)
+
+    def and_(self, t0, t1, rng):
+        return self._inner.and_(t0, t1, rng)
+
+    def token_json(self, token):
+        return self._inner.token_json(token)
+
+
+def random_circuits(rng, count, max_random_gates=6):
+    """Random circuits over all four gate kinds with few and/const gates."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1, 5))
+        gates = []
+        width = n
+        for _ in range(int(rng.integers(1, 9))):
+            kind = ("xor", "and", "not", "const")[rng.integers(0, 4)]
+            if kind in ("xor", "and"):
+                gates.append((kind, int(rng.integers(0, width)), int(rng.integers(0, width))))
+            elif kind == "not":
+                gates.append((kind, int(rng.integers(0, width))))
+            else:
+                gates.append((kind, int(rng.integers(0, 2))))
+            width += 1
+        outputs = tuple(int(o) for o in rng.integers(0, width, size=int(rng.integers(1, 4))))
+        circ = qfhe.ClassicalCircuit(n, tuple(gates), outputs)
+        if circ.random_gates <= max_random_gates:
+            out.append(circ)
+    return out
+
+
+def token_pattern(bits, inputs):
+    """Per output: the input whose token it carries, and the first output
+    holding the same token object."""
+    tokens = [t for _, t in bits]
+    return ([next((j for j, (_, t) in enumerate(inputs) if t is tok), None) for tok in tokens],
+            [next(i for i, other in enumerate(tokens) if other is tok) for tok in tokens])
+
+
+@pytest.mark.parametrize("backend", ["stub", "leaky"])
+def test_stub_ceval_matches_the_token_loop_for_every_pad_draw(backend):
+    sk, rng = fresh(backend, seed=30)
+    be = sk.backend
+    circuits = random_circuits(rng, 25)
+    assert {g[0] for c in circuits for g in c.gates} == {"xor", "and", "not", "const"}
+    for circ in circuits:
+        masks = [int(b) for b in rng.integers(0, 2, circ.n_inputs)]
+        pads = [int(b) for b in rng.integers(0, 2, circ.n_inputs)]
+        inputs = tuple((m, qfhe.StubToken(be.key_id, 10 ** 6 + i, k))
+                       for i, (m, k) in enumerate(zip(masks, pads)))
+        for r in itertools.product((0, 1), repeat=circ.random_gates):
+            loop_rng, fast_rng = ScriptedRng(r), ScriptedRng(r)
+            loop = qfhe.ceval(circ, qfhe.ClassicalCiphertext(inputs, TokenLoop(be)), loop_rng)
+            fast = qfhe.ceval(circ, qfhe.ClassicalCiphertext(inputs, be), fast_rng)
+            assert not loop_rng.r and not fast_rng.r
+            wire_masks, wire_pads = qfhe.stub_wires(circ, masks, pads, r)
+            expected = [(wire_masks[w], wire_pads[w]) for w in circ.outputs]
+            assert [(m, be.peek(t)) for m, t in loop.bits] == expected
+            assert [(m, be.peek(t)) for m, t in fast.bits] == expected
+            assert token_pattern(fast.bits, inputs) == token_pattern(loop.bits, inputs)
+            assert all(t.key_id == be.key_id for _, t in fast.bits)
+            assert fast.backend is be
+
+
+def test_stub_ceval_draws_pad_bits_then_output_nonces_in_two_calls():
+    sk, rng = fresh(seed=31)
+    circ = qfhe.ClassicalCircuit(2, (("and", 0, 1), ("const", 1), ("not", 0), ("xor", 2, 3)),
+                                 (5, 4, 2, 0, 5))
+    c = qfhe.enc_classical(sk, (1, 1), rng)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    out = qfhe.ceval(circ, c, rng)
+    r = twin.integers(0, 2, size=2).tolist()
+    nonces = twin.integers(0, 2 ** 62, size=2).tolist()  # wires 5 and 2
+    assert rng.bit_generator.state == twin.bit_generator.state
+    input_nonce = c.bits[0][1].nonce  # wires 4 and 0 carry input 0's token
+    assert [t.nonce for _, t in out.bits] == [nonces[0], input_nonce, nonces[1],
+                                             input_nonce, nonces[0]]
+    masks, pads = qfhe.stub_wires(circ, [m for m, _ in c.bits],
+                                  [sk.backend.peek(t) for _, t in c.bits], r)
+    assert [(m, sk.backend.peek(t)) for m, t in out.bits] == [
+        (masks[w], pads[w]) for w in circ.outputs]
+    assert qfhe.dec_classical(sk, out) == circ.run_plain((1, 1))
+
+
+class FixedDraws:
+    def __init__(self, values):
+        self.values = values
+
+    def integers(self, low, high, size=None):
+        assert (low, high, size) == (0, 2 ** 63, len(self.values))
+        return np.array(self.values, dtype=np.int64)
+
+
+def test_stub_encryption_splits_one_63_bit_draw_into_pad_and_nonce():
+    sk, _ = fresh(seed=32)
+    draws = [0, 2 ** 62, 2 ** 62 - 1, 2 ** 63 - 1, 2 ** 62 | 12345]
+    c = qfhe.enc_classical(sk, (1, 0, 1, 1, 0), FixedDraws(draws))
+    assert [(m, sk.backend.peek(t), t.nonce) for m, t in c.bits] == [
+        (1, 0, 0), (1, 1, 0), (1, 0, 2 ** 62 - 1), (0, 1, 2 ** 62 - 1), (1, 1, 12345)]
+
+
+def test_stub_encryption_pad_is_uniform_and_independent_of_the_nonce():
+    sk, rng = fresh(seed=33)
+    n = 40_000
+    c = qfhe.enc_classical(sk, (0,) * n, rng)
+    pads = np.array([sk.backend.peek(t) for _, t in c.bits])
+    nonces = np.array([t.nonce for _, t in c.bits], dtype=np.int64)
+    assert np.array_equal(pads, [m for m, _ in c.bits])
+    assert nonces.min() >= 0 and nonces.max() < 2 ** 62
+    tol = 3 * math.sqrt(0.25 / n) + 0.002
+    assert abs(pads.mean() - 0.5) < tol
+    for j in (0, 1, 31, 60, 61):
+        bit = (nonces >> j) & 1
+        assert abs(bit.mean() - 0.5) < tol
+        # the pad agrees with each nonce bit half the time when independent
+        assert abs((bit == pads).mean() - 0.5) < tol
+    assert len(set(nonces.tolist())) == n
+
+
+@pytest.mark.parametrize("backend", ["stub", "leaky", "lwe"])
+def test_enc_classical_accepts_only_integer_bits(backend):
+    sk, rng = fresh(backend, seed=34)
+    for payload in ((0.5, 1.9, "1"), (0.0,), (1.0,), ("1",), (2,), (-1,), (None,)):
+        with pytest.raises(ValueError, match="payload must be bits"):
+            qfhe.enc_classical(sk, payload, rng)
+    c = qfhe.enc_classical(sk, (True, np.int64(1), np.uint8(0), False), rng)
+    assert qfhe.dec_classical(sk, c) == (1, 1, 0, 0)
+    assert all(type(m) is int for m, _ in c.bits)
 
 
 def test_twoind_game_random_guess():
