@@ -11,7 +11,7 @@ Three subcommands:
             chosen compiler and prover, against the theorem bound
 
 Every row embeds the formula and bound it is judged against.  Reports go
-to stdout as JSON ("schema": 1); --out additionally writes the JSON file
+to stdout as JSON ("schema": 2); --out additionally writes the JSON file
 plus a CSV mirroring the flat fields, and --transcripts dumps one JSON
 line per protocol run.  Identical configuration and seed give byte
 identical files.
@@ -35,7 +35,7 @@ from . import compilers, poq, tcf
 from .games import (ContextualityGame, QuantumStrategy, kcbs, magic_square,
                     chsh, nc_value, nc_value_with_table, quantum_value_of)
 
-SCHEMA = 1
+SCHEMA = 2
 SLACK = 0.005  # allowance on top of 3 binomial sigma in bound checks
 
 BUILTIN_GAMES = {"magic-square": magic_square, "kcbs": kcbs, "chsh": chsh}
@@ -60,7 +60,6 @@ class RunConfig:
     trials: int | None = None
     seed: int | None = None
     lam: int | None = None
-    tcf: str | None = None
     fhe: str | None = None
     out: str | None = None
 
@@ -69,7 +68,7 @@ class RunConfig:
             "command": self.command, "game": self.game,
             "compiler": self.compiler, "prover": self.prover,
             "trials": self.trials, "seed": self.seed, "lambda": self.lam,
-            "tcf": self.tcf, "fhe": self.fhe, "out": self.out,
+            "fhe": self.fhe, "out": self.out,
         }
 
 
@@ -142,7 +141,7 @@ def cmd_poq(config: RunConfig, want_transcripts: bool):
         if name.startswith("rewind-"):
             kind = name[len("rewind-"):]
             rate = poq.rewind_experiment(poq.classical(kind), config.trials,
-                                         rng, lam=config.lam, backend=config.tcf)
+                                         rng, lam=config.lam)
             bound = 2 * base_rates[kind] - 1 - 0.03
             rows.append({
                 "row": name, "prover": kind, "trials": config.trials,
@@ -153,7 +152,7 @@ def cmd_poq(config: RunConfig, want_transcripts: bool):
             continue
         factory = poq.honest() if name == "honest" else poq.classical(name)
         rate, transcripts = poq.run_protocol(
-            factory, config.trials, rng, lam=config.lam, backend=config.tcf,
+            factory, config.trials, rng, lam=config.lam,
             keep_transcripts=want_transcripts)
         row = {"row": name, "prover": name, "trials": config.trials,
                "rate": rate, "stderr": _stderr(rate, config.trials)}
@@ -182,7 +181,7 @@ def _compile_row_names(selector: str, kind, strategy) -> list:
         return [selector]
     names = [] if strategy is None else ["honest"]
     names.append("truthtable")
-    if kind is compilers.CompilerKind.ALL_ONE:
+    if kind is compilers.FeasibleInconsistentProver.target:
         names.append("feasible")
     return names
 
@@ -196,20 +195,18 @@ def _make_prover(name: str, game, kind, strategy):
     if name == "truthtable":
         _, table = nc_value_with_table(game)
         return compilers.truthtable_prover(table)
-    if kind is not compilers.CompilerKind.ALL_ONE:
+    target = compilers.FeasibleInconsistentProver.target
+    if kind is not target:
         raise ConfigError("the feasible-but-inconsistent prover targets the "
-                          "c-1 compiler")
+                          f"{target.value} compiler")
     return compilers.feasible_inconsistent_prover(game)
 
 
 def cmd_compile(config: RunConfig, want_transcripts: bool):
     game, strategy = load_game(config.game)
     kind = compilers.CompilerKind(config.compiler)
-    if config.tcf != "ideal":
-        raise ConfigError("compiled sessions need the ideal trapdoor family; "
-                          "the pad decoder inverts claws exactly")
     # surfaces the compiler's game-shape preconditions before any row runs
-    compilers.verifier_new(game, kind, 4, np.random.default_rng(0), "stub")
+    compilers.spec_of(kind).check(game)
     bounds = compilers.theorem_bounds(
         game, kind, None if strategy is None
         else quantum_value_of(game, strategy))
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=8, help=LAMBDA_HELP)
-    p.add_argument("--tcf", default="ideal", choices=("ideal", "lwe"))
     p.add_argument("--out")
     p.add_argument("--assert", dest="assert_bounds", action="store_true",
                    help="exit 2 when a row misses its bound")
@@ -288,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=8, help=LAMBDA_HELP)
-    p.add_argument("--tcf", default="ideal", choices=("ideal", "lwe"))
     p.add_argument("--fhe", default="stub", choices=("stub", "leaky", "lwe"))
     p.add_argument("--out")
     p.add_argument("--assert", dest="assert_bounds", action="store_true")
@@ -305,7 +300,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         trials=getattr(args, "trials", None),
         seed=getattr(args, "seed", None),
         lam=getattr(args, "lam", None),
-        tcf=getattr(args, "tcf", None),
         fhe=getattr(args, "fhe", None),
         out=getattr(args, "out", None),
     )
@@ -356,8 +350,7 @@ def main(argv=None) -> int:
         transcripts_path = getattr(args, "transcripts", None)
         report, lines = COMMANDS[config.command](
             config, transcripts_path is not None)
-    except (ConfigError, tcf.UnsupportedBackend, OSError, ValueError,
-            TypeError, KeyError) as exc:
+    except (ConfigError, OSError, ValueError, TypeError, KeyError) as exc:
         print(f"ctxsim: {exc}", file=sys.stderr)
         return 3
     _write_outputs(report, config, lines, transcripts_path)

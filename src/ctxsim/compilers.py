@@ -20,6 +20,14 @@ key k' with the homomorphic re-pad key k'' into k = k' ^ k'', and the
 prover answers round 2 by measuring the k-conjugated observable on the
 state it kept.  Classical provers can only evaluate a fixed table under
 the encryption, which is what the completeness/soundness gap tests.
+
+What differs between the kinds lives in one CompilerSpec each (SPECS):
+the game precondition, the round-1 inputs and how the verifier draws one
+from the sampled context, the questions an input asks, the payload codec
+and the theorem formulas.  The accept rule needs no kind: the round-2
+answer is compared with a round-1 answer when its question was asked in
+round 1, and the context's predicate is checked when the answers of both
+rounds cover the context.
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -110,32 +119,134 @@ class Message2:
     pad_string: opad.OpadString
 
 
-def round1_inputs(game: ContextualityGame, kind) -> tuple:
-    """Every round-1 input the verifier can ask under this kind: a question
-    for "1-1", a context index for "c-1", a (context index, skip position)
-    pair for "cm1-1"."""
-    kind = CompilerKind(kind)
-    if kind is CompilerKind.ONE_ONE:
-        return tuple(game.questions)
-    if kind is CompilerKind.ALL_ONE:
-        return tuple(range(len(game.contexts)))
-    size = game.uniform_context_size()
-    if size is None:
+def _needs_size_two(game: ContextualityGame) -> None:
+    if game.uniform_context_size() != 2:
+        raise ValueError("the 1-1 compiler needs uniform context size 2")
+
+
+def _needs_uniform_size(game: ContextualityGame) -> None:
+    if game.uniform_context_size() is None:
         raise ValueError("the cm1-1 compiler needs a uniform context size")
-    return tuple((ci, sp) for ci in range(len(game.contexts)) for sp in range(size))
 
 
-def encode_round1_input(game: ContextualityGame, kind, value) -> tuple:
-    """Payload bits for one round-1 input, msb first."""
-    kind = CompilerKind(kind)
-    if kind is CompilerKind.ONE_ONE:
-        return _bits_of(game.questions.index(value), _index_width(len(game.questions)))
-    if kind is CompilerKind.ALL_ONE:
-        return _bits_of(int(value), _index_width(len(game.contexts)))
+def _question_bits(game: ContextualityGame, q) -> tuple:
+    return _bits_of(game.questions.index(q), _index_width(len(game.questions)))
+
+
+def _context_bits(game: ContextualityGame, ctx_index) -> tuple:
+    return _bits_of(int(ctx_index), _index_width(len(game.contexts)))
+
+
+def _skip_width(game: ContextualityGame) -> int:
+    return _index_width(game.uniform_context_size())
+
+
+def _skip_questions(game: ContextualityGame, value) -> tuple:
     ctx_index, skip_pos = value
+    return tuple(q for i, q in enumerate(game.contexts[ctx_index]) if i != skip_pos)
+
+
+def _skip_encode(game: ContextualityGame, value) -> tuple:
+    ctx_index, skip_pos = value
+    return _context_bits(game, ctx_index) + _bits_of(int(skip_pos), _skip_width(game))
+
+
+def _skip_decode(game: ContextualityGame, bits) -> tuple:
+    swidth = _skip_width(game)
+    return _int_of(bits[:-swidth]), _int_of(bits[-swidth:])
+
+
+def _skip_completeness(game: ContextualityGame, quantum_value: float) -> float:
     size = game.uniform_context_size()
-    return (_bits_of(int(ctx_index), _index_width(len(game.contexts)))
-            + _bits_of(int(skip_pos), _index_width(size)))
+    return 1 - 1 / size + quantum_value / size
+
+
+def _skip_soundness(game: ContextualityGame) -> Fraction:
+    size = game.uniform_context_size()
+    return 1 - Fraction(1, size) + nc_value(game) / size
+
+
+@dataclass(frozen=True)
+class CompilerSpec:
+    """Everything that differs between the compiler kinds.
+
+    A round-1 input is a question for "1-1", a context index for "c-1"
+    and a (context index, skip position) pair for "cm1-1".
+    """
+
+    kind: CompilerKind
+    check: Callable           # (game) -> None; raises ValueError on games the kind cannot compile
+    inputs: Callable          # (game) -> every round-1 input, in a fixed order
+    context_inputs: Callable  # (game, ctx_index) -> the inputs the verifier draws from, uniformly
+    skip_pos: Callable        # (input) -> the skipped position a transcript records, or None
+    questions: Callable       # (game, input) -> the questions round 1 asks
+    encode: Callable          # (game, input) -> payload bits, msb first
+    decode: Callable          # (game, payload bits) -> input
+    completeness: Callable    # (game, quantum value) -> honest win rate
+    completeness_text: str
+    soundness: Callable       # (game) -> best classical win rate
+    soundness_text: str
+
+
+SPECS = {spec.kind: spec for spec in (
+    CompilerSpec(
+        kind=CompilerKind.ONE_ONE,
+        check=_needs_size_two,
+        inputs=lambda game: tuple(game.questions),
+        context_inputs=lambda game, ci: game.contexts[ci],
+        skip_pos=lambda q: None,
+        questions=lambda game, q: (q,),
+        encode=_question_bits,
+        decode=lambda game, bits: game.questions[_int_of(bits)],
+        completeness=lambda game, qv: (1 + qv) / 2,
+        completeness_text="(1 + quantum_value) / 2",
+        soundness=lambda game: (1 + nc_value(game)) / 2,
+        soundness_text="(1 + nc_value) / 2",
+    ),
+    CompilerSpec(
+        kind=CompilerKind.ALL_ONE,
+        check=lambda game: None,
+        inputs=lambda game: tuple(range(len(game.contexts))),
+        context_inputs=lambda game, ci: (ci,),
+        skip_pos=lambda ci: None,
+        questions=lambda game, ci: game.contexts[ci],
+        encode=_context_bits,
+        decode=lambda game, bits: _int_of(bits),
+        completeness=lambda game, qv: float(qv),
+        completeness_text="quantum_value",
+        soundness=lambda game: 1 - min(w / len(c) for w, c in
+                                       zip(game.context_weights, game.contexts)),
+        soundness_text="1 - min_contexts weight/size",
+    ),
+    CompilerSpec(
+        kind=CompilerKind.ALL_BUT_ONE,
+        check=_needs_uniform_size,
+        inputs=lambda game: tuple((ci, sp) for ci, ctx in enumerate(game.contexts)
+                                  for sp in range(len(ctx))),
+        context_inputs=lambda game, ci: tuple(
+            (ci, sp) for sp in range(len(game.contexts[ci]))),
+        skip_pos=lambda value: value[1],
+        questions=_skip_questions,
+        encode=_skip_encode,
+        decode=_skip_decode,
+        completeness=_skip_completeness,
+        completeness_text="1 - 1/size + quantum_value/size",
+        soundness=_skip_soundness,
+        soundness_text="1 - 1/size + nc_value/size",
+    ),
+)}
+
+
+def spec_of(kind) -> CompilerSpec:
+    """The spec of a CompilerKind or of its token ("1-1", "c-1", "cm1-1")."""
+    return SPECS[CompilerKind(kind)]
+
+
+def round1_inputs(game: ContextualityGame, kind) -> tuple:
+    """Every round-1 input the verifier can ask under this kind."""
+    spec = spec_of(kind)
+    spec.check(game)
+    return spec.inputs(game)
 
 
 def round1_message(game: ContextualityGame, kind, value, key, opad_pk,
@@ -143,38 +254,30 @@ def round1_message(game: ContextualityGame, kind, value, key, opad_pk,
     """Message 1 for a chosen round-1 input; key may be a secret key or a
     public encryption handle."""
     kind = CompilerKind(kind)
-    payload = encode_round1_input(game, kind, value)
+    payload = SPECS[kind].encode(game, value)
     handle = key.handle() if isinstance(key, qfhe.QfheSecretKey) else key
     cipher = qfhe.enc_classical(key, payload, rng)
     return Message1(cipher, handle, opad_pk, oracle, game, kind)
 
 
-def _decision(game: ContextualityGame, kind: CompilerKind, ctx_index: int,
-              skip_pos, round1_questions, answers1, question, answer):
-    """Kind-specific accept rule.
+def _decision(game: ContextualityGame, ctx_index: int, round1_questions,
+              answers1, question, answer):
+    """The accept rule of every kind.
 
+    The round-2 answer must repeat the round-1 answer when its question was
+    asked in round 1, and the context's predicate must hold when the two
+    rounds together answer the whole context (round 1 wins on a repeat).
     Returns (accept, consistency_ok, predicate_ok); a None entry means that
-    comparison never ran on this branch.
+    comparison did not run.
     """
+    given = dict(zip(round1_questions, answers1))
+    consistent = given[question] == answer if question in given else None
+    full = {question: answer, **given}
     context = game.contexts[ctx_index]
-    if kind is CompilerKind.ONE_ONE:
-        q1, a1 = round1_questions[0], answers1[0]
-        if question == q1:
-            consistent = answer == a1
-            return consistent, consistent, None
-        full = tuple(a1 if qq == q1 else answer for qq in context)
-        ok = bool(game.predicate(ctx_index, full))
-        return ok, None, ok
-    if kind is CompilerKind.ALL_ONE:
-        pred_ok = bool(game.predicate(ctx_index, answers1))
-        consistent = answers1[context.index(question)] == answer
-        return pred_ok and consistent, consistent, pred_ok
-    if question == context[skip_pos]:
-        full = answers1[:skip_pos] + (answer,) + answers1[skip_pos:]
-        ok = bool(game.predicate(ctx_index, full))
-        return ok, None, ok
-    consistent = answers1[round1_questions.index(question)] == answer
-    return consistent, consistent, None
+    pred_ok = None
+    if all(q in full for q in context):
+        pred_ok = bool(game.predicate(ctx_index, tuple(full[q] for q in context)))
+    return consistent is not False and pred_ok is not False, consistent, pred_ok
 
 
 class CompiledVerifier:
@@ -188,11 +291,8 @@ class CompiledVerifier:
     def __init__(self, game: ContextualityGame, kind, lam: int,
                  rng: np.random.Generator, fhe_backend: str = "stub"):
         kind = CompilerKind(kind)
-        size = game.uniform_context_size()
-        if kind is CompilerKind.ONE_ONE and size != 2:
-            raise ValueError("the 1-1 compiler needs uniform context size 2")
-        if kind is CompilerKind.ALL_BUT_ONE and size is None:
-            raise ValueError("the cm1-1 compiler needs a uniform context size")
+        spec = SPECS[kind]
+        spec.check(game)
         self.game = game
         self.kind = kind
         self.lam = lam
@@ -201,21 +301,12 @@ class CompiledVerifier:
         self.opad_keys = opad.gen(lam, rng)
         self.oracle = opad.PhaseOracle("hash", seed=int(rng.integers(2 ** 62)))
         self.ctx_index = game.sample_context(rng)
-        context = game.contexts[self.ctx_index]
-        self.skip_pos = None
-        if kind is CompilerKind.ONE_ONE:
-            pos = int(rng.integers(len(context)))
-            self.round1_questions = (context[pos],)
-            payload = encode_round1_input(game, kind, context[pos])
-        elif kind is CompilerKind.ALL_ONE:
-            self.round1_questions = context
-            payload = encode_round1_input(game, kind, self.ctx_index)
-        else:
-            self.skip_pos = int(rng.integers(len(context)))
-            self.round1_questions = tuple(
-                q for i, q in enumerate(context) if i != self.skip_pos)
-            payload = encode_round1_input(game, kind, (self.ctx_index, self.skip_pos))
-        cipher = qfhe.enc_classical(self.fhe_sk, payload, rng)
+        choices = spec.context_inputs(game, self.ctx_index)
+        # a lone choice is taken without a draw
+        value = choices[int(rng.integers(len(choices)))] if len(choices) > 1 else choices[0]
+        self.skip_pos = spec.skip_pos(value)
+        self.round1_questions = spec.questions(game, value)
+        cipher = qfhe.enc_classical(self.fhe_sk, spec.encode(game, value), rng)
         self._message1 = Message1(cipher, self.fhe_sk.handle(),
                                   self.opad_keys.pk, self.oracle, game, kind)
         self._message2 = None
@@ -265,8 +356,8 @@ class CompiledVerifier:
         if answer not in self.game.answers:
             raise ValueError("answer outside the label set")
         accept, consistent, pred_ok = _decision(
-            self.game, self.kind, self.ctx_index, self.skip_pos,
-            self.round1_questions, self.answers1, self.question, answer)
+            self.game, self.ctx_index, self.round1_questions, self.answers1,
+            self.question, answer)
         if self._reject_consistent and consistent:
             accept = False
         self.answer2 = answer
@@ -337,33 +428,24 @@ class CompiledTranscript:
 def recompute_decision(game: ContextualityGame, transcript: CompiledTranscript,
                        fhe_sk, opad_keys, oracle) -> bool:
     """Re-derive the accept bit from a transcript and the secret keys."""
-    kind = CompilerKind(transcript.kind)
+    spec = spec_of(transcript.kind)
     payload = qfhe.dec_classical(fhe_sk, transcript.message1.question_cipher)
-    context = game.contexts[transcript.ctx_index]
-    if kind is CompilerKind.ONE_ONE:
-        q1 = game.questions[_int_of(payload)]
-        if q1 not in context:
-            raise ValueError("transcript context disagrees with the t1 payload")
-        round1 = (q1,)
-    elif kind is CompilerKind.ALL_ONE:
-        if _int_of(payload) != transcript.ctx_index:
-            raise ValueError("transcript context disagrees with the t1 payload")
-        round1 = context
-    else:
-        swidth = _index_width(game.uniform_context_size())
-        if _int_of(payload[:-swidth]) != transcript.ctx_index:
-            raise ValueError("transcript context disagrees with the t1 payload")
-        if _int_of(payload[-swidth:]) != transcript.skip_pos:
-            raise ValueError("transcript skip position disagrees with the t1 payload")
-        round1 = tuple(q for i, q in enumerate(context) if i != transcript.skip_pos)
+    value = spec.decode(game, payload)
+    if value not in spec.context_inputs(game, transcript.ctx_index):
+        raise ValueError("transcript context disagrees with the t1 payload")
+    if spec.skip_pos(value) != transcript.skip_pos:
+        raise ValueError("transcript skip position disagrees with the t1 payload")
+    if transcript.question not in game.contexts[transcript.ctx_index]:
+        raise ValueError("transcript question lies outside its context")
+    round1 = spec.questions(game, value)
     bits = qfhe.dec_classical(fhe_sk, transcript.message2.answer_cipher)
     answers1 = _decode_answers(game, bits, len(round1))
     k_prime = opad.dec(opad_keys.sk, transcript.message2.pad_string, oracle)
     k_dbl = PauliKey.from_bits(qfhe.dec_classical(fhe_sk, transcript.message2.pad_cipher))
     if (k_prime ^ k_dbl) != transcript.key:
         raise ValueError("transcript key disagrees with the pad ciphertexts")
-    accept, _, _ = _decision(game, kind, transcript.ctx_index, transcript.skip_pos,
-                             round1, answers1, transcript.question, transcript.answer)
+    accept, _, _ = _decision(game, transcript.ctx_index, round1, answers1,
+                             transcript.question, transcript.answer)
     return accept
 
 
@@ -411,18 +493,10 @@ class HonestQuantumProver:
         def step(q):
             return (emb.observables[q], targets, outcomes)
 
-        if kind is CompilerKind.ONE_ONE:
-            branches = {i: [step(q)] for i, q in enumerate(game.questions)}
-        elif kind is CompilerKind.ALL_ONE:
-            branches = {i: [step(q) for q in ctx]
-                        for i, ctx in enumerate(game.contexts)}
-        else:
-            swidth = _index_width(game.uniform_context_size())
-            branches = {}
-            for i, ctx in enumerate(game.contexts):
-                for sp in range(len(ctx)):
-                    branches[(i << swidth) | sp] = [
-                        step(q) for pos, q in enumerate(ctx) if pos != sp]
+        spec = spec_of(kind)
+        branches = {_int_of(spec.encode(game, value)):
+                    [step(q) for q in spec.questions(game, value)]
+                    for value in spec.inputs(game)}
         self._branches[kind] = branches
         return branches
 
@@ -500,43 +574,22 @@ def _selection_circuit(n_inputs: int, rows: dict, out_width: int) -> qfhe.Classi
     return qfhe.ClassicalCircuit(n_inputs, tuple(gates), tuple(outputs))
 
 
-def _table_rows(game: ContextualityGame, kind: CompilerKind, answers_for_context):
-    """Row table for the round-1 multiplexer; answers_for_context(i) gives
-    the tuple submitted when context i is selected."""
-    if kind is CompilerKind.ONE_ONE:
-        n_inputs = _index_width(len(game.questions))
-        rows = {}
-        for i, q in enumerate(game.questions):
-            ctx = next(ci for ci, c in enumerate(game.contexts) if q in c)
-            rows[i] = _encode_answer(
-                game, answers_for_context(ctx)[game.contexts[ctx].index(q)])
-        return n_inputs, rows, _answer_width(game)
-    size = game.uniform_context_size()
-    if size is None:
+def _table_rows(game: ContextualityGame, spec: CompilerSpec, submit):
+    """Row table for the round-1 multiplexer; submit(game, value, questions)
+    gives the answers submitted for the round-1 questions of input value."""
+    asked = {value: spec.questions(game, value) for value in spec.inputs(game)}
+    counts = {len(questions) for questions in asked.values()}
+    if len(counts) != 1:
         raise ValueError("blind table evaluation needs a uniform context size; "
                          "pad the game's contexts first")
-    width = _answer_width(game)
-    if kind is CompilerKind.ALL_ONE:
-        n_inputs = _index_width(len(game.contexts))
-        rows = {}
-        for i in range(len(game.contexts)):
-            bits = ()
-            for a in answers_for_context(i):
-                bits += _encode_answer(game, a)
-            rows[i] = bits
-        return n_inputs, rows, size * width
-    swidth = _index_width(size)
-    n_inputs = _index_width(len(game.contexts)) + swidth
     rows = {}
-    for i in range(len(game.contexts)):
-        full = answers_for_context(i)
-        for sp in range(size):
-            bits = ()
-            for pos, a in enumerate(full):
-                if pos != sp:
-                    bits += _encode_answer(game, a)
-            rows[(i << swidth) | sp] = bits
-    return n_inputs, rows, (size - 1) * width
+    for value, questions in asked.items():
+        payload = spec.encode(game, value)
+        bits = ()
+        for a in submit(game, value, questions):
+            bits += _encode_answer(game, a)
+        rows[_int_of(payload)] = bits
+    return len(payload), rows, counts.pop() * _answer_width(game)
 
 
 class TruthTableProver:
@@ -555,18 +608,15 @@ class TruthTableProver:
         self._circuits = {}
         self._game = None
 
-    def _answers_for_context(self, game: ContextualityGame):
-        def submit(i):
-            return self.table.on_context(game.contexts[i])
-        return submit
+    def _submit(self, game: ContextualityGame, value, questions) -> tuple:
+        return tuple(self.table(q) for q in questions)
 
     def _circuit_for(self, game: ContextualityGame, kind: CompilerKind):
         if self._game is not game:
             self._game = game
             self._circuits = {}
         if kind not in self._circuits:
-            n_inputs, rows, out_width = _table_rows(
-                game, kind, self._answers_for_context(game))
+            n_inputs, rows, out_width = _table_rows(game, spec_of(kind), self._submit)
             self._circuits[kind] = _selection_circuit(n_inputs, rows, out_width)
         return self._circuits[kind]
 
@@ -585,7 +635,10 @@ class TruthTableProver:
 class FeasibleInconsistentProver(TruthTableProver):
     """Submits a predicate-satisfying tuple per context, answers round 2
     from a fixed optimal table; only the re-asked coordinate can catch the
-    mismatch.  Targets the c-1 compiler."""
+    mismatch.  Its submissions are per context, so it runs only under
+    the c-1 compiler, whose round-1 input is the context index."""
+
+    target = CompilerKind.ALL_ONE
 
     def __init__(self, game: ContextualityGame):
         _, table = nc_value_with_table(game)
@@ -609,14 +662,15 @@ class FeasibleInconsistentProver(TruthTableProver):
         self.predicted_mismatch = mismatch
         self.analytic_rate = 1 - mismatch
 
-    def _answers_for_context(self, game: ContextualityGame):
+    def _submit(self, game: ContextualityGame, value, questions) -> tuple:
         if game is not self._base_game:
             raise ValueError("prover was built for a different game")
-        return self._submissions.__getitem__
+        return self._submissions[value]
 
     def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:
-        if message1.kind is not CompilerKind.ALL_ONE:
-            raise ValueError("the feasible-inconsistent prover targets the c-1 compiler")
+        if message1.kind is not self.target:
+            raise ValueError("the feasible-inconsistent prover targets the "
+                             f"{self.target.value} compiler")
         return super().round1(message1, rng)
 
 
@@ -666,7 +720,6 @@ def decision_faithfulness_check(game: ContextualityGame, kind, table: Assignment
     the decoded questions fail to cover a full context or the table
     satisfies the sampled context's predicate.  Checked on every trial;
     sabotage flips the consistency branch as a negative control."""
-    kind = CompilerKind(kind)
     prover = truthtable_prover(table)
     for _ in range(trials):
         state, message1 = verifier_new(game, kind, lam, rng, fhe_backend)
@@ -675,65 +728,33 @@ def decision_faithfulness_check(game: ContextualityGame, kind, table: Assignment
         question, key = state.message3(message2)
         accept = state.decide(prover.round2(question, key, rng))
         context = game.contexts[state.ctx_index]
-        if kind is CompilerKind.ONE_ONE:
-            covered = question != state.round1_questions[0]
-        elif kind is CompilerKind.ALL_ONE:
-            covered = True
-        else:
-            covered = question == context[state.skip_pos]
-        if covered:
-            expected = bool(game.predicate(state.ctx_index, table.on_context(context)))
-        else:
-            expected = True
+        covered = set(context) <= set(state.round1_questions) | {question}
+        expected = not covered or bool(
+            game.predicate(state.ctx_index, table.on_context(context)))
         if accept != expected:
             return False
     return True
 
 
-_COMPLETENESS_TEXT = {
-    CompilerKind.ONE_ONE: "(1 + quantum_value) / 2",
-    CompilerKind.ALL_ONE: "quantum_value",
-    CompilerKind.ALL_BUT_ONE: "1 - 1/size + quantum_value/size",
-}
-_SOUNDNESS_TEXT = {
-    CompilerKind.ONE_ONE: "(1 + nc_value) / 2",
-    CompilerKind.ALL_ONE: "1 - min_contexts weight/size",
-    CompilerKind.ALL_BUT_ONE: "1 - 1/size + nc_value/size",
-}
-
-
 def completeness_formula(game: ContextualityGame, kind, quantum_value: float) -> float:
     """Honest win rate predicted for a strategy of the given game value."""
-    kind = CompilerKind(kind)
-    if kind is CompilerKind.ONE_ONE:
-        return (1 + quantum_value) / 2
-    if kind is CompilerKind.ALL_ONE:
-        return float(quantum_value)
-    size = game.uniform_context_size()
-    return 1 - 1 / size + quantum_value / size
+    return spec_of(kind).completeness(game, quantum_value)
 
 
 def soundness_formula(game: ContextualityGame, kind) -> Fraction:
     """Best classical win rate; exact from the game's weights and nc value."""
-    kind = CompilerKind(kind)
-    if kind is CompilerKind.ONE_ONE:
-        return (1 + nc_value(game)) / 2
-    if kind is CompilerKind.ALL_ONE:
-        return 1 - min(w / len(c) for w, c in
-                       zip(game.context_weights, game.contexts))
-    size = game.uniform_context_size()
-    return 1 - Fraction(1, size) + nc_value(game) / size
+    return spec_of(kind).soundness(game)
 
 
 def theorem_bounds(game: ContextualityGame, kind, quantum_value: float = None) -> dict:
     """Bound values plus their defining formulas, for report embedding."""
-    kind = CompilerKind(kind)
+    spec = spec_of(kind)
     out = {
-        "kind": kind.value,
-        "soundness_formula": _SOUNDNESS_TEXT[kind],
-        "soundness_bound": float(soundness_formula(game, kind)),
-        "completeness_formula": _COMPLETENESS_TEXT[kind],
+        "kind": spec.kind.value,
+        "soundness_formula": spec.soundness_text,
+        "soundness_bound": float(spec.soundness(game)),
+        "completeness_formula": spec.completeness_text,
     }
     if quantum_value is not None:
-        out["completeness_bound"] = completeness_formula(game, kind, quantum_value)
+        out["completeness_bound"] = spec.completeness(game, quantum_value)
     return out

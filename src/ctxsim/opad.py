@@ -114,7 +114,7 @@ class OpadString:
 
 def gen(lam: int, rng: np.random.Generator) -> tcf.TcfKeyPair:
     """Pad keys are plain claw-free keys; no hidden bit is needed."""
-    return tcf.gen(lam, hidden=None, backend="ideal", rng=rng)
+    return tcf.gen(lam, hidden=None, rng=rng)
 
 
 def _phase_bit(oracle: PhaseOracle, d: int, x0: int, x1: int) -> int:

@@ -58,7 +58,6 @@ def rotated_measure(qubit: StateVector, c: int, rng: np.random.Generator) -> int
 @dataclass(frozen=True)
 class PoqTranscript:
     lam: int
-    backend: str
     s: int
     y: int
     mu: int
@@ -69,7 +68,7 @@ class PoqTranscript:
 
     def to_json(self) -> str:
         return json.dumps({
-            "lam": self.lam, "backend": self.backend, "s": self.s,
+            "lam": self.lam, "s": self.s,
             "y": self.y, "mu": self.mu, "d": self.d,
             "c": self.c, "b": self.b, "accepted": self.accepted,
         })
@@ -77,8 +76,7 @@ class PoqTranscript:
     @classmethod
     def from_json(cls, text: str) -> "PoqTranscript":
         d = json.loads(text)
-        y = tuple(d["y"]) if isinstance(d["y"], list) else d["y"]
-        return cls(d["lam"], d["backend"], d["s"], y, d["mu"], d["d"],
+        return cls(d["lam"], d["s"], d["y"], d["mu"], d["d"],
                    d["c"], d["b"], bool(d["accepted"]))
 
 
@@ -90,17 +88,11 @@ class PoqVerifier:
     only ever read .pk.
     """
 
-    def __init__(self, lam: int, rng: np.random.Generator, backend: str = "ideal"):
-        if backend != "ideal":
-            # the toy-LWE relation only has claws on a structured subset of
-            # the domain, so arbitrary commitments cannot be adjudicated
-            raise tcf.UnsupportedBackend(
-                "the quantumness protocol needs the exact claw relation")
+    def __init__(self, lam: int, rng: np.random.Generator):
         self.lam = lam
-        self.backend = backend
         self._rng = rng
         self._s = int(rng.integers(0, 2))
-        self.keys = tcf.gen(lam, hidden=self._s, backend=backend, rng=rng)
+        self.keys = tcf.gen(lam, hidden=self._s, rng=rng)
         self._phase = "round1"
         self._mu = self._d = self._y = self._c = None
 
@@ -128,7 +120,7 @@ class PoqVerifier:
         if not 0 <= d < (1 << (n - 1)):
             raise ValueError("d must have n-1 bits")
         y = int(y)
-        if not 0 <= y < tcf.image_size(self.keys.pk):
+        if not 0 <= y < (1 << n):
             raise ValueError("y outside the image")
         self._mu, self._d, self._y = mu, d, y
         self._c = int(self._rng.integers(0, 2))
@@ -158,7 +150,7 @@ class PoqVerifier:
     def transcript(self) -> PoqTranscript:
         if self._phase != "done":
             raise RuntimeError("protocol still in progress")
-        return PoqTranscript(self.lam, self.backend, self._s, self._y, self._mu,
+        return PoqTranscript(self.lam, self._s, self._y, self._mu,
                              self._d, self._c, self._b, self._accepted)
 
 
@@ -171,8 +163,6 @@ class HonestProver:
     """
 
     def __init__(self, pk, rng: np.random.Generator, path: str = "collapsed"):
-        if not isinstance(pk, tcf.IdealPublicKey):
-            raise tcf.UnsupportedBackend("the honest prover needs coherent sampling")
         if path not in ("circuit", "collapsed"):
             raise ValueError(f"unknown prover path {path!r}")
         self.pk = pk
@@ -230,7 +220,7 @@ class ZeroCommitEchoProver:
         self._rng = rng
 
     def round1(self):
-        return 0, 0, tcf.eval(self.pk, 0, 0, self._rng)
+        return 0, 0, tcf.eval(self.pk, 0, 0)
 
     def round2(self, c: int) -> int:
         return int(c)
@@ -256,7 +246,7 @@ class PreimageAnswerProver:
         n = self.pk.n
         x = int(self._rng.integers(0, 1 << n))
         self._bit = tcf.first_bit(x, n)
-        return 0, 0, tcf.eval(self.pk, 0, x, self._rng)
+        return 0, 0, tcf.eval(self.pk, 0, x)
 
     def round2(self, c: int) -> int:
         return self._bit
@@ -277,7 +267,7 @@ class RandomCommitEchoProver:
         x = int(self._rng.integers(0, 1 << n))
         return (int(self._rng.integers(0, 2)),
                 int(self._rng.integers(0, 1 << (n - 1))),
-                tcf.eval(self.pk, 0, x, self._rng))
+                tcf.eval(self.pk, 0, x))
 
     def round2(self, c: int) -> int:
         return int(c)
@@ -293,7 +283,7 @@ class RandomAnswerProver:
         self._rng = rng
 
     def round1(self):
-        return 0, 0, tcf.eval(self.pk, 0, 0, self._rng)
+        return 0, 0, tcf.eval(self.pk, 0, 0)
 
     def round2(self, c: int) -> int:
         return int(self._rng.integers(0, 2))
@@ -358,12 +348,12 @@ CLASSICAL_KINDS = tuple(CLASSICAL_CLASSES)
 
 
 def run_protocol(prover_factory, trials: int, rng: np.random.Generator,
-                 lam: int = 8, backend: str = "ideal", keep_transcripts: bool = False):
+                 lam: int = 8, keep_transcripts: bool = False):
     """Play full instances; returns (acceptance rate, transcripts or None)."""
     wins = 0
     transcripts = [] if keep_transcripts else None
     for _ in range(trials):
-        verifier = PoqVerifier(lam, rng, backend=backend)
+        verifier = PoqVerifier(lam, rng)
         prover = prover_factory(verifier, rng)
         pk = verifier.round1()
         assert pk is verifier.pk
@@ -377,7 +367,7 @@ def run_protocol(prover_factory, trials: int, rng: np.random.Generator,
 
 
 def rewind_experiment(prover_factory, trials: int, rng: np.random.Generator,
-                      lam: int = 8, backend: str = "ideal") -> float:
+                      lam: int = 8) -> float:
     """Extract the hidden bit from a rewindable (classical) prover.
 
     One commitment, both challenges: guess s' = 1 xor b0 xor b1.  Returns
@@ -386,7 +376,7 @@ def rewind_experiment(prover_factory, trials: int, rng: np.random.Generator,
     """
     hits = 0
     for _ in range(trials):
-        verifier = PoqVerifier(lam, rng, backend=backend)
+        verifier = PoqVerifier(lam, rng)
         prover = prover_factory(verifier, rng)
         verifier.round1()
         prover.round1()

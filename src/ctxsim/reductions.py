@@ -171,8 +171,8 @@ def run_a2_reduction(prover, game: ContextualityGame, kind, trials: int, lam: in
     dist = estimate_table_distributions(prover, game, kind, inputs,
                                         phase1_trials, lam, rng, fhe_backend)
     plan = build_distinguisher(dist)
-    x0 = compilers.encode_round1_input(game, kind, plan.input0)
-    x1 = compilers.encode_round1_input(game, kind, plan.input1)
+    spec = compilers.spec_of(kind)
+    x0, x1 = spec.encode(game, plan.input0), spec.encode(game, plan.input1)
 
     def distinguisher(handle, cipher, drng):
         keys = opad.gen(lam, drng)
@@ -246,8 +246,7 @@ class CipherPeekingProver:
         return Assignment({q: self.game.answers[0] for q in self.game.questions})
 
     def exact_distribution(self, value) -> dict:
-        code = compilers._int_of(
-            compilers.encode_round1_input(self.game, self.kind, value))
+        code = compilers._int_of(compilers.spec_of(self.kind).encode(self.game, value))
         dist = {}
         for key, p in ((self.table_for(code).key(), self.leak_prob),
                        (self.fallback_table().key(), 1 - self.leak_prob)):
@@ -264,19 +263,11 @@ class CipherPeekingProver:
     def _session_table(self) -> Assignment:
         return self.table_for(self._code) if self._leaking else self.fallback_table()
 
-    def _round1_answer_bits(self, kind: CompilerKind) -> tuple:
+    def _round1_answer_bits(self, kind: CompilerKind, payload: tuple) -> tuple:
         game, table = self.game, self._session_table()
-        if kind is CompilerKind.ONE_ONE:
-            questions = (game.questions[self._code % len(game.questions)],)
-        elif kind is CompilerKind.ALL_ONE:
-            questions = game.contexts[self._code % len(game.contexts)]
-        else:
-            swidth = compilers._index_width(game.uniform_context_size())
-            ctx = game.contexts[(self._code >> swidth) % len(game.contexts)]
-            sp = (self._code & ((1 << swidth) - 1)) % len(ctx)
-            questions = tuple(q for i, q in enumerate(ctx) if i != sp)
+        spec = compilers.spec_of(kind)
         bits = ()
-        for q in questions:
+        for q in spec.questions(game, spec.decode(game, payload)):
             bits += compilers._encode_answer(game, table(q))
         return bits
 
@@ -288,7 +279,7 @@ class CipherPeekingProver:
         fresh = PauliKey.uniform(1, rng)
         return Message2(
             qfhe.enc_classical(message1.fhe_handle,
-                               self._round1_answer_bits(message1.kind), rng),
+                               self._round1_answer_bits(message1.kind, payload), rng),
             qfhe.enc_classical(message1.fhe_handle, fresh.bits(), rng),
             opad.samp(message1.opad_pk, 1, rng))
 

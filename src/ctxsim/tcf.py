@@ -1,6 +1,6 @@
-"""Trapdoor claw-free function layer with two backends.
+"""Trapdoor claw-free function layer, idealized.
 
-The idealized backend realizes the claw relation exactly: a seeded random
+The family realizes the claw relation exactly: a seeded random
 permutation PRP over n-bit strings and a secret nonzero mask delta define
 f_b(x) = PRP(x xor b*delta), so f_0(x0) = f_1(x1) iff x1 = x0 xor delta.
 Both branch tables are part of the public key, held (like the secret
@@ -8,10 +8,6 @@ inverse table) as read-only int64 arrays that become lists only in JSON;
 claw-freeness is a cryptographic property this toolkit never asserts,
 only the functional ones (injectivity per branch, perfect claw matching,
 hidden-bit xor).
-
-The toy-LWE backend demonstrates the noisy shape f_b(x) = A x + b*u + e
-with u = A s + e_u at classroom parameters.  It supports eval/inv/chk but
-not coherent superposition sampling.
 
 Domain parsing: X = {0,1} x V, the first (most significant) bit carrying
 the hidden-bit role; helpers first_bit/trailing_bits/dot_bits implement
@@ -34,10 +30,6 @@ from .qsim import StateVector, _checked_size, _norm, _sample_index
 # its two inverse tables (16 MB, about 26 ms). Measured on one core of a
 # 2-vCPU Xeon VM, CPython 3.11, numpy 2.4.
 MAX_DOMAIN_BITS = 20
-
-
-class UnsupportedBackend(ValueError):
-    pass
 
 
 def first_bit(x: int, n: int) -> int:
@@ -108,59 +100,27 @@ class IdealSecretKey:
 
 
 @dataclass(frozen=True)
-class LwePublicKey:
-    n: int
-    m: int
-    q: int
-    a: tuple  # m x n matrix rows
-    u: tuple  # A s + e_u
-    bound: int  # max infinity-norm deviation accepted by chk
-
-
-@dataclass(frozen=True)
-class LweSecretKey:
-    n: int
-    s: tuple
-
-
-@dataclass(frozen=True)
 class TcfKeyPair:
-    pk: object
-    sk: object
+    pk: IdealPublicKey
+    sk: IdealSecretKey
     domain_bits: int
     hidden_bit: int | None
 
     def to_json(self) -> str:
-        if isinstance(self.pk, IdealPublicKey):
-            return json.dumps({
-                "backend": "ideal",
-                "domain_bits": self.domain_bits,
-                "hidden_bit": self.hidden_bit,
-                "tables": [t.tolist() for t in self.pk.tables],
-                "secret": {"inv_prp": self.sk.inv_prp.tolist(), "delta": self.sk.delta},
-            })
         return json.dumps({
-            "backend": "lwe",
             "domain_bits": self.domain_bits,
             "hidden_bit": self.hidden_bit,
-            "m": self.pk.m, "q": self.pk.q, "bound": self.pk.bound,
-            "a": [list(r) for r in self.pk.a], "u": list(self.pk.u),
-            "secret": {"s": list(self.sk.s)},
+            "tables": [t.tolist() for t in self.pk.tables],
+            "secret": {"inv_prp": self.sk.inv_prp.tolist(), "delta": self.sk.delta},
         })
 
     @classmethod
     def from_json(cls, text: str) -> "TcfKeyPair":
         d = json.loads(text)
         n = d["domain_bits"]
-        hidden = d["hidden_bit"]
-        if d["backend"] == "ideal":
-            pk = IdealPublicKey(n, tuple(d["tables"]))
-            sk = IdealSecretKey(n, d["secret"]["inv_prp"], d["secret"]["delta"])
-        else:
-            pk = LwePublicKey(n, d["m"], d["q"], tuple(tuple(r) for r in d["a"]),
-                              tuple(d["u"]), d["bound"])
-            sk = LweSecretKey(n, tuple(d["secret"]["s"]))
-        return cls(pk, sk, n, hidden)
+        pk = IdealPublicKey(n, tuple(d["tables"]))
+        sk = IdealSecretKey(n, d["secret"]["inv_prp"], d["secret"]["delta"])
+        return cls(pk, sk, n, d["hidden_bit"])
 
 
 def _sample_mask(bits: int, hidden, rng: np.random.Generator) -> int:
@@ -172,7 +132,7 @@ def _sample_mask(bits: int, hidden, rng: np.random.Generator) -> int:
     return int(rng.integers(1, 1 << (bits - 1)))
 
 
-def gen(bits: int, hidden=None, backend: str = "ideal", rng: np.random.Generator = None) -> TcfKeyPair:
+def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
     """Key generation; bits is the domain size n of X = {0,1}^n."""
     if rng is None:
         raise ValueError("an explicit rng is required")
@@ -180,101 +140,46 @@ def gen(bits: int, hidden=None, backend: str = "ideal", rng: np.random.Generator
         raise ValueError(f"domain must have 3 to {MAX_DOMAIN_BITS} bits, not {bits}")
     if hidden is not None and hidden not in (0, 1):
         raise ValueError("hidden bit must be 0 or 1")
-    if backend == "ideal":
-        size = 1 << bits
-        prp = rng.permutation(size)
-        delta = _sample_mask(bits, hidden, rng)
-        pk = IdealPublicKey(bits, (prp, prp[np.arange(size) ^ delta]))
-        sk = IdealSecretKey(bits, _inverse_permutation(prp), delta)
-        return TcfKeyPair(pk, sk, bits, hidden)
-    if backend == "lwe":
-        q, m = 97, 3 * bits
-        s_vec = _sample_mask(bits, hidden, rng)
-        s_bits = tuple(int(v) for v in _bits_of(s_vec, bits))
-        a = rng.integers(0, q, size=(m, bits))
-        e_u = rng.integers(-1, 2, size=m)
-        u = (a @ np.array(s_bits) + e_u) % q
-        pk = LwePublicKey(bits, m, q, tuple(tuple(int(v) for v in row) for row in a),
-                          tuple(int(v) for v in u), bound=2)
-        sk = LweSecretKey(bits, s_bits)
-        return TcfKeyPair(pk, sk, bits, hidden)
-    raise UnsupportedBackend(f"unknown backend {backend!r}")
+    size = 1 << bits
+    prp = rng.permutation(size)
+    delta = _sample_mask(bits, hidden, rng)
+    pk = IdealPublicKey(bits, (prp, prp[np.arange(size) ^ delta]))
+    sk = IdealSecretKey(bits, _inverse_permutation(prp), delta)
+    return TcfKeyPair(pk, sk, bits, hidden)
 
 
-def _check_domain(pk, x: int) -> None:
+def _check_domain(pk: IdealPublicKey, x: int) -> None:
     if not 0 <= x < (1 << pk.n):
         raise ValueError(f"x={x} outside the {pk.n}-bit domain")
 
 
-def _bits_of(x: int, n: int) -> np.ndarray:
-    return np.array([(x >> (n - 1 - j)) & 1 for j in range(n)])
-
-
-def eval(pk, b: int, x: int, rng: np.random.Generator = None):
-    """f_{pk,b}(x); deterministic for the ideal backend, sampled for lwe."""
+def eval(pk: IdealPublicKey, b: int, x: int, rng: np.random.Generator = None) -> int:
+    """f_{pk,b}(x).  Evaluation is deterministic, so rng is never drawn from."""
     if b not in (0, 1):
         raise ValueError("branch must be 0 or 1")
     _check_domain(pk, x)
-    if isinstance(pk, IdealPublicKey):
-        return int(pk.tables[b][x])
-    if isinstance(pk, LwePublicKey):
-        if rng is None:
-            raise ValueError("the lwe backend samples noise and needs an rng")
-        a = np.array(pk.a)
-        e = rng.integers(-1, 2, size=pk.m)
-        y = (a @ _bits_of(x, pk.n) + b * np.array(pk.u) + e) % pk.q
-        return tuple(int(v) for v in y)
-    raise UnsupportedBackend(f"unknown public key type {type(pk)!r}")
+    return int(pk.tables[b][x])
 
 
-def _lwe_center(pk: LwePublicKey, b: int, x: int) -> np.ndarray:
-    return (np.array(pk.a) @ _bits_of(x, pk.n) + b * np.array(pk.u)) % pk.q
-
-
-def _lwe_dist(pk: LwePublicKey, y, center: np.ndarray) -> int:
-    diff = (np.array(y) - center) % pk.q
-    return int(np.max(np.minimum(diff, pk.q - diff)))
-
-
-def chk(pk, b: int, x: int, y) -> int:
-    """1 iff y lies in the support of f_{pk,b}(x); total over inputs."""
+def chk(pk: IdealPublicKey, b: int, x: int, y) -> int:
+    """1 iff y = f_{pk,b}(x); total over inputs."""
     if b not in (0, 1):
         return 0
     try:
         _check_domain(pk, x)
     except ValueError:
         return 0
-    if isinstance(pk, IdealPublicKey):
-        # a Python int, so a tuple y compares unequal instead of broadcasting
-        return int(int(pk.tables[b][x]) == y)
-    if isinstance(pk, LwePublicKey):
-        return int(_lwe_dist(pk, y, _lwe_center(pk, b, x)) <= pk.bound)
-    raise UnsupportedBackend(f"unknown public key type {type(pk)!r}")
+    # a Python int, so a tuple y compares unequal instead of broadcasting
+    return int(int(pk.tables[b][x]) == y)
 
 
-def inv(sk, b: int, y):
+def inv(sk: IdealSecretKey, b: int, y):
     """The unique branch-b preimage of y; errors when y is not in the image."""
     if b not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    if isinstance(sk, IdealSecretKey):
-        if not isinstance(y, (int, np.integer)) or not 0 <= y < (1 << sk.n):
-            raise ValueError(f"y={y!r} is not in the image")
-        return int(sk.inv_prp[y]) ^ (sk.delta if b else 0)
-    if isinstance(sk, LweSecretKey):
-        raise ValueError("lwe inversion needs the public key; use inv_lwe")
-    raise UnsupportedBackend(f"unknown secret key type {type(sk)!r}")
-
-
-def inv_lwe(pk: LwePublicKey, sk: LweSecretKey, b: int, y):
-    """Exhaustive nearest-center decoding for the toy-LWE backend."""
-    best_x, best_d = None, None
-    for x in range(1 << pk.n):
-        d = _lwe_dist(pk, y, _lwe_center(pk, b, x))
-        if best_d is None or d < best_d:
-            best_x, best_d = x, d
-    if best_d > pk.bound:
-        raise ValueError("y is not within the noise bound of any center")
-    return best_x
+    if not isinstance(y, (int, np.integer)) or not 0 <= y < (1 << sk.n):
+        raise ValueError(f"y={y!r} is not in the image")
+    return int(sk.inv_prp[y]) ^ (sk.delta if b else 0)
 
 
 def claw(sk: IdealSecretKey, y: int):
@@ -283,25 +188,17 @@ def claw(sk: IdealSecretKey, y: int):
     return x0, x0 ^ sk.delta
 
 
-def public_claw(pk, y: int):
+def public_claw(pk: IdealPublicKey, y: int):
     """(x0, x1) for y, read off the published branch tables.
 
-    The ideal backend publishes both tables, so simulators may look claws
-    up without the trapdoor; provers in the protocols never rely on this.
+    The family publishes both tables, so simulators may look claws up
+    without the trapdoor; provers in the protocols never rely on this.
     """
-    if not isinstance(pk, IdealPublicKey):
-        raise UnsupportedBackend("public claw lookup needs the ideal backend")
     y = int(y)
     if not 0 <= y < (1 << pk.n):
         raise ValueError("y outside the image")
     inv0, inv1 = pk.inverse_tables
     return int(inv0[y]), int(inv1[y])
-
-
-def image_size(pk) -> int:
-    if isinstance(pk, IdealPublicKey):
-        return 1 << pk.n
-    raise UnsupportedBackend("only the ideal backend has an enumerable image")
 
 
 def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Generator = None) -> StateVector:
@@ -313,8 +210,6 @@ def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Gene
     image-sized register, all holding |0>.  The protocols run measure_claw,
     which this dense form is the reference for.
     """
-    if not isinstance(pk, IdealPublicKey):
-        raise UnsupportedBackend("coherent sampling is only exact on the ideal backend")
     n = pk.n
     size = 1 << n
     out = list(out)
@@ -357,8 +252,6 @@ def measure_claw(pk, state: StateVector, control: int, rng: np.random.Generator)
     drawn from it by the sampler of qsim.measure_registers, and only the
     2^n-fold state is built, never the 2^(2n)-fold one.
     """
-    if not isinstance(pk, IdealPublicKey):
-        raise UnsupportedBackend("coherent sampling is only exact on the ideal backend")
     if rng is None:
         raise ValueError("an explicit rng is required")
     if not 0 <= control < state.num_registers or state.dims[control] != 2:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxsim import cli, games, tcf
+from ctxsim import cli, games, opad, qfhe, tcf
 
 
 def run_cli(capsys, argv):
@@ -27,7 +27,7 @@ def test_values_builtin_games(capsys):
     for name, (exact, qvalue) in expected.items():
         code, report, _ = run_cli(capsys, ["values", "--game", name])
         assert code == 0
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         row = report["rows"][0]
         assert row["nc_value_exact"] == exact
         assert row["quantum_value"] == pytest.approx(qvalue, abs=1e-9)
@@ -143,11 +143,13 @@ def test_poq_prover_filter(capsys):
     assert [r["row"] for r in report["rows"]] == ["preimage", "rewind-preimage"]
 
 
-def test_poq_rejects_the_lwe_family(capsys):
-    code, report, err = run_cli(capsys, ["poq", "--trials", "5", "--seed", "1",
-                                         "--tcf", "lwe"])
+@pytest.mark.parametrize("command", [["poq"], ["compile", "--game", "kcbs", "--compiler", "c-1"]])
+def test_tcf_is_an_unrecognized_argument(capsys, command):
+    code, report, err = run_cli(capsys, command + ["--trials", "5", "--seed", "1",
+                                                   "--tcf", "ideal"])
     assert code == 3
-    assert "claw relation" in err
+    assert report is None
+    assert "unrecognized arguments: --tcf" in err
 
 
 def test_assert_flag_turns_a_missed_bound_into_exit_2(capsys):
@@ -177,14 +179,17 @@ def test_compile_report_rows_and_bounds(capsys):
         assert row["within"] is True
 
 
-def test_compile_config_errors(capsys):
+def test_compile_config_errors(capsys, monkeypatch):
+    # every case is refused before any key exists
+    def no_keys(*args, **kwargs):
+        raise AssertionError("a key was generated")
+    monkeypatch.setattr(qfhe, "gen", no_keys)
+    monkeypatch.setattr(opad, "gen", no_keys)
     cases = [
         (["compile", "--game", "magic-square", "--compiler", "1-1",
           "--trials", "5", "--seed", "1"], "uniform context size"),
         (["compile", "--game", "kcbs", "--compiler", "cm1-1",
           "--prover", "feasible", "--trials", "5", "--seed", "1"], "c-1"),
-        (["compile", "--game", "kcbs", "--compiler", "c-1",
-          "--trials", "5", "--seed", "1", "--tcf", "lwe"], "ideal trapdoor"),
         (["compile", "--game", "kcbs", "--compiler", "c-1",
           "--trials", "0", "--seed", "1"], "at least 1"),
         (["compile", "--game", "kcbs", "--compiler", "c-1",

@@ -1,4 +1,5 @@
 """Compiled contextuality games: rates, faithfulness, message discipline."""
+import dataclasses
 import itertools
 import json
 import math
@@ -6,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_games import random_games
 
 from ctxsim import compilers as cp
 from ctxsim import games, opad, qfhe, tcf
@@ -370,6 +372,18 @@ def test_truthtable_consistency_branch_always_accepted():
     assert seen > 50
 
 
+def test_truthtable_one_one_takes_a_question_in_no_context():
+    # the multiplexer has a row for every question, asked or not
+    rng = np.random.default_rng(58)
+    game = ContextualityGame(
+        questions=(0, 1, 2), answers=(0, 1), contexts=((0, 1),),
+        context_weights=(Fraction(1),), accepts={0: frozenset({(0, 1)})},
+    )
+    prover = cp.truthtable_prover(games.Assignment({0: 0, 1: 1, 2: 0}))
+    rate, _ = cp.estimate_win_rate(game, "1-1", prover, 50, rng, lam=4)
+    assert rate == 1.0
+
+
 def test_truthtable_round2_ignores_the_key():
     rng = np.random.default_rng(45)
     game, _ = games.kcbs()
@@ -540,20 +554,89 @@ def test_transcripts_serialize_and_recompute():
 
 def test_recompute_decision_matches_and_detects_tampering():
     rng = np.random.default_rng(57)
-    game, strat = games.magic_square()
-    prover = cp.honest_quantum_prover(strat)
-    for kind in ("c-1", "cm1-1"):
+    kcbs, kcbs_strat = games.kcbs()
+    ms, ms_strat = games.magic_square()
+    for game, strat, kind in ((kcbs, kcbs_strat, "1-1"), (ms, ms_strat, "c-1"),
+                              (ms, ms_strat, "cm1-1")):
+        prover = cp.honest_quantum_prover(strat)
         for _ in range(6):
             accept, state = cp.run_session(game, kind, prover, rng, lam=5)
             t = state.transcript()
             again = cp.recompute_decision(game, t, state.fhe_sk,
                                           state.opad_keys, state.oracle)
             assert again == accept
-        tampered = cp.CompiledTranscript(
-            kind=t.kind, ctx_index=t.ctx_index, skip_pos=t.skip_pos,
-            message1=t.message1, message2=t.message2, question=t.question,
-            key=t.key ^ PauliKey.from_bits((1, 0, 0, 0)), answer=t.answer,
-            accept=t.accept)
+        keys = (state.fhe_sk, state.opad_keys, state.oracle)
+        tampered = dataclasses.replace(t, key=t.key ^ PauliKey.from_bits((1, 0, 0, 0)))
         with pytest.raises(ValueError, match="key disagrees"):
-            cp.recompute_decision(game, tampered, state.fhe_sk,
-                                  state.opad_keys, state.oracle)
+            cp.recompute_decision(game, tampered, *keys)
+        # a context sharing no question with round 1 cannot be the sampled one
+        other = next(i for i, ctx in enumerate(game.contexts)
+                     if not set(ctx) & set(state.round1_questions))
+        with pytest.raises(ValueError, match="context disagrees with the t1 payload"):
+            cp.recompute_decision(game, dataclasses.replace(t, ctx_index=other), *keys)
+        # nor can any other context
+        for i in range(len(game.contexts)):
+            if i != t.ctx_index:
+                with pytest.raises(ValueError, match="disagrees|outside its context"):
+                    cp.recompute_decision(game, dataclasses.replace(t, ctx_index=i), *keys)
+        if kind == "cm1-1":
+            moved = (t.skip_pos + 1) % len(game.contexts[t.ctx_index])
+            with pytest.raises(ValueError, match="skip position disagrees"):
+                cp.recompute_decision(game, dataclasses.replace(t, skip_pos=moved), *keys)
+
+
+def _compilable_table(game, kind):
+    """The game's optimal table, when the kind and the table prover take the game."""
+    spec = cp.spec_of(kind)
+    try:
+        spec.check(game)
+    except ValueError:
+        return None
+    if len({len(spec.questions(game, v)) for v in spec.inputs(game)}) != 1:
+        return None
+    return nc_value_with_table(game)[1]
+
+
+@pytest.mark.parametrize("kind", ["1-1", "c-1", "cm1-1"])
+@settings(max_examples=40, deadline=None)
+@given(game=st.one_of(random_games(), random_games(context_size=2)),
+       lam=st.integers(3, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_recompute_decision_agrees_on_random_games(kind, game, lam, seed):
+    table = _compilable_table(game, kind)
+    assume(table is not None)
+    rng = np.random.default_rng(seed)
+    prover = cp.truthtable_prover(table)
+    for _ in range(6):
+        accept, state = cp.run_session(game, kind, prover, rng, lam=lam)
+        t = state.transcript()
+        keys = (state.fhe_sk, state.opad_keys, state.oracle)
+        assert cp.recompute_decision(game, t, *keys) == accept
+        if t.question in state.round1_questions:
+            # a round-2 answer that contradicts round 1 is never accepted
+            for other in game.answers:
+                if other != t.answer:
+                    contradicted = dataclasses.replace(t, answer=other)
+                    assert cp.recompute_decision(game, contradicted, *keys) is False
+
+
+@pytest.mark.parametrize("kind", ["1-1", "c-1", "cm1-1"])
+@settings(max_examples=40, deadline=None)
+@given(game=st.one_of(random_games(), random_games(context_size=2)),
+       lam=st.integers(3, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_decision_faithfulness_on_random_games(kind, game, lam, seed):
+    table = _compilable_table(game, kind)
+    assume(table is not None)
+    trials = 12
+    assert cp.decision_faithfulness_check(game, kind, table, trials,
+                                          np.random.default_rng(seed), lam=lam)
+    # The same draws again: the negative control must bite exactly when some
+    # accepted session re-asked a round-1 question.
+    rng = np.random.default_rng(seed)
+    prover = cp.truthtable_prover(table)
+    sessions = [cp.run_session(game, kind, prover, rng, lam=lam) for _ in range(trials)]
+    bites = any(accept and state.question in state.round1_questions
+                for accept, state in sessions)
+    sabotaged = cp.decision_faithfulness_check(game, kind, table, trials,
+                                               np.random.default_rng(seed), lam=lam,
+                                               sabotage=True)
+    assert sabotaged is not bites

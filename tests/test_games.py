@@ -296,17 +296,17 @@ def test_nc_search_matches_reference_on_builtin_games(build):
 
 
 @st.composite
-def random_games(draw):
+def random_games(draw, context_size=None):
     """1-6 questions, 2-3 non-integer answer labels, contexts of mixed
-    sizes with possibly empty accept sets, small-denominator weights (so
-    ties are common)."""
-    n = draw(st.integers(1, 6))
+    sizes (or all of context_size) with possibly empty accept sets,
+    small-denominator weights (so ties are common)."""
+    n = draw(st.integers(context_size or 1, 6))
     questions = tuple(f"q{i}" for i in range(n))
     answers = draw(st.sampled_from([(1, -1), ("a", "b", "c"), (0.5, "x")]))
     n_contexts = draw(st.integers(1, 5))
     contexts, accepts = [], {}
     for i in range(n_contexts):
-        size = draw(st.integers(1, min(n, 3)))
+        size = context_size or draw(st.integers(1, min(n, 3)))
         ctx = tuple(draw(st.permutations(questions))[:size])
         tuples = list(itertools.product(answers, repeat=size))
         keep = draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))

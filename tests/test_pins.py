@@ -18,12 +18,12 @@ def sha256(data) -> str:
 
 CLI_PINS = [
     (["poq", "--trials", "200", "--seed", "7"],
-     "25e23a66cf868e9766b1e3408049d1bc5ce9e56285e3492da37e94aa269aac0d", None),
+     "e18b3cabf59fd4866f95477b5e26f310bfabea38389426e03748ecd31b9d334a", None),
     (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "200", "--seed", "7"],
-     "8330c1464c4e37c98c745d299c2d37310106ded4fb5bb99854b9ce7a9a808fdd",
+     "eb402c162241c994ef5c4e619247c6099e4fc1049f5415c7a3102ea88fab1e52",
      "5fe2efc4d5c279474d9738773923614ff3530182729046a5c6aaa7f53e2908bd"),
     (["compile", "--game", "magic-square", "--compiler", "cm1-1", "--trials", "200", "--seed", "7"],
-     "4f56deb796bc3c7fb251c9f815f9fe30c02fffeac1a42222eef3df740b313b6f", None),
+     "06e6de8426279d2fc6463dafa2ac5a3971a67c8547d58355356e8aaf0c285397", None),
 ]
 
 
@@ -42,7 +42,7 @@ def test_circuit_path_outcomes_are_pinned():
     _, log = poq.run_protocol(poq.honest("circuit"), 200, np.random.default_rng(2024),
                               lam=5, keep_transcripts=True)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "2a35ecc31aadaf150828a471d71074df4a9fa30a5163dda0221a727abceb1d14"
+        "8e526dfdebb8a08a5cf4493df74eb4d98356b6c4925e62d7d1a17b3b702d3516"
 
     game, strategy = games.kcbs()
     log = []

@@ -13,7 +13,7 @@ CHI2_CRIT_DF15 = 37.697
 
 
 def ideal_pair(bits=8, hidden=None, seed=0):
-    return tcf.gen(bits, hidden=hidden, backend="ideal", rng=np.random.default_rng(seed))
+    return tcf.gen(bits, hidden=hidden, rng=np.random.default_rng(seed))
 
 
 def test_hidden_bit_one_on_every_claw():
@@ -90,8 +90,6 @@ def test_eval_rejects_out_of_domain():
 def test_gen_rejects_tiny_domain_and_bad_backend():
     with pytest.raises(ValueError):
         tcf.gen(2, rng=np.random.default_rng(0))
-    with pytest.raises(tcf.UnsupportedBackend):
-        tcf.gen(8, backend="quantum", rng=np.random.default_rng(0))
 
 
 def fresh_samp_state(bits, control_plus=True):
@@ -220,9 +218,6 @@ def test_measure_claw_validates_its_inputs():
             tcf.measure_claw(kp.pk, state, control, rng)
     with pytest.raises(ValueError, match="explicit rng"):
         tcf.measure_claw(kp.pk, state, 0, None)
-    lwe = tcf.gen(4, backend="lwe", rng=rng)
-    with pytest.raises(tcf.UnsupportedBackend):
-        tcf.measure_claw(lwe.pk, state, 0, rng)
 
 
 def test_keypair_json_roundtrip():
@@ -247,10 +242,9 @@ class _NoDrawRng:
 
 
 @pytest.mark.parametrize("bits", [tcf.MAX_DOMAIN_BITS + 1, 64])
-@pytest.mark.parametrize("backend", ["ideal", "lwe"])
-def test_gen_bounds_the_domain_before_drawing(bits, backend):
+def test_gen_bounds_the_domain_before_drawing(bits):
     with pytest.raises(ValueError, match=f"3 to {tcf.MAX_DOMAIN_BITS} bits"):
-        tcf.gen(bits, backend=backend, rng=_NoDrawRng())
+        tcf.gen(bits, rng=_NoDrawRng())
 
 
 def test_key_tables_are_read_only():
@@ -292,26 +286,3 @@ def test_transcript_table_digest_is_stable():
     body = json.loads(state.transcript().to_json())
     assert body["t2_opad_pk"] == {"domain_bits": 8, "table_digest": "7c1cc4c7137dcbdc"}
 
-
-def test_lwe_round_trip_and_claws():
-    rng = np.random.default_rng(13)
-    kp = tcf.gen(5, hidden=1, backend="lwe", rng=rng)
-    s_vec = int("".join(map(str, kp.sk.s)), 2)
-    for x in rng.integers(0, 32, size=20):
-        x = int(x)
-        for b in (0, 1):
-            y = tcf.eval(kp.pk, b, x, rng=rng)
-            assert tcf.chk(kp.pk, b, x, y) == 1
-            assert tcf.inv_lwe(kp.pk, kp.sk, b, y) == x
-    # Claw pairs exist exactly where x0 covers the secret bitwise.
-    x0 = s_vec | 0b00001 if s_vec != 0b11111 else s_vec
-    y = tcf.eval(kp.pk, 0, x0, rng=rng)
-    assert tcf.chk(kp.pk, 1, x0 ^ s_vec, y) == 1
-    assert tcf.first_bit(x0, 5) ^ tcf.first_bit(x0 ^ s_vec, 5) == 1
-
-
-def test_lwe_has_no_coherent_sampler():
-    rng = np.random.default_rng(14)
-    kp = tcf.gen(4, backend="lwe", rng=rng)
-    with pytest.raises(tcf.UnsupportedBackend):
-        tcf.coherent_samp(kp.pk, fresh_samp_state(4), 0, list(range(1, 6)))
