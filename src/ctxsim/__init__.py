@@ -6,7 +6,8 @@ games with exact values (games), an idealized claw-free function family
 (tcf), a simulated quantum-capable homomorphic encryption layer (qfhe),
 the oblivious Pauli pad built on the claw-free family (opad), the
 2-round quantumness test (poq), three compilers that turn a game into a
-single-prover protocol (compilers), and rewinding reductions that turn
+single-prover protocol (compilers) with a batched engine for their Monte
+Carlo rates (batch), and rewinding reductions that turn
 ciphertext-dependent behaviour into encryption distinguishers
 (reductions).  The cli module exposes all of it as the `ctxsim` command.
 """

@@ -17,7 +17,9 @@ line per protocol run.  Identical configuration and seed give byte
 identical files.
 
 Exit codes: 0 ok, 2 a bound was violated under --assert, 3 bad
-configuration.
+configuration and nothing else: every argument, game file, strategy and
+precondition is checked before the first row runs, and any other error
+propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -32,8 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import compilers, poq, tcf
-from .games import (ContextualityGame, QuantumStrategy, kcbs, magic_square,
-                    chsh, nc_value, nc_value_with_table, quantum_value_of)
+from .games import (ContextualityGame, QuantumStrategy, check_nc_search, chsh,
+                    kcbs, magic_square, nc_value, nc_value_with_table,
+                    quantum_value_of)
 
 SCHEMA = 2
 SLACK = 0.005  # allowance on top of 3 binomial sigma in bound checks
@@ -86,15 +89,27 @@ def load_game(spec: str):
         raise ConfigError(
             f"unknown game {spec!r}: not one of {sorted(BUILTIN_GAMES)} "
             "and not a readable file")
-    data = json.loads(path.read_text())
-    if "game" in data:
+    try:
+        data = json.loads(path.read_text())
+        if "game" not in data:
+            return ContextualityGame.from_json(json.dumps(data)), None
         game = ContextualityGame.from_json(json.dumps(data["game"]))
         strategy = None
         if data.get("strategy") is not None:
             strategy = QuantumStrategy.from_json(json.dumps(data["strategy"]),
                                                  questions=game.questions)
+            strategy.validate(game)
         return game, strategy
-    return ContextualityGame.from_json(json.dumps(data)), None
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"{spec}: {exc}") from exc
+
+
+def _precondition(check, game) -> None:
+    """Run a game precondition, reporting its ValueError as a configuration error."""
+    try:
+        check(game)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _tol(bound: float, trials: int) -> float:
@@ -107,6 +122,7 @@ def _stderr(rate: float, trials: int) -> float:
 
 def cmd_values(config: RunConfig, want_transcripts: bool):
     game, strategy = load_game(config.game)
+    _precondition(check_nc_search, game)
     value = nc_value(game)
     row = {
         "row": "values", "game": config.game,
@@ -192,30 +208,38 @@ def _make_prover(name: str, game, kind, strategy):
             raise ConfigError("the honest prover needs a bundled strategy; "
                               "this game file carries none")
         return compilers.honest_quantum_prover(strategy)
-    if name == "truthtable":
-        _, table = nc_value_with_table(game)
-        return compilers.truthtable_prover(table)
     target = compilers.FeasibleInconsistentProver.target
-    if kind is not target:
+    if name == "feasible" and kind is not target:
         raise ConfigError("the feasible-but-inconsistent prover targets the "
                           f"{target.value} compiler")
-    return compilers.feasible_inconsistent_prover(game)
+    try:
+        if name == "truthtable":
+            prover = compilers.truthtable_prover(nc_value_with_table(game)[1])
+        else:
+            prover = compilers.feasible_inconsistent_prover(game)
+        # the round-1 multiplexer needs one question count for every input
+        prover._circuit_for(game, kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return prover
 
 
 def cmd_compile(config: RunConfig, want_transcripts: bool):
     game, strategy = load_game(config.game)
     kind = compilers.CompilerKind(config.compiler)
-    # surfaces the compiler's game-shape preconditions before any row runs
-    compilers.spec_of(kind).check(game)
+    # every precondition and prover is checked before any row runs
+    _precondition(compilers.spec_of(kind).check, game)
+    _precondition(check_nc_search, game)
+    provers = {name: _make_prover(name, game, kind, strategy)
+               for name in _compile_row_names(config.prover, kind, strategy)}
     bounds = compilers.theorem_bounds(
         game, kind, None if strategy is None
         else quantum_value_of(game, strategy))
 
     seeds = np.random.SeedSequence(config.seed)
     rows, lines = [], []
-    for name in _compile_row_names(config.prover, kind, strategy):
+    for name, prover in provers.items():
         rng = np.random.default_rng(seeds.spawn(1)[0])
-        prover = _make_prover(name, game, kind, strategy)
         log = [] if want_transcripts else None
         rate, stderr = compilers.estimate_win_rate(
             game, kind, prover, config.trials, rng, lam=config.lam,
@@ -350,7 +374,7 @@ def main(argv=None) -> int:
         transcripts_path = getattr(args, "transcripts", None)
         report, lines = COMMANDS[config.command](
             config, transcripts_path is not None)
-    except (ConfigError, OSError, ValueError, TypeError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"ctxsim: {exc}", file=sys.stderr)
         return 3
     _write_outputs(report, config, lines, transcripts_path)

@@ -28,6 +28,14 @@ and the theorem formulas.  The accept rule needs no kind: the round-2
 answer is compared with a round-1 answer when its question was asked in
 round 1, and the context's predicate is checked when the answers of both
 rounds cover the context.
+
+The state machines below (CompiledVerifier, the provers, run_session) are
+the protocol reference.  estimate_win_rate runs its sessions through them
+for the lwe backend, the circuit pad path and any prover class but the
+three named next; stub- and leaky-backend sessions of a TruthTableProver,
+a FeasibleInconsistentProver or an HonestQuantumProver on the collapsed
+pad path run in chunks through the batched engine of ctxsim.batch, which
+reads the same spec, branches, answer decoding and accept rule.
 """
 from __future__ import annotations
 
@@ -667,11 +675,11 @@ class FeasibleInconsistentProver(TruthTableProver):
             raise ValueError("prover was built for a different game")
         return self._submissions[value]
 
-    def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:
-        if message1.kind is not self.target:
+    def _circuit_for(self, game: ContextualityGame, kind: CompilerKind):
+        if kind is not self.target:
             raise ValueError("the feasible-inconsistent prover targets the "
                              f"{self.target.value} compiler")
-        return super().round1(message1, rng)
+        return super()._circuit_for(game, kind)
 
 
 def honest_quantum_prover(qstrat: QuantumStrategy, opad_path: str = "collapsed"):
@@ -699,15 +707,28 @@ def run_session(game: ContextualityGame, kind, prover, rng: np.random.Generator,
 def estimate_win_rate(game: ContextualityGame, kind, prover, trials: int,
                       rng: np.random.Generator, lam: int = 8,
                       fhe_backend: str = "stub", transcript_log: list = None):
-    """Monte Carlo win rate over fresh-key sessions; returns (rate, stderr)."""
+    """Monte Carlo win rate over fresh-key sessions; returns (rate, stderr).
+
+    Stub and leaky sessions of a table prover, or of an honest prover on the
+    collapsed pad path, run in chunks through the batched engine (ctxsim.batch);
+    the rest run one run_session each.  Either way transcript_log, when
+    given, receives one CompiledTranscript per session and changes no draw.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    wins = 0
-    for _ in range(trials):
-        accept, state = run_session(game, kind, prover, rng, lam, fhe_backend)
-        wins += int(accept)
-        if transcript_log is not None:
-            transcript_log.append(state.transcript())
+    # imported on first use: a process that only runs single sessions never
+    # loads the engine
+    from . import batch
+    if batch.runs(prover, fhe_backend):
+        wins = batch.win_count(game, kind, prover, trials, rng, lam, fhe_backend,
+                               transcript_log)
+    else:
+        wins = 0
+        for _ in range(trials):
+            accept, state = run_session(game, kind, prover, rng, lam, fhe_backend)
+            wins += int(accept)
+            if transcript_log is not None:
+                transcript_log.append(state.transcript())
     rate = wins / trials
     return rate, math.sqrt(rate * (1 - rate) / trials)
 

@@ -210,6 +210,31 @@ class QuantumStrategy:
         return cls(dim=dim, psi=StateVector((dim,), amps), observables=by_name)
 
 
+def _weight_units(game: ContextualityGame):
+    """(common denominator, integer weight units, indices of scored contexts);
+    a context scores when it has weight and some accepted tuple."""
+    den = math.lcm(*(w.denominator for w in game.context_weights))
+    units = [w.numerator * (den // w.denominator) for w in game.context_weights]
+    return den, units, [i for i, u in enumerate(units) if u and game.accepts[i]]
+
+
+def check_nc_search(game: ContextualityGame) -> None:
+    """Raises ValueError when the exact NC search of game passes NC_SEARCH_BOUND,
+    in assignment tables or in accept-lookup entries, before any allocation."""
+    _check_search_size(game, _weight_units(game)[2])
+
+
+def _check_search_size(game: ContextualityGame, scored) -> None:
+    k = len(game.answers)
+    n_tables = k ** len(game.questions)
+    if n_tables > NC_SEARCH_BOUND:
+        raise ValueError(f"{n_tables} assignments exceed the brute-force bound {NC_SEARCH_BOUND}")
+    n_entries = sum(k ** len(game.contexts[i]) for i in scored)
+    if n_entries > NC_SEARCH_BOUND:
+        raise ValueError(f"accept lookups of {n_entries} entries exceed the "
+                         f"brute-force bound {NC_SEARCH_BOUND}")
+
+
 def nc_value_with_table(game: ContextualityGame):
     """Exact non-contextual value and the first arg-max assignment.
 
@@ -220,18 +245,11 @@ def nc_value_with_table(game: ContextualityGame):
     denominator, sits in a lookup array at each accepted answer code, and a
     table's score is the sum of its contexts' lookups.
     """
+    den, units, scored = _weight_units(game)
+    _check_search_size(game, scored)
     questions, answers = game.questions, game.answers
     k, q = len(answers), len(questions)
     n_tables = k ** q
-    if n_tables > NC_SEARCH_BOUND:
-        raise ValueError(f"{n_tables} assignments exceed the brute-force bound {NC_SEARCH_BOUND}")
-    den = math.lcm(*(w.denominator for w in game.context_weights))
-    units = [w.numerator * (den // w.denominator) for w in game.context_weights]
-    scored = [i for i, u in enumerate(units) if u and game.accepts[i]]
-    n_entries = sum(k ** len(game.contexts[i]) for i in scored)
-    if n_entries > NC_SEARCH_BOUND:
-        raise ValueError(f"accept lookups of {n_entries} entries exceed the "
-                         f"brute-force bound {NC_SEARCH_BOUND}")
     total = sum(units[i] for i in scored)
     # Python ints once a score could overflow int64
     dtype = np.int64 if total < 2 ** 63 else object

@@ -42,6 +42,11 @@ from .qsim import (
 _MAX_NONZERO_RETRIES = 64
 
 
+def hash_bit(seed: int, x: int) -> int:
+    """The bit a hash-mode oracle of this seed answers at x."""
+    return hashlib.sha256(f"{seed}|{x}".encode()).digest()[0] & 1
+
+
 class PhaseOracle:
     """Binary random oracle, either a seeded hash or a lazily sampled table.
 
@@ -69,8 +74,7 @@ class PhaseOracle:
         self.query_log.append(x)
         if x not in self.database:
             if self.mode == "hash":
-                digest = hashlib.sha256(f"{self._seed}|{x}".encode()).digest()
-                self.database[x] = digest[0] & 1
+                self.database[x] = hash_bit(self._seed, x)
             else:
                 self.database[x] = int(self._rng.integers(0, 2))
         return self.database[x]
@@ -117,8 +121,14 @@ def gen(lam: int, rng: np.random.Generator) -> tcf.TcfKeyPair:
     return tcf.gen(lam, hidden=None, rng=rng)
 
 
+def phase_from(d, x0, x1, h0, h1):
+    """The pad bit d.(x0 xor x1) + H(x0) + H(x1) mod 2, given the oracle bits
+    h0 = H(x0) and h1 = H(x1); the arguments may be int arrays."""
+    return tcf.dot_bits(d, x0 ^ x1) ^ h0 ^ h1
+
+
 def _phase_bit(oracle: PhaseOracle, d: int, x0: int, x1: int) -> int:
-    return tcf.dot_bits(d, x0 ^ x1) ^ oracle.query(x0) ^ oracle.query(x1)
+    return phase_from(d, x0, x1, oracle.query(x0), oracle.query(x1))
 
 
 def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng):

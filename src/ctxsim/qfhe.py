@@ -50,6 +50,14 @@ def _garbage_bit(reader_key: str, token_key: str, nonce: int, position: int) -> 
     return h[0] & 1
 
 
+def split_draw(v):
+    """(pad bit, nonce) of a 63-bit stub encryption draw: bit 62 and bits 0-61.
+
+    v is an int or an int64 array of draws from [0, 2^63).
+    """
+    return v >> _NONCE_BITS, v & _NONCE_MASK
+
+
 @dataclass(frozen=True)
 class StubToken:
     key_id: str
@@ -94,8 +102,8 @@ class _StubBackend:
         """(masked, token) pairs for checked payload bits, from one draw."""
         out = []
         for b, v in zip(bits, rng.integers(0, 2 ** 63, size=len(bits)).tolist()):
-            pad = v >> _NONCE_BITS
-            out.append((b ^ pad, StubToken(self.key_id, v & _NONCE_MASK, pad)))
+            pad, nonce = split_draw(v)
+            out.append((b ^ pad, StubToken(self.key_id, nonce, pad)))
         return tuple(out)
 
     def ceval(self, circuit: "ClassicalCircuit", pairs, rng: np.random.Generator) -> tuple:

@@ -18,6 +18,8 @@ import numpy as np
 
 ATOL_STATE = 1e-9
 ATOL_EIG = 1e-8
+# Measurement branches of smaller weight are numerically zero: never drawn.
+BORN_FLOOR = 1e-15
 # Largest state basis() and tensor() build: 2^22 complex128 amplitudes,
 # 64 MiB.  One basis() at the bound takes about 3 ms (6 ms cold) and holds
 # 64 MiB (tracemalloc; one core of a 2-vCPU Xeon VM, numpy 2.4).  A circuit
@@ -288,7 +290,7 @@ def branch_measure(state: StateVector, obs: Observable, targets):
     for val, proj in obs.eigensystem:
         raw = _unblock(_matmul(proj, arr), state.dims, perm)
         p = float(np.vdot(raw, raw).real)
-        if p < 1e-15:
+        if p < BORN_FLOOR:
             branches.append((val, 0.0, None))
         else:
             branches.append((val, p, StateVector._own(state.dims, raw / np.sqrt(p))))
@@ -324,31 +326,47 @@ def register_distribution(state: StateVector, targets, basis: str = "standard"):
     Returns {digit tuple: probability} with one entry per joint outcome.
     """
     targets = list(targets)
-    work = _rotate_for_basis(state, targets, basis)
-    arr, _ = _blocks(work.amps, work.dims, targets)
+    arr, _ = _blocks(_rotated_amps(state, targets, basis), state.dims, targets)
     probs = _born_weights(arr)
     tdims = [state.dims[t] for t in targets]
     return {_digits_of(i, tdims): float(p) for i, p in enumerate(probs)}
 
 
-def _rotate_for_basis(state: StateVector, targets, basis: str) -> StateVector:
+# Amplitudes per step of the Hadamard butterfly: its temporaries hold at most
+# two such blocks (512 KiB), whatever the state's size.
+_ROTATE_BLOCK = 2 ** 14
+
+
+def _rotated_amps(state: StateVector, targets, basis: str) -> np.ndarray:
+    """Amplitudes of state with each targeted qubit rotated into basis.
+
+    The standard basis gives the state's own frozen array; the Hadamard
+    basis a private, writable copy.
+    """
     if basis == "standard":
-        return state
+        return state.amps
     if basis != "hadamard":
         raise ValueError(f"unknown basis {basis!r}")
     for t in targets:
         if state.dims[t] != 2:
             raise ValueError("hadamard basis requires qubit registers")
     # H per qubit as the sum and the difference of the |0> and |1> halves of
-    # one working copy; the 1/sqrt(2) factors are applied once at the end.
+    # one working copy, in blocks of rows so the saved half stays small; the
+    # 1/sqrt(2) factors are applied once at the end.
     work = state.amps.copy()
     for t in targets:
         pair = work.reshape(math.prod(state.dims[:t]), 2, -1)
-        half = pair[:, 0].copy()
-        pair[:, 0] += pair[:, 1]
-        np.subtract(half, pair[:, 1], out=pair[:, 1])
+        right = pair.shape[2]
+        rows = max(1, _ROTATE_BLOCK // right)
+        for i in range(0, pair.shape[0], rows):
+            for j in range(0, right, _ROTATE_BLOCK):
+                zero = pair[i:i + rows, 0, j:j + _ROTATE_BLOCK]
+                one = pair[i:i + rows, 1, j:j + _ROTATE_BLOCK]
+                half = zero.copy()
+                zero += one
+                np.subtract(half, one, out=one)
     work *= 2.0 ** (-len(targets) / 2)
-    return StateVector._own(state.dims, work)
+    return work
 
 
 def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -364,16 +382,23 @@ def measure_registers(state: StateVector, targets, basis: str = "standard", rng:
     With basis="hadamard" each targeted qubit is rotated by H first; the
     measured registers are left in the post-rotation basis state, so they
     carry no remaining entanglement and may be dropped via remove_registers.
+    A rotated copy is private, so the collapse happens inside it; the
+    standard basis reads the frozen input and collapses into a new array.
     """
     if rng is None:
         raise ValueError("an explicit rng is required")
     targets = list(targets)
-    work = _rotate_for_basis(state, targets, basis)
-    arr, perm = _blocks(work.amps, work.dims, targets)
+    arr, perm = _blocks(_rotated_amps(state, targets, basis), state.dims, targets)
     probs = _born_weights(arr)
     idx = _sample_index(probs, rng)
-    collapsed = np.zeros_like(arr)
-    collapsed[:, idx] = arr[:, idx] / np.sqrt(probs[idx])
+    if arr.flags.writeable:
+        arr[:, :idx] = 0
+        arr[:, idx + 1:] = 0
+        arr[:, idx] /= np.sqrt(probs[idx])
+        collapsed = arr
+    else:
+        collapsed = np.zeros_like(arr)
+        collapsed[:, idx] = arr[:, idx] / np.sqrt(probs[idx])
     tdims = [state.dims[t] for t in targets]
     return _digits_of(idx, tdims), StateVector._own(state.dims, _unblock(collapsed, state.dims, perm))
 

@@ -42,9 +42,12 @@ def trailing_bits(x: int, n: int) -> int:
     return x & ((1 << (n - 1)) - 1)
 
 
-def dot_bits(a: int, b: int) -> int:
-    """Inner product of bit strings modulo 2."""
-    return (a & b).bit_count() & 1
+def dot_bits(a, b):
+    """Inner product of bit strings modulo 2; a and b may be int arrays."""
+    both = a & b
+    if isinstance(both, np.ndarray):
+        return (np.bitwise_count(both) & 1).astype(np.int64)
+    return both.bit_count() & 1
 
 
 def _readonly(values) -> np.ndarray:
@@ -132,12 +135,17 @@ def _sample_mask(bits: int, hidden, rng: np.random.Generator) -> int:
     return int(rng.integers(1, 1 << (bits - 1)))
 
 
+def check_domain_bits(bits: int) -> None:
+    """Raises ValueError unless keys of this many domain bits are allowed."""
+    if not 3 <= bits <= MAX_DOMAIN_BITS:
+        raise ValueError(f"domain must have 3 to {MAX_DOMAIN_BITS} bits, not {bits}")
+
+
 def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
     """Key generation; bits is the domain size n of X = {0,1}^n."""
     if rng is None:
         raise ValueError("an explicit rng is required")
-    if not 3 <= bits <= MAX_DOMAIN_BITS:
-        raise ValueError(f"domain must have 3 to {MAX_DOMAIN_BITS} bits, not {bits}")
+    check_domain_bits(bits)
     if hidden is not None and hidden not in (0, 1):
         raise ValueError("hidden bit must be 0 or 1")
     size = 1 << bits

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxsim import cli, games, opad, qfhe, tcf
+from ctxsim import cli, compilers, games, opad, qfhe, tcf
 
 
 def run_cli(capsys, argv):
@@ -277,3 +277,40 @@ def test_transcript_logs_are_json_lines(tmp_path, capsys):
     entry = json.loads(lines[0])
     assert entry["row"] == "random-answer"
     assert {"s", "c", "b", "accepted"} <= set(entry)
+
+
+def test_internal_errors_are_not_configuration_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("simulated internal fault")
+
+    monkeypatch.setattr(compilers, "estimate_win_rate", broken)
+    with pytest.raises(ValueError, match="simulated internal fault"):
+        cli.main(["compile", "--game", "kcbs", "--compiler", "c-1",
+                  "--trials", "5", "--seed", "1"])
+
+
+def test_game_files_are_checked_before_any_row(tmp_path, capsys, monkeypatch):
+    def no_keys(*args, **kwargs):
+        raise AssertionError("a key was generated")
+    monkeypatch.setattr(qfhe, "gen", no_keys)
+    monkeypatch.setattr(opad, "gen", no_keys)
+    game, strategy = games.kcbs()
+    partial = json.loads(strategy.to_json())
+    del partial["observables"]["4"]
+    files = {
+        "broken.json": "{not json",
+        "no-questions.json": json.dumps({"answers": [0, 1]}),
+        "partial-strategy.json": json.dumps({"game": json.loads(game.to_json()),
+                                             "strategy": partial}),
+        "mixed-sizes.json": json.dumps({
+            "questions": [0, 1, 2], "answers": [0, 1], "contexts": [[0, 1], [0, 1, 2]],
+            "context_weights": ["1/2", "1/2"], "predicate": {"0": [[0, 0]], "1": [[0, 0, 0]]}}),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, report, err = run_cli(capsys, ["compile", "--game", str(path), "--compiler", "c-1",
+                                             "--trials", "5", "--seed", "1"])
+        assert code == 3, name
+        assert report is None
+        assert name in err or "uniform context size" in err

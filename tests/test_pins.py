@@ -20,10 +20,10 @@ CLI_PINS = [
     (["poq", "--trials", "200", "--seed", "7"],
      "e18b3cabf59fd4866f95477b5e26f310bfabea38389426e03748ecd31b9d334a", None),
     (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "200", "--seed", "7"],
-     "eb402c162241c994ef5c4e619247c6099e4fc1049f5415c7a3102ea88fab1e52",
-     "5fe2efc4d5c279474d9738773923614ff3530182729046a5c6aaa7f53e2908bd"),
+     "0564cd05dc53a70328c9f352b20e6baf4ca8871b0bc37bc574268834125e27cd",
+     "86c47985b8f6d559a14dd4e81d05f65472494e34b088c21a01a6412097d65655"),
     (["compile", "--game", "magic-square", "--compiler", "cm1-1", "--trials", "200", "--seed", "7"],
-     "06e6de8426279d2fc6463dafa2ac5a3971a67c8547d58355356e8aaf0c285397", None),
+     "ec28f52b9bf2d87d9148d28cac3bf442304ec5dce8312513d0264e218c052e0d", None),
 ]
 
 
@@ -51,3 +51,13 @@ def test_circuit_path_outcomes_are_pinned():
                                 100, np.random.default_rng(2025), lam=5, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
         "ccce961b6adebb85e9a5a6e90c2a38d3fb649e4ca1dfefdfd10d3a0e62406ae9"
+
+
+def test_batched_transcripts_are_pinned():
+    # two chunks at lambda 8 (256 sessions each)
+    game, _ = games.kcbs()
+    log = []
+    compilers.estimate_win_rate(game, "c-1", compilers.feasible_inconsistent_prover(game), 300,
+                                np.random.default_rng(2026), lam=8, transcript_log=log)
+    assert sha256("\n".join(t.to_json() for t in log)) == \
+        "ca73ff99c8d130cdcd468dad6a851d79efc171c028ad5e4274282cd156863306"

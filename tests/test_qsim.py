@@ -488,3 +488,25 @@ def test_state_bound_is_inclusive(monkeypatch):
         StateVector.basis((2,) * 5, (0,) * 5)
     with pytest.raises(ValueError):
         ket(0, 0, 0).tensor(ket(0, 0))
+
+
+@pytest.mark.parametrize("targets", [[13, 14, 15], [0, 1, 2], [0, 15], [7, 2, 11]])
+def test_hadamard_measurement_past_one_rotation_block(targets):
+    # 2^16 amplitudes: the butterfly runs in several blocks of rows
+    rng = np.random.default_rng(15)
+    s = random_state((2,) * 16, rng)
+    idx, ref_post = ref_measure_registers(s, targets, "hadamard", np.random.default_rng(16))
+    digits, post = measure_registers(s, targets, "hadamard", np.random.default_rng(16))
+    assert digits == qsim._digits_of(idx, [2] * len(targets))
+    assert np.allclose(post.amps, ref_post, rtol=0, atol=1e-12)
+
+
+def test_hadamard_measurement_collapses_in_place():
+    rng = np.random.default_rng(17)
+    s = random_state((2,) * 20, rng)
+    for targets in (range(12, 20), range(0, 8)):
+        tracemalloc.start()
+        measure_registers(s, targets, "hadamard", rng)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 1.25 * s.amps.nbytes
