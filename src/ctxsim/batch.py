@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import compilers, opad, qfhe, tcf
-from .qsim import ATOL_STATE, BORN_FLOOR, PauliKey
+from .qsim import BORN_FLOOR, PauliKey, check_norms
 
 # A chunk's claw-free tables hold about this many entries.
 CHUNK_ENTRIES = 2 ** 16
@@ -108,13 +108,6 @@ def _columns(columns: list, n: int) -> np.ndarray:
     return np.stack(columns, axis=1) if columns else np.zeros((n, 0), dtype=np.int64)
 
 
-def _check_norms(states: np.ndarray) -> None:
-    norms = np.sqrt(np.einsum("ni,ni->n", states.conj(), states).real)
-    bad = np.abs(norms - 1.0) > ATOL_STATE
-    if bad.any():
-        raise ValueError(f"state norm {norms[bad][0]} is not 1 within {ATOL_STATE}")
-
-
 def _pauli(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """X^x Z^z on each session's qubits, qubit 0 the most significant.
 
@@ -126,7 +119,7 @@ def _pauli(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     xmask, zmask = x @ weights, z @ weights
     src = np.arange(states.shape[1]) ^ xmask[:, None]
     out = np.take_along_axis(states, src, axis=1) * (1 - 2 * tcf.dot_bits(src, zmask[:, None]))
-    _check_norms(out)
+    check_norms(out)
     return out
 
 
@@ -195,14 +188,11 @@ class _Sessions:
     """The verifier's side of a chunk of sessions."""
 
     def __init__(self, plan: _Plan, n: int, rng: np.random.Generator):
-        game, size = plan.game, 1 << plan.lam
+        game = plan.game
         self.n = n
         self.key_ids = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
-        # claw-free keys f_0 = PRP and f_1(x) = PRP(x ^ delta), drawn as their
-        # trapdoor PRP^-1: the inverse of a uniform permutation is uniform
-        self.inv_prp = np.tile(np.arange(size), (n, 1))
-        rng.permuted(self.inv_prp, axis=1, out=self.inv_prp)
-        self.delta = rng.integers(1, size, size=n)
+        # claw-free keys f_0 = PRP and f_1(x) = PRP(x ^ delta), as their trapdoors
+        self.inv_prp, self.delta = tcf.gen_many(plan.lam, n, rng)
         self.oracles = _Oracles(rng.integers(2 ** 62, size=n), plan.lam)
         self.ctx = _contexts_at(game, rng.random(n))
         # one uniform draw only for sessions whose context offers several inputs
@@ -221,8 +211,7 @@ class _Sessions:
         self.answers1 = [compilers._decode_answers(game, bits[:count * plan.answer_width], count)
                          for bits, count in zip(answer_cipher.bits().tolist(), counts)]
         _check_slots(d, y, size)
-        x0 = np.take_along_axis(self.inv_prp, y, axis=1)
-        x1 = x0 ^ self.delta[:, None]
+        x0, x1 = tcf.claws_many(self.inv_prp, self.delta, y)
         k_prime = opad.phase_from(d, x0, x1, *self.oracles.bits(x0, x1))
         k_dbl = pad_cipher.bits()
         if k_dbl.shape[1] != k_prime.shape[1]:
@@ -286,7 +275,7 @@ class _Honest:
             raise AssertionError("no measurement branch has positive probability")
         rows = np.arange(len(states))
         post = raw[rows, pick] / np.sqrt(probs[rows, pick])[:, None]
-        _check_norms(post)
+        check_norms(post)
         return pick, post
 
     def _answer_bits(self, branch, step: int, obs, pick, width: int) -> np.ndarray:
@@ -331,9 +320,8 @@ class _Honest:
         y = rng.integers(0, size, size=(n, 2 * m))
         d = rng.integers(1, size, size=(n, 2 * m))
         _check_slots(d, y, size)
-        # the claw read off the public tables: the branch-0 preimage and its xor with delta
-        x0 = np.take_along_axis(s.inv_prp, y, axis=1)
-        x1 = x0 ^ s.delta[:, None]
+        # the claw read off the public tables
+        x0, x1 = tcf.claws_many(s.inv_prp, s.delta, y)
         bits = opad.phase_from(d, x0, x1, *s.oracles.bits(x0, x1))
         self.held = _pauli(states, bits[:, 0::2], bits[:, 1::2])
         return answer_cipher, pad_cipher, d, y
@@ -383,7 +371,7 @@ class _Table:
         # a fresh one-qubit pad key, encrypted, and the string from samp(pk, 1)
         pad_cipher = _encrypt(rng.integers(0, 2, size=(n, 2)), rng)
         x = rng.integers(0, size, size=(n, 2))
-        y = np.argmax(s.inv_prp[:, None, :] == x[:, :, None], axis=2)  # y = f_0(x)
+        y = tcf.images_many(s.inv_prp, x)
         d = rng.integers(1, size, size=(n, 2))
         _check_slots(d, y, size)
         return answer_cipher, pad_cipher, d, y

@@ -116,6 +116,14 @@ def _tol(bound: float, trials: int) -> float:
     return 3 * math.sqrt(max(bound * (1 - bound), 0.0) / trials) + SLACK
 
 
+def _rewind_tol(base_rate: float, trials: int) -> float:
+    """3 sigma + SLACK on rewind rate - (2 * base_rate - 1), both rates
+    estimated from trials instances each."""
+    bound = min(max(2 * base_rate - 1, 0.0), 1.0)
+    variance = bound * (1 - bound) + 4 * base_rate * (1 - base_rate)
+    return 3 * math.sqrt(variance / trials) + SLACK
+
+
 def _stderr(rate: float, trials: int) -> float:
     return math.sqrt(rate * (1 - rate) / trials)
 
@@ -156,20 +164,18 @@ def cmd_poq(config: RunConfig, want_transcripts: bool):
         rng = np.random.default_rng(seeds.spawn(1)[0])
         if name.startswith("rewind-"):
             kind = name[len("rewind-"):]
-            rate = poq.rewind_experiment(poq.classical(kind), config.trials,
-                                         rng, lam=config.lam)
-            bound = 2 * base_rates[kind] - 1 - 0.03
+            rate = poq.estimate_rewind(kind, config.trials, rng, lam=config.lam)
+            bound = 2 * base_rates[kind] - 1
             rows.append({
                 "row": name, "prover": kind, "trials": config.trials,
                 "rate": rate, "stderr": _stderr(rate, config.trials),
-                "formula": "2*rate - 1", "bound": bound,
-                "comparison": ">=", "within": rate >= bound,
+                "formula": "2*rate - 1", "bound": bound, "comparison": ">=",
+                "within": rate >= bound - _rewind_tol(base_rates[kind], config.trials),
             })
             continue
-        factory = poq.honest() if name == "honest" else poq.classical(name)
-        rate, transcripts = poq.run_protocol(
-            factory, config.trials, rng, lam=config.lam,
-            keep_transcripts=want_transcripts)
+        transcripts = [] if want_transcripts else None
+        rate = poq.estimate_rate(name, config.trials, rng, lam=config.lam,
+                                 transcript_log=transcripts)
         row = {"row": name, "prover": name, "trials": config.trials,
                "rate": rate, "stderr": _stderr(rate, config.trials)}
         if name == "honest":

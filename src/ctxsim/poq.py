@@ -22,6 +22,17 @@ tests pin the equivalence.
 Rewinding: running one commitment and both challenges against a classical
 prover and guessing s' = 1 xor b0 xor b1 succeeds with probability at
 least 2*rate - 1; the experiment here realizes that extractor.
+
+Two engines play the protocol.  run_protocol and rewind_experiment run one
+instance at a time through PoqVerifier and a prover object; they are the
+reference, and the only engine for the circuit-path honest prover and
+PeekingProver.  estimate_rate and estimate_rewind run the collapsed honest
+prover and the classical zoo in chunks of batch.chunk_size(lam) instances,
+with one rng call per protocol step per chunk, so a seed gives other
+instances than the scalar engine would, from the same distribution.  Each
+instance still gets a fresh hidden bit and claw-free key (tcf.gen_many);
+each prover class holds its array form next to its round1/round2, and the
+verifier's checks and accept rule run on whole chunks.
 """
 from __future__ import annotations
 
@@ -29,11 +40,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tcf
-from .qsim import StateVector, apply_unitary, measure_registers, remove_registers
+from .qsim import (StateVector, apply_unitary, check_norms, measure_registers,
+                   remove_registers)
 
 HONEST_RATE = math.cos(math.pi / 8) ** 2
 CLASSICAL_BOUND = 0.75
@@ -46,6 +59,7 @@ def rotation(theta: float) -> np.ndarray:
 
 # Basis changes of rotated_measure, indexed by the challenge: +pi/8, -pi/8.
 _ROTATED_BASES = (rotation(math.pi / 8).T.astype(complex), rotation(-math.pi / 8).T.astype(complex))
+_BASES = np.stack(_ROTATED_BASES)
 
 
 def rotated_measure(qubit: StateVector, c: int, rng: np.random.Generator) -> int:
@@ -53,6 +67,43 @@ def rotated_measure(qubit: StateVector, c: int, rng: np.random.Generator) -> int
     probe = apply_unitary(qubit, _ROTATED_BASES[0 if c == 0 else 1], [0])
     (bit,), _ = measure_registers(probe, [0], rng=rng)
     return int(bit)
+
+
+def _accepts(s, mu, d, c, b, x0, x1, n: int):
+    """The verifier's equation on ints or int arrays, x0 and x1 the claw of y.
+
+    s = 0: d.(v0 xor v1) xor b = c, v the trailing n-1 bits of the claw;
+    s = 1: mu xor (first bit of x0) xor b = 0.
+    """
+    a = (1 - s) * tcf.dot_bits(d, tcf.trailing_bits(x0, n) ^ tcf.trailing_bits(x1, n)) \
+        + s * (mu ^ tcf.first_bit(x0, n))
+    return (a ^ b) == (1 - s) * c
+
+
+class _Keys(NamedTuple):
+    """The claw-free keys of a chunk of instances, one row each.
+
+    Both branch tables of a key are public, so a row is held as its
+    branch-0 inverse table (also the trapdoor PRP^-1) and its mask.
+    """
+
+    lam: int
+    inv_prp: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.delta)
+
+    def image(self, x: np.ndarray) -> np.ndarray:
+        """tcf.eval(pk, 0, x) of each instance's key at its point."""
+        return tcf.images_many(self.inv_prp, x[:, None])[:, 0]
+
+    def claw(self, y: np.ndarray) -> tuple:
+        """tcf.public_claw(pk, y) of each instance's key at its image point,
+        which is also the verifier's trapdoor inversion tcf.claw(sk, y)."""
+        x0, x1 = tcf.claws_many(self.inv_prp, self.delta, y[:, None])
+        return x0[:, 0], x1[:, 0]
 
 
 @dataclass(frozen=True)
@@ -133,17 +184,11 @@ class PoqVerifier:
         b = int(b)
         if b not in (0, 1):
             raise ValueError("b must be a bit")
-        n = self.keys.domain_bits
         x0 = tcf.inv(self.keys.sk, 0, self._y)
         x1 = tcf.inv(self.keys.sk, 1, self._y)
-        if self._s == 0:
-            a = tcf.dot_bits(self._d, tcf.trailing_bits(x0, n) ^ tcf.trailing_bits(x1, n))
-            accepted = (a ^ b) == self._c
-        else:
-            a = self._mu ^ tcf.first_bit(x0, n)
-            accepted = (a ^ b) == 0
         self._b = b
-        self._accepted = bool(accepted)
+        self._accepted = bool(_accepts(self._s, self._mu, self._d, self._c, b, x0, x1,
+                                       self.keys.domain_bits))
         self._phase = "done"
         return self._accepted
 
@@ -204,6 +249,33 @@ class HonestProver:
         self.leftover = None
         return bit
 
+    @classmethod
+    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
+        """The collapsed round1 of each instance of a chunk: (mu, d, y, leftovers),
+        the leftover qubits as an (instances, 2) amplitude array."""
+        n, count = keys.lam, keys.count
+        y = rng.integers(0, 1 << n, size=count)
+        d = rng.integers(0, 1 << (n - 1), size=count)
+        branch = rng.integers(0, 2, size=count)
+        x0, x1 = keys.claw(y)
+        mu0, mu1 = tcf.first_bit(x0, n), tcf.first_bit(x1, n)
+        shared = mu0 == mu1
+        sign = 1 - 2 * tcf.dot_bits(d, tcf.trailing_bits(x0, n) ^ tcf.trailing_bits(x1, n))
+        # |0> + sign |1> where the claw shares its first bit, else |branch>
+        leftover = np.where(shared[:, None],
+                            np.stack([np.ones(count), sign], axis=1) / np.sqrt(2),
+                            np.stack([1 - branch, branch], axis=1))
+        check_norms(leftover)
+        return np.where(shared | (branch == 0), mu0, mu1), d, y, leftover
+
+    @classmethod
+    def round2_many(cls, leftover: np.ndarray, c: np.ndarray, rng: np.random.Generator):
+        """rotated_measure of each leftover qubit, in the basis its challenge selects."""
+        probe = np.einsum("nij,nj->ni", _BASES[c], leftover)
+        probs = probe.real ** 2 + probe.imag ** 2
+        # measure_registers' draw: outcome 1 once the scaled uniform reaches p(0)
+        return (rng.random(len(c)) * probs.sum(axis=1) >= probs[:, 0]).astype(np.int64)
+
 
 class ZeroCommitEchoProver:
     """Commits d = 0 on a fixed image point and echoes b = c.
@@ -217,13 +289,21 @@ class ZeroCommitEchoProver:
 
     def __init__(self, pk, rng):
         self.pk = pk
-        self._rng = rng
 
     def round1(self):
         return 0, 0, tcf.eval(self.pk, 0, 0)
 
     def round2(self, c: int) -> int:
         return int(c)
+
+    @classmethod
+    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
+        zeros = np.zeros(keys.count, dtype=np.int64)
+        return zeros, zeros, keys.image(zeros), None
+
+    @classmethod
+    def round2_many(cls, held, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return c
 
 
 class PreimageAnswerProver:
@@ -251,6 +331,17 @@ class PreimageAnswerProver:
     def round2(self, c: int) -> int:
         return self._bit
 
+    @classmethod
+    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
+        n = keys.lam
+        x = rng.integers(0, 1 << n, size=keys.count)
+        zeros = np.zeros(keys.count, dtype=np.int64)
+        return zeros, zeros, keys.image(x), tcf.first_bit(x, n)
+
+    @classmethod
+    def round2_many(cls, held: np.ndarray, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return held
+
 
 class RandomCommitEchoProver:
     """Uniform mu and d on a random image point, b = c; the random d
@@ -272,6 +363,18 @@ class RandomCommitEchoProver:
     def round2(self, c: int) -> int:
         return int(c)
 
+    @classmethod
+    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
+        n, count = keys.lam, keys.count
+        x = rng.integers(0, 1 << n, size=count)
+        mu = rng.integers(0, 2, size=count)
+        d = rng.integers(0, 1 << (n - 1), size=count)
+        return mu, d, keys.image(x), None
+
+    @classmethod
+    def round2_many(cls, held, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return c
+
 
 class RandomAnswerProver:
     """Zero commitment on a fixed image point, uniform b: rate exactly 1/2."""
@@ -287,6 +390,15 @@ class RandomAnswerProver:
 
     def round2(self, c: int) -> int:
         return int(self._rng.integers(0, 2))
+
+    @classmethod
+    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
+        zeros = np.zeros(keys.count, dtype=np.int64)
+        return zeros, zeros, keys.image(zeros), None
+
+    @classmethod
+    def round2_many(cls, held, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(0, 2, size=len(c))
 
 
 class PeekingProver:
@@ -384,4 +496,62 @@ def rewind_experiment(prover_factory, trials: int, rng: np.random.Generator,
         b1 = prover.round2(1)
         guess = 1 ^ int(b0) ^ int(b1)
         hits += int(guess == verifier.hidden_bit)
+    return hits / trials
+
+
+def _check_commitments(mu: np.ndarray, d: np.ndarray, y: np.ndarray, n: int) -> None:
+    """PoqVerifier.round2's checks on a chunk of commitments."""
+    if ((mu != 0) & (mu != 1)).any():
+        raise ValueError("mu must be a bit")
+    if ((d < 0) | (d >= 1 << (n - 1))).any():
+        raise ValueError("d must have n-1 bits")
+    if ((y < 0) | (y >= 1 << n)).any():
+        raise ValueError("y outside the image")
+
+
+def _chunks(trials: int, lam: int, rng: np.random.Generator):
+    """(hidden bits, keys) of each chunk of trials fresh instances."""
+    from .batch import chunk_size
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    tcf.check_domain_bits(lam)
+    size = chunk_size(lam)
+    for start in range(0, trials, size):
+        s = rng.integers(0, 2, size=min(size, trials - start))
+        yield s, _Keys(lam, *tcf.gen_many(lam, len(s), rng, hidden=s))
+
+
+def estimate_rate(name: str, trials: int, rng: np.random.Generator, lam: int = 8,
+                  transcript_log: list = None) -> float:
+    """Acceptance rate of trials instances of the collapsed honest prover
+    ("honest") or a classical zoo prover, run in chunks; given a list,
+    transcript_log receives each instance's PoqTranscript."""
+    if name != "honest" and name not in CLASSICAL_CLASSES:
+        raise ValueError(f"unknown prover {name!r}")
+    cls = HonestProver if name == "honest" else CLASSICAL_CLASSES[name]
+    wins = 0
+    for s, keys in _chunks(trials, lam, rng):
+        mu, d, y, held = cls.round1_many(keys, rng)
+        _check_commitments(mu, d, y, lam)
+        c = rng.integers(0, 2, size=len(s))
+        b = cls.round2_many(held, c, rng)
+        if ((b != 0) & (b != 1)).any():
+            raise ValueError("b must be a bit")
+        accepted = _accepts(s, mu, d, c, b, *keys.claw(y), lam)
+        wins += int(accepted.sum())
+        if transcript_log is not None:
+            transcript_log += [PoqTranscript(lam, *row) for row in zip(
+                *(a.tolist() for a in (s, y, mu, d, c, b, accepted)))]
+    return wins / trials
+
+
+def estimate_rewind(kind: str, trials: int, rng: np.random.Generator, lam: int = 8) -> float:
+    """rewind_experiment against a classical zoo prover, run in chunks."""
+    cls = CLASSICAL_CLASSES[kind]
+    hits = 0
+    for s, keys in _chunks(trials, lam, rng):
+        _, _, _, held = cls.round1_many(keys, rng)
+        b0 = cls.round2_many(held, np.zeros_like(s), rng)
+        b1 = cls.round2_many(held, np.ones_like(s), rng)
+        hits += int(((1 ^ b0 ^ b1) == s).sum())
     return hits / trials

@@ -324,9 +324,9 @@ def eval(instructions, cipher: QfheCiphertext, rng: np.random.Generator, aux: St
       ("unitary", u, targets)
       ("measure", observable, targets, outcomes)   outcomes: [(eigenvalue, bits)]
       ("select_measure", index ciphertext, {index: [measure steps]})
-    Measured answer bits are concatenated and returned encrypted (answer is
-    None when nothing was measured); the state is re-padded with a fresh
-    uniform key either way, so emitted pad keys are always uniform.
+    Measured answer bits are concatenated and returned encrypted (an empty
+    ciphertext when nothing was measured); the state is re-padded with a
+    fresh uniform key either way, so emitted pad keys are always uniform.
     """
     be = cipher.backend
     state = _unpad(cipher, _peek_bits(cipher.pad_hat))
@@ -362,8 +362,7 @@ def eval(instructions, cipher: QfheCiphertext, rng: np.random.Generator, aux: St
     repadded = apply_pauli_pad(state, k, range(n))
     handle = QfhePublicHandle(be.scheme, be.key_id, be)
     out_cipher = QfheCiphertext(repadded, enc_classical(handle, k.bits(), rng))
-    answer = enc_classical(handle, answer_bits, rng) if answer_bits else None
-    return answer, out_cipher
+    return enc_classical(handle, answer_bits, rng), out_cipher
 
 
 @dataclass(frozen=True)

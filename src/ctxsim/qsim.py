@@ -109,6 +109,14 @@ def _norm(amps: np.ndarray) -> float:
     return math.sqrt(math.fsum(np.vdot(b, b).real for b in blocks))
 
 
+def check_norms(states: np.ndarray) -> None:
+    """StateVector's norm check on each row of a (states, amplitudes) array."""
+    norms = np.sqrt(np.einsum("ni,ni->n", states.conj(), states).real)
+    bad = np.abs(norms - 1.0) > ATOL_STATE
+    if bad.any():
+        raise ValueError(f"state norm {norms[bad][0]} is not 1 within {ATOL_STATE}")
+
+
 def _checked_dims(dims) -> tuple:
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
@@ -160,8 +168,16 @@ class PauliKey:
 
     @classmethod
     def uniform(cls, n: int, rng: np.random.Generator) -> "PauliKey":
-        return cls(tuple(int(b) for b in rng.integers(0, 2, n)),
-                   tuple(int(b) for b in rng.integers(0, 2, n)))
+        return cls._trusted(tuple(rng.integers(0, 2, n).tolist()),
+                            tuple(rng.integers(0, 2, n).tolist()))
+
+    @classmethod
+    def _trusted(cls, x: tuple, z: tuple) -> "PauliKey":
+        """A key from tuples of int bits of equal length, taken unchecked."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "x", x)
+        object.__setattr__(key, "z", z)
+        return key
 
     def bits(self) -> tuple:
         """Flat (x..., z...) bit tuple, the canonical encryption payload."""

@@ -156,13 +156,47 @@ def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
     return TcfKeyPair(pk, sk, bits, hidden)
 
 
+def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> tuple:
+    """Trapdoors of n fresh keys, drawn step by step: (inv_prp, delta).
+
+    Row i of the (n, 2^bits) array inv_prp is key i's PRP^-1, drawn as such
+    because the inverse of a uniform permutation is uniform; it is also the
+    public inverse of key i's branch-0 table.  delta[i] is its mask, whose
+    first bit is hidden[i] when an array of hidden bits is given.  One rng
+    call draws every permutation and one every mask.
+    """
+    check_domain_bits(bits)
+    if hidden is not None:
+        hidden = np.asarray(hidden, dtype=np.int64)
+        if hidden.shape != (n,) or ((hidden != 0) & (hidden != 1)).any():
+            raise ValueError("hidden must hold one bit per key")
+    size = 1 << bits
+    inv_prp = np.tile(np.arange(size), (n, 1))
+    rng.permuted(inv_prp, axis=1, out=inv_prp)
+    if hidden is None:
+        return inv_prp, rng.integers(1, size, size=n)
+    # _sample_mask's rule: below the first bit, nonzero unless the first bit is set
+    return inv_prp, (hidden << (bits - 1)) | rng.integers(1 - hidden, size >> 1)
+
+
+def images_many(inv_prp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f_0 of each row's key at each of its points: x is (keys, points)."""
+    return np.argmax(inv_prp[:, None, :] == x[:, :, None], axis=2)
+
+
+def claws_many(inv_prp: np.ndarray, delta: np.ndarray, y: np.ndarray) -> tuple:
+    """(x0, x1) of each row's key at each of its image points: y is (keys, points)."""
+    x0 = np.take_along_axis(inv_prp, y, axis=1)
+    return x0, x0 ^ delta[:, None]
+
+
 def _check_domain(pk: IdealPublicKey, x: int) -> None:
     if not 0 <= x < (1 << pk.n):
         raise ValueError(f"x={x} outside the {pk.n}-bit domain")
 
 
-def eval(pk: IdealPublicKey, b: int, x: int, rng: np.random.Generator = None) -> int:
-    """f_{pk,b}(x).  Evaluation is deterministic, so rng is never drawn from."""
+def eval(pk: IdealPublicKey, b: int, x: int) -> int:
+    """f_{pk,b}(x)."""
     if b not in (0, 1):
         raise ValueError("branch must be 0 or 1")
     _check_domain(pk, x)

@@ -1,6 +1,7 @@
 """The batched session engine behind estimate_win_rate, pinned to the scalar
 state machines and to exact per-cell acceptance probabilities."""
 import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -399,3 +400,39 @@ def test_stub_wires_on_arrays_match_the_per_session_ints():
                                        r[:, i].tolist())
             assert [int(w[i]) for w in wire_masks] == expected[0]
             assert [int(w[i]) for w in wire_pads] == expected[1]
+
+
+def one_question_game():
+    """Two one-question contexts, won always by measuring Z on |0>."""
+    game = games.ContextualityGame(("a", "b"), (1, -1), (("a",), ("b",)), ("1/2", "1/2"),
+                                   {0: [(1,)], 1: [(1,)]})
+    z = Observable(np.diag([1.0, -1.0]))
+    return game, games.QuantumStrategy(2, StateVector((2,), [1, 0]), {"a": z, "b": z})
+
+
+@pytest.mark.parametrize("opad_path", ["collapsed", "circuit"])
+def test_one_question_contexts_run_under_cm1_1(opad_path):
+    # cm1-1 asks no round-1 question here, so the answer ciphertext is empty
+    game, strategy = one_question_game()
+    prover = cp.honest_quantum_prover(strategy, opad_path=opad_path)
+    rng = np.random.default_rng(17)
+    accept, state = cp.run_session(game, "cm1-1", prover, rng, lam=4)
+    assert accept
+    assert len(state.transcript().message2.answer_cipher) == 0
+    log = []
+    rate, _ = cp.estimate_win_rate(game, "cm1-1", prover, 40, rng, lam=4, transcript_log=log)
+    assert rate == 1.0
+    assert {len(t.message2.answer_cipher) for t in log} == {0}
+    rate, _ = cp.estimate_win_rate(game, "cm1-1", prover, 3, rng, lam=4, fhe_backend="lwe")
+    assert rate == 1.0
+
+
+def test_one_question_contexts_run_from_the_cli(tmp_path, capsys):
+    game, strategy = one_question_game()
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"game": json.loads(game.to_json()),
+                                "strategy": json.loads(strategy.to_json())}))
+    argv = ["compile", "--game", str(path), "--compiler", "cm1-1", "--prover", "honest",
+            "--trials", "50", "--seed", "18", "--lambda", "4"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["rate"] == 1.0

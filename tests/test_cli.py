@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxsim import cli, compilers, games, opad, qfhe, tcf
+from ctxsim import cli, compilers, games, opad, poq, qfhe, tcf
 
 
 def run_cli(capsys, argv):
@@ -152,7 +152,10 @@ def test_tcf_is_an_unrecognized_argument(capsys, command):
     assert "unrecognized arguments: --tcf" in err
 
 
-def test_assert_flag_turns_a_missed_bound_into_exit_2(capsys):
+def test_assert_flag_turns_a_missed_bound_into_exit_2(capsys, monkeypatch):
+    # a correct prover misses its bound only by chance, so the classical
+    # bound is moved below what the zero-commit echo prover scores
+    monkeypatch.setattr(poq, "CLASSICAL_BOUND", 0.0)
     argv = ["poq", "--prover", "zero-echo", "--trials", "40", "--seed", "3",
             "--lambda", "5"]
     code, report, _ = run_cli(capsys, argv)

@@ -18,7 +18,7 @@ def sha256(data) -> str:
 
 CLI_PINS = [
     (["poq", "--trials", "200", "--seed", "7"],
-     "e18b3cabf59fd4866f95477b5e26f310bfabea38389426e03748ecd31b9d334a", None),
+     "d0f16cee2599fb83b2233b8ca8aa9d919911263fce6082401e3ba1c549c9997d", None),
     (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "200", "--seed", "7"],
      "0564cd05dc53a70328c9f352b20e6baf4ca8871b0bc37bc574268834125e27cd",
      "86c47985b8f6d559a14dd4e81d05f65472494e34b088c21a01a6412097d65655"),
