@@ -15,16 +15,19 @@ qfhe.split_draw.  The multiplexer runs gate by gate through qfhe.stub_wires
 on bit arrays.  Collapsed pad rounds hash each session's oracle points with
 opad.hash_bit, and the verifier inverts y with the trapdoor.  Strategy
 states are (sessions, 2^m) arrays, padded by index permutation and sign and
-measured with the strategy's cached projectors through qsim.born_pick.
+measured with the strategy's cached projectors through _born_pick.
 
 The kind's rules come from its CompilerSpec, the honest branches from
-HonestQuantumProver._branches_for, and each session's answers and accept
-bit from compilers._decode_answers and compilers._decision.  The other
-scalar checks run on whole chunks: state norms, payload bits, outcome
-matching, d != 0 and pad-key widths.  So do the scalar draw rules, in
-array form: the context draw of sample_context, the input draw only where
-a context offers several inputs, and the Born draw of measure_observable,
-which never draws a branch below qsim.BORN_FLOOR.
+HonestQuantumProver._branches_for, each session's answers and accept bit
+from compilers._decode_answers and compilers._decision, the claw-free keys
+from tcf.gen_many and the context draw from ContextualityGame.contexts_at,
+which sample_context runs on one uniform.  The other scalar checks run on
+whole chunks: state norms, payload bits, outcome matching, d != 0 and
+pad-key widths.  So do the input draw, only where a context offers several
+inputs, and two rules whose one-row form would slow the scalar path, so
+they stay twins of their qsim originals: the Born draw of
+measure_observable (_born_pick), which never draws a branch below
+qsim.BORN_FLOOR, and the Pauli pad (_pauli).
 
 A chunk draws step by step, not session by session, so a seed gives other
 sessions than the scalar engine would, from the same distribution.
@@ -80,20 +83,13 @@ def _msb_weights(width: int) -> np.ndarray:
     return 1 << np.arange(width - 1, -1, -1)
 
 
-def _contexts_at(game, r: np.ndarray) -> np.ndarray:
-    """ContextualityGame.sample_context's rule for an array of uniforms r:
-    the first context whose running float sum of weights exceeds r, else
-    the last context."""
-    cumulative = np.cumsum([float(w) for w in game.context_weights])  # in order, as the loop adds
-    return np.minimum(np.searchsorted(cumulative, r, side="right"), len(game.contexts) - 1)
-
-
 def _born_pick(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """qsim.measure_observable's draw, one row of branch weights per uniform r.
 
     Weights below BORN_FLOOR count as zero and are never drawn.  The pick
     is the first drawable branch whose running sum exceeds r, else the last
-    drawable branch; -1 where no branch is drawable.
+    drawable branch; -1 where no branch is drawable.  measure_observable
+    keeps its loop: one row takes about 27 us here, the loop about 1.3 us.
     """
     probs = np.where(probs < BORN_FLOOR, 0.0, probs)
     drawable = probs > 0
@@ -113,7 +109,8 @@ def _pauli(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     x and z are (sessions, qubits) bit arrays.  As in qsim.apply_pauli_pad,
     Z acts first: amplitude i moves to i ^ xmask with the sign of the
-    parity of (i ^ xmask) & zmask.
+    parity of (i ^ xmask) & zmask.  apply_pauli_pad stays separate: on a
+    two-qubit state one row takes about 28 us here, it about 10 us.
     """
     weights = _msb_weights(x.shape[1])
     xmask, zmask = x @ weights, z @ weights
@@ -192,9 +189,9 @@ class _Sessions:
         self.n = n
         self.key_ids = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
         # claw-free keys f_0 = PRP and f_1(x) = PRP(x ^ delta), as their trapdoors
-        self.inv_prp, self.delta = tcf.gen_many(plan.lam, n, rng)
+        self.keys = tcf.gen_many(plan.lam, n, rng)
         self.oracles = _Oracles(rng.integers(2 ** 62, size=n), plan.lam)
-        self.ctx = _contexts_at(game, rng.random(n))
+        self.ctx = game.contexts_at(rng.random(n))
         # one uniform draw only for sessions whose context offers several inputs
         pick = np.zeros(n, dtype=np.int64)
         many = plan.counts[self.ctx] > 1
@@ -211,7 +208,7 @@ class _Sessions:
         self.answers1 = [compilers._decode_answers(game, bits[:count * plan.answer_width], count)
                          for bits, count in zip(answer_cipher.bits().tolist(), counts)]
         _check_slots(d, y, size)
-        x0, x1 = tcf.claws_many(self.inv_prp, self.delta, y)
+        x0, x1 = self.keys.claw(y)
         k_prime = opad.phase_from(d, x0, x1, *self.oracles.bits(x0, x1))
         k_dbl = pad_cipher.bits()
         if k_dbl.shape[1] != k_prime.shape[1]:
@@ -321,7 +318,7 @@ class _Honest:
         d = rng.integers(1, size, size=(n, 2 * m))
         _check_slots(d, y, size)
         # the claw read off the public tables
-        x0, x1 = tcf.claws_many(s.inv_prp, s.delta, y)
+        x0, x1 = s.keys.claw(y)
         bits = opad.phase_from(d, x0, x1, *s.oracles.bits(x0, x1))
         self.held = _pauli(states, bits[:, 0::2], bits[:, 1::2])
         return answer_cipher, pad_cipher, d, y
@@ -371,7 +368,7 @@ class _Table:
         # a fresh one-qubit pad key, encrypted, and the string from samp(pk, 1)
         pad_cipher = _encrypt(rng.integers(0, 2, size=(n, 2)), rng)
         x = rng.integers(0, size, size=(n, 2))
-        y = tcf.images_many(s.inv_prp, x)
+        y = s.keys.image(x)
         d = rng.integers(1, size, size=(n, 2))
         _check_slots(d, y, size)
         return answer_cipher, pad_cipher, d, y
@@ -407,11 +404,10 @@ def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: _Ci
                 for m, pad, nonce in zip(c.masked[i, :width].tolist(), c.pad[i, :width].tolist(),
                                          c.nonce[i, :width].tolist())), backend)
 
-        prp = np.empty_like(s.inv_prp[i])
-        prp[s.inv_prp[i]] = xs
+        prp = np.argsort(s.keys.inv_prp[i])  # the inverse of the trapdoor table
         message1 = compilers.Message1(
             cipher(s.question_cipher), qfhe.QfhePublicHandle(backend.scheme, key_id, backend),
-            tcf.IdealPublicKey(lam, (prp, prp[xs ^ s.delta[i]])),
+            tcf.IdealPublicKey(lam, (prp, prp[xs ^ s.keys.delta[i]])),
             opad.PhaseOracle("hash", seed=s.oracles.seeds[i]), game, kind)
         message2 = compilers.Message2(
             cipher(answer_cipher, int(answer_bits[i])), cipher(pad_cipher),

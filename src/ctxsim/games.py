@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -91,14 +92,22 @@ class ContextualityGame:
     def predicate(self, ctx_index: int, answer_tuple) -> int:
         return int(tuple(answer_tuple) in self.accepts[ctx_index])
 
+    @cached_property
+    def _context_bounds(self) -> np.ndarray:
+        # float64 running sums of the weights, added in context order; the
+        # last is infinite, so a uniform past the float sum draws the last context
+        bounds = np.cumsum([float(w) for w in self.context_weights])
+        bounds[-1] = np.inf
+        return bounds
+
+    def contexts_at(self, r):
+        """The context a uniform r in [0, 1) draws, or one per uniform of an
+        array: the first whose running float sum of weights exceeds r, else
+        the last context."""
+        return np.searchsorted(self._context_bounds, r, side="right")
+
     def sample_context(self, rng: np.random.Generator) -> int:
-        r = rng.random()
-        acc = 0.0
-        for i, w in enumerate(self.context_weights):
-            acc += float(w)
-            if r < acc:
-                return i
-        return len(self.contexts) - 1
+        return int(self.contexts_at(rng.random()))
 
     def uniform_context_size(self) -> int | None:
         sizes = {len(c) for c in self.contexts}

@@ -23,16 +23,16 @@ Rewinding: running one commitment and both challenges against a classical
 prover and guessing s' = 1 xor b0 xor b1 succeeds with probability at
 least 2*rate - 1; the experiment here realizes that extractor.
 
-Two engines play the protocol.  run_protocol and rewind_experiment run one
-instance at a time through PoqVerifier and a prover object; they are the
-reference, and the only engine for the circuit-path honest prover and
-PeekingProver.  estimate_rate and estimate_rewind run the collapsed honest
-prover and the classical zoo in chunks of batch.chunk_size(lam) instances,
-with one rng call per protocol step per chunk, so a seed gives other
-instances than the scalar engine would, from the same distribution.  Each
-instance still gets a fresh hidden bit and claw-free key (tcf.gen_many);
-each prover class holds its array form next to its round1/round2, and the
-verifier's checks and accept rule run on whole chunks.
+Two engines play the protocol with the same prover classes.  run_protocol
+and rewind_experiment run one instance at a time through PoqVerifier, the
+prover on the instance's tcf.IdealPublicKey; they are the reference, and
+the only engine for the circuit-path honest prover and PeekingProver.
+estimate_rate and estimate_rewind run the collapsed honest prover and the
+classical zoo in chunks of batch.chunk_size(lam) instances, the prover on
+the chunk's tcf.KeyChunk (a fresh hidden bit and key per instance).  A
+prover draws size=pk.count values per rng call, one per instance, so on a
+one-row chunk it draws what it draws on that row's key, while a seed gives
+a chunk other instances than the scalar engine, from the same distribution.
 """
 from __future__ import annotations
 
@@ -40,13 +40,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from . import tcf
-from .qsim import (StateVector, apply_unitary, check_norms, measure_registers,
-                   remove_registers)
+from .qsim import StateVector, check_norms, measure_registers, remove_registers
 
 HONEST_RATE = math.cos(math.pi / 8) ** 2
 CLASSICAL_BOUND = 0.75
@@ -58,15 +56,20 @@ def rotation(theta: float) -> np.ndarray:
 
 
 # Basis changes of rotated_measure, indexed by the challenge: +pi/8, -pi/8.
-_ROTATED_BASES = (rotation(math.pi / 8).T.astype(complex), rotation(-math.pi / 8).T.astype(complex))
-_BASES = np.stack(_ROTATED_BASES)
+_ROTATED_BASES = np.stack([rotation(math.pi / 8).T, rotation(-math.pi / 8).T]).astype(complex)
 
 
-def rotated_measure(qubit: StateVector, c: int, rng: np.random.Generator) -> int:
-    """Measure a single qubit in the basis rotated by +pi/8 (c=0) or -pi/8."""
-    probe = apply_unitary(qubit, _ROTATED_BASES[0 if c == 0 else 1], [0])
-    (bit,), _ = measure_registers(probe, [0], rng=rng)
-    return int(bit)
+def rotated_measure(qubits: np.ndarray, c, rng: np.random.Generator):
+    """Measure qubits, (..., 2) amplitudes, each in the basis rotated by
+    +pi/8 (its challenge c = 0) or -pi/8 (c = 1).
+
+    measure_registers' draw, one uniform per qubit: outcome 1 once the
+    uniform scaled by the total weight reaches the weight of 0.
+    """
+    probe = np.einsum("...ij,...j->...i", _ROTATED_BASES[c], qubits)
+    probs = probe.real ** 2 + probe.imag ** 2
+    return (rng.random(qubits.shape[:-1] or None) * probs.sum(axis=-1)
+            >= probs[..., 0]).astype(np.int64)
 
 
 def _accepts(s, mu, d, c, b, x0, x1, n: int):
@@ -78,32 +81,6 @@ def _accepts(s, mu, d, c, b, x0, x1, n: int):
     a = (1 - s) * tcf.dot_bits(d, tcf.trailing_bits(x0, n) ^ tcf.trailing_bits(x1, n)) \
         + s * (mu ^ tcf.first_bit(x0, n))
     return (a ^ b) == (1 - s) * c
-
-
-class _Keys(NamedTuple):
-    """The claw-free keys of a chunk of instances, one row each.
-
-    Both branch tables of a key are public, so a row is held as its
-    branch-0 inverse table (also the trapdoor PRP^-1) and its mask.
-    """
-
-    lam: int
-    inv_prp: np.ndarray
-    delta: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.delta)
-
-    def image(self, x: np.ndarray) -> np.ndarray:
-        """tcf.eval(pk, 0, x) of each instance's key at its point."""
-        return tcf.images_many(self.inv_prp, x[:, None])[:, 0]
-
-    def claw(self, y: np.ndarray) -> tuple:
-        """tcf.public_claw(pk, y) of each instance's key at its image point,
-        which is also the verifier's trapdoor inversion tcf.claw(sk, y)."""
-        x0, x1 = tcf.claws_many(self.inv_prp, self.delta, y[:, None])
-        return x0[:, 0], x1[:, 0]
 
 
 @dataclass(frozen=True)
@@ -166,6 +143,8 @@ class PoqVerifier:
             raise RuntimeError("round2 out of order")
         n = self.keys.domain_bits
         mu, d = int(mu), int(d)
+        # _check_commitments runs these checks on chunks; on one instance's
+        # 0-d arrays it takes about 12 us, these under 1 us
         if mu not in (0, 1):
             raise ValueError("mu must be a bit")
         if not 0 <= d < (1 << (n - 1)):
@@ -184,8 +163,7 @@ class PoqVerifier:
         b = int(b)
         if b not in (0, 1):
             raise ValueError("b must be a bit")
-        x0 = tcf.inv(self.keys.sk, 0, self._y)
-        x1 = tcf.inv(self.keys.sk, 1, self._y)
+        x0, x1 = tcf.claw(self.keys.sk, self._y)
         self._b = b
         self._accepted = bool(_accepts(self._s, self._mu, self._d, self._c, b, x0, x1,
                                        self.keys.domain_bits))
@@ -200,11 +178,11 @@ class PoqVerifier:
 
 
 class HonestProver:
-    """Quantum prover; holds the leftover qubit between rounds.
+    """Quantum prover; holds the leftover qubit's amplitudes between rounds.
 
-    path="circuit" runs the full register-level preparation; the default
-    "collapsed" path draws the identically distributed commitment from the
-    public tables and prepares the leftover qubit directly.
+    path="circuit" runs the full register-level preparation on one key; the
+    default "collapsed" path draws the identically distributed commitment
+    from the public tables and prepares the leftover directly, on any pk.
     """
 
     def __init__(self, pk, rng: np.random.Generator, path: str = "collapsed"):
@@ -216,8 +194,7 @@ class HonestProver:
         self.leftover = None
 
     def round1(self):
-        n = self.pk.n
-        size = 1 << n
+        n, count = self.pk.n, self.pk.count
         rng = self._rng
         if self.path == "circuit":
             plus = StateVector((2,), np.array([1.0, 1.0]) / np.sqrt(2))
@@ -225,56 +202,34 @@ class HonestProver:
             (mu,), state = measure_registers(state, [1], rng=rng)
             digits, state = measure_registers(state, list(range(2, n + 1)),
                                               basis="hadamard", rng=rng)
-            self.leftover = remove_registers(state, list(range(1, n + 1)))
-            d = int("".join(str(t) for t in digits), 2)
-        else:
-            y = int(rng.integers(0, size))
-            d = int(rng.integers(0, 1 << (n - 1)))
-            x0, x1 = tcf.public_claw(self.pk, y)
-            mu0, mu1 = tcf.first_bit(x0, n), tcf.first_bit(x1, n)
-            if mu0 == mu1:
-                mu = mu0
-                sign = 1 - 2 * tcf.dot_bits(d, tcf.trailing_bits(x0, n) ^ tcf.trailing_bits(x1, n))
-                self.leftover = StateVector((2,), np.array([1.0, float(sign)]) / np.sqrt(2))
-            else:
-                branch = int(rng.integers(0, 2))
-                mu = (mu0, mu1)[branch]
-                self.leftover = StateVector.basis((2,), (branch,))
-        return int(mu), d, int(y)
-
-    def round2(self, c: int) -> int:
-        if self.leftover is None:
-            raise RuntimeError("no held qubit; round1 not played or qubit consumed")
-        bit = rotated_measure(self.leftover, int(c), self._rng)
-        self.leftover = None
-        return bit
-
-    @classmethod
-    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
-        """The collapsed round1 of each instance of a chunk: (mu, d, y, leftovers),
-        the leftover qubits as an (instances, 2) amplitude array."""
-        n, count = keys.lam, keys.count
+            self.leftover = remove_registers(state, list(range(1, n + 1))).amps
+            return int(mu), int("".join(str(t) for t in digits), 2), int(y)
         y = rng.integers(0, 1 << n, size=count)
         d = rng.integers(0, 1 << (n - 1), size=count)
         branch = rng.integers(0, 2, size=count)
-        x0, x1 = keys.claw(y)
+        x0, x1 = self.pk.claw(y)
         mu0, mu1 = tcf.first_bit(x0, n), tcf.first_bit(x1, n)
         shared = mu0 == mu1
         sign = 1 - 2 * tcf.dot_bits(d, tcf.trailing_bits(x0, n) ^ tcf.trailing_bits(x1, n))
         # |0> + sign |1> where the claw shares its first bit, else |branch>
-        leftover = np.where(shared[:, None],
-                            np.stack([np.ones(count), sign], axis=1) / np.sqrt(2),
-                            np.stack([1 - branch, branch], axis=1))
-        check_norms(leftover)
-        return np.where(shared | (branch == 0), mu0, mu1), d, y, leftover
+        self.leftover = np.where(np.expand_dims(shared, -1),
+                                 np.stack([np.ones_like(sign), sign], axis=-1) / np.sqrt(2),
+                                 np.stack([1 - branch, branch], axis=-1))
+        check_norms(self.leftover)
+        # mu0 where the claw shares its first bit, else the branch's first bit
+        return mu0 ^ ((mu0 ^ mu1) & branch), d, y
 
-    @classmethod
-    def round2_many(cls, leftover: np.ndarray, c: np.ndarray, rng: np.random.Generator):
-        """rotated_measure of each leftover qubit, in the basis its challenge selects."""
-        probe = np.einsum("nij,nj->ni", _BASES[c], leftover)
-        probs = probe.real ** 2 + probe.imag ** 2
-        # measure_registers' draw: outcome 1 once the scaled uniform reaches p(0)
-        return (rng.random(len(c)) * probs.sum(axis=1) >= probs[:, 0]).astype(np.int64)
+    def round2(self, c):
+        if self.leftover is None:
+            raise RuntimeError("no held qubit; round1 not played or qubit consumed")
+        bit = rotated_measure(self.leftover, c, self._rng)
+        self.leftover = None
+        return bit
+
+
+def _zeros(pk):
+    """A zero per instance: 0 on one key, an array on a chunk."""
+    return 0 if pk.count is None else np.zeros(pk.count, dtype=np.int64)
 
 
 class ZeroCommitEchoProver:
@@ -291,18 +246,10 @@ class ZeroCommitEchoProver:
         self.pk = pk
 
     def round1(self):
-        return 0, 0, tcf.eval(self.pk, 0, 0)
+        zero = _zeros(self.pk)
+        return zero, zero, self.pk.image(zero)
 
-    def round2(self, c: int) -> int:
-        return int(c)
-
-    @classmethod
-    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
-        zeros = np.zeros(keys.count, dtype=np.int64)
-        return zeros, zeros, keys.image(zeros), None
-
-    @classmethod
-    def round2_many(cls, held, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def round2(self, c):
         return c
 
 
@@ -324,23 +271,13 @@ class PreimageAnswerProver:
 
     def round1(self):
         n = self.pk.n
-        x = int(self._rng.integers(0, 1 << n))
+        x = self._rng.integers(0, 1 << n, size=self.pk.count)
         self._bit = tcf.first_bit(x, n)
-        return 0, 0, tcf.eval(self.pk, 0, x)
+        zero = _zeros(self.pk)
+        return zero, zero, self.pk.image(x)
 
-    def round2(self, c: int) -> int:
+    def round2(self, c):
         return self._bit
-
-    @classmethod
-    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
-        n = keys.lam
-        x = rng.integers(0, 1 << n, size=keys.count)
-        zeros = np.zeros(keys.count, dtype=np.int64)
-        return zeros, zeros, keys.image(x), tcf.first_bit(x, n)
-
-    @classmethod
-    def round2_many(cls, held: np.ndarray, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return held
 
 
 class RandomCommitEchoProver:
@@ -354,25 +291,12 @@ class RandomCommitEchoProver:
         self._rng = rng
 
     def round1(self):
-        n = self.pk.n
-        x = int(self._rng.integers(0, 1 << n))
-        return (int(self._rng.integers(0, 2)),
-                int(self._rng.integers(0, 1 << (n - 1))),
-                tcf.eval(self.pk, 0, x))
-
-    def round2(self, c: int) -> int:
-        return int(c)
-
-    @classmethod
-    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
-        n, count = keys.lam, keys.count
+        n, count, rng = self.pk.n, self.pk.count, self._rng
         x = rng.integers(0, 1 << n, size=count)
         mu = rng.integers(0, 2, size=count)
-        d = rng.integers(0, 1 << (n - 1), size=count)
-        return mu, d, keys.image(x), None
+        return mu, rng.integers(0, 1 << (n - 1), size=count), self.pk.image(x)
 
-    @classmethod
-    def round2_many(cls, held, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def round2(self, c):
         return c
 
 
@@ -386,19 +310,11 @@ class RandomAnswerProver:
         self._rng = rng
 
     def round1(self):
-        return 0, 0, tcf.eval(self.pk, 0, 0)
+        zero = _zeros(self.pk)
+        return zero, zero, self.pk.image(zero)
 
-    def round2(self, c: int) -> int:
-        return int(self._rng.integers(0, 2))
-
-    @classmethod
-    def round1_many(cls, keys: _Keys, rng: np.random.Generator) -> tuple:
-        zeros = np.zeros(keys.count, dtype=np.int64)
-        return zeros, zeros, keys.image(zeros), None
-
-    @classmethod
-    def round2_many(cls, held, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, 2, size=len(c))
+    def round2(self, c):
+        return self._rng.integers(0, 2, size=self.pk.count)
 
 
 class PeekingProver:
@@ -518,7 +434,7 @@ def _chunks(trials: int, lam: int, rng: np.random.Generator):
     size = chunk_size(lam)
     for start in range(0, trials, size):
         s = rng.integers(0, 2, size=min(size, trials - start))
-        yield s, _Keys(lam, *tcf.gen_many(lam, len(s), rng, hidden=s))
+        yield s, tcf.gen_many(lam, len(s), rng, hidden=s)
 
 
 def estimate_rate(name: str, trials: int, rng: np.random.Generator, lam: int = 8,
@@ -531,10 +447,11 @@ def estimate_rate(name: str, trials: int, rng: np.random.Generator, lam: int = 8
     cls = HonestProver if name == "honest" else CLASSICAL_CLASSES[name]
     wins = 0
     for s, keys in _chunks(trials, lam, rng):
-        mu, d, y, held = cls.round1_many(keys, rng)
+        prover = cls(keys, rng)
+        mu, d, y = prover.round1()
         _check_commitments(mu, d, y, lam)
         c = rng.integers(0, 2, size=len(s))
-        b = cls.round2_many(held, c, rng)
+        b = prover.round2(c)
         if ((b != 0) & (b != 1)).any():
             raise ValueError("b must be a bit")
         accepted = _accepts(s, mu, d, c, b, *keys.claw(y), lam)
@@ -550,8 +467,9 @@ def estimate_rewind(kind: str, trials: int, rng: np.random.Generator, lam: int =
     cls = CLASSICAL_CLASSES[kind]
     hits = 0
     for s, keys in _chunks(trials, lam, rng):
-        _, _, _, held = cls.round1_many(keys, rng)
-        b0 = cls.round2_many(held, np.zeros_like(s), rng)
-        b1 = cls.round2_many(held, np.ones_like(s), rng)
+        prover = cls(keys, rng)
+        prover.round1()
+        b0 = prover.round2(np.zeros_like(s))
+        b1 = prover.round2(np.ones_like(s))
         hits += int(((1 ^ b0 ^ b1) == s).sum())
     return hits / trials

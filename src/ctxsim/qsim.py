@@ -110,8 +110,8 @@ def _norm(amps: np.ndarray) -> float:
 
 
 def check_norms(states: np.ndarray) -> None:
-    """StateVector's norm check on each row of a (states, amplitudes) array."""
-    norms = np.sqrt(np.einsum("ni,ni->n", states.conj(), states).real)
+    """StateVector's norm check on each state of a (..., amplitudes) array."""
+    norms = np.sqrt(np.einsum("...i,...i->...", states.conj(), states).real)
     bad = np.abs(norms - 1.0) > ATOL_STATE
     if bad.any():
         raise ValueError(f"state norm {norms[bad][0]} is not 1 within {ATOL_STATE}")

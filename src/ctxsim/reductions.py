@@ -70,6 +70,12 @@ def extract_truthtable(prover, game: ContextualityGame, kind, round1_input,
     return Assignment(table)
 
 
+def l1_distance(p0: dict, p1: dict) -> Fraction:
+    """L1 distance of two distributions given as {outcome: Fraction}."""
+    zero = Fraction(0)
+    return sum((abs(p0.get(k, zero) - p1.get(k, zero)) for k in set(p0) | set(p1)), zero)
+
+
 @dataclass(frozen=True)
 class ConditionalTableDistribution:
     """Empirical distribution of extracted assignments per round-1 input."""
@@ -83,10 +89,7 @@ class ConditionalTableDistribution:
         return dict(self.tables[value])
 
     def l1(self, value0, value1) -> Fraction:
-        p0, p1 = self.tables[value0], self.tables[value1]
-        zero = Fraction(0)
-        return sum((abs(p0.get(k, zero) - p1.get(k, zero))
-                    for k in set(p0) | set(p1)), zero)
+        return l1_distance(self.tables[value0], self.tables[value1])
 
     def to_json(self) -> str:
         body = {"kind": self.kind, "trials": self.trials, "inputs": []}
@@ -255,10 +258,7 @@ class CipherPeekingProver:
         return dist
 
     def exact_l1(self, value0, value1) -> Fraction:
-        p0, p1 = self.exact_distribution(value0), self.exact_distribution(value1)
-        zero = Fraction(0)
-        return sum((abs(p0.get(k, zero) - p1.get(k, zero))
-                    for k in set(p0) | set(p1)), zero)
+        return l1_distance(self.exact_distribution(value0), self.exact_distribution(value1))
 
     def _session_table(self) -> Assignment:
         return self.table_for(self._code) if self._leaking else self.fallback_table()

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +78,8 @@ class IdealPublicKey:
         return self.n == other.n and all(
             np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
 
+    count = None  # one key, where a KeyChunk holds count of them
+
     def table_array(self, b: int) -> np.ndarray:
         return self.tables[b]
 
@@ -84,6 +87,16 @@ class IdealPublicKey:
     def inverse_tables(self) -> tuple:
         """inverse_tables[b][y] = the branch-b preimage of y, built once per key."""
         return tuple(_inverse_permutation(t) for t in self.tables)
+
+    def image(self, x):
+        """f_0(x) at an in-domain point x or an array of them."""
+        return self.tables[0][x]
+
+    def claw(self, y):
+        """(x0, x1) of an image point y or an array of them; public_claw
+        adds a range check."""
+        inv0, inv1 = self.inverse_tables
+        return inv0[y], inv1[y]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +169,41 @@ def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
     return TcfKeyPair(pk, sk, bits, hidden)
 
 
-def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> tuple:
-    """Trapdoors of n fresh keys, drawn step by step: (inv_prp, delta).
+class KeyChunk(NamedTuple):
+    """The keys of a chunk of instances, read as IdealPublicKey reads one.
+
+    A row holds a key's branch-0 inverse table (also the trapdoor PRP^-1)
+    and its mask.  image and claw take (keys,) or (keys, points) arrays,
+    each row read with its own key.
+    """
+
+    inv_prp: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.inv_prp.shape[1].bit_length() - 1
+
+    @property
+    def count(self) -> int:
+        return len(self.delta)
+
+    def image(self, x: np.ndarray) -> np.ndarray:
+        """f_0 of each row's key at its points."""
+        # a view of the tables: indexing them by row would copy every one
+        tables = np.expand_dims(self.inv_prp, tuple(range(1, x.ndim)))
+        return np.argmax(tables == x[..., None], axis=-1)
+
+    def claw(self, y: np.ndarray) -> tuple:
+        """(x0, x1) of each row's key at its image points, which is also the
+        verifier's trapdoor inversion claw(sk, y)."""
+        rows = np.arange(self.count).reshape((-1,) + (1,) * (y.ndim - 1))
+        x0 = self.inv_prp[rows, y]
+        return x0, x0 ^ self.delta[rows]
+
+
+def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> KeyChunk:
+    """n fresh keys, drawn step by step, as a KeyChunk (inv_prp, delta).
 
     Row i of the (n, 2^bits) array inv_prp is key i's PRP^-1, drawn as such
     because the inverse of a uniform permutation is uniform; it is also the
@@ -174,20 +220,9 @@ def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> tuple:
     inv_prp = np.tile(np.arange(size), (n, 1))
     rng.permuted(inv_prp, axis=1, out=inv_prp)
     if hidden is None:
-        return inv_prp, rng.integers(1, size, size=n)
+        return KeyChunk(inv_prp, rng.integers(1, size, size=n))
     # _sample_mask's rule: below the first bit, nonzero unless the first bit is set
-    return inv_prp, (hidden << (bits - 1)) | rng.integers(1 - hidden, size >> 1)
-
-
-def images_many(inv_prp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """f_0 of each row's key at each of its points: x is (keys, points)."""
-    return np.argmax(inv_prp[:, None, :] == x[:, :, None], axis=2)
-
-
-def claws_many(inv_prp: np.ndarray, delta: np.ndarray, y: np.ndarray) -> tuple:
-    """(x0, x1) of each row's key at each of its image points: y is (keys, points)."""
-    x0 = np.take_along_axis(inv_prp, y, axis=1)
-    return x0, x0 ^ delta[:, None]
+    return KeyChunk(inv_prp, (hidden << (bits - 1)) | rng.integers(1 - hidden, size >> 1))
 
 
 def _check_domain(pk: IdealPublicKey, x: int) -> None:
@@ -239,8 +274,8 @@ def public_claw(pk: IdealPublicKey, y: int):
     y = int(y)
     if not 0 <= y < (1 << pk.n):
         raise ValueError("y outside the image")
-    inv0, inv1 = pk.inverse_tables
-    return int(inv0[y]), int(inv1[y])
+    x0, x1 = pk.claw(y)
+    return int(x0), int(x1)
 
 
 def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Generator = None) -> StateVector:

@@ -339,13 +339,24 @@ def test_born_pick_is_the_scalar_draw():
     assert batch._born_pick(np.zeros((1, 3)), np.zeros(1))[0] == -1
 
 
+def loop_context(game, r: float) -> int:
+    """The context draw as a loop: the first context whose running float sum
+    of weights exceeds r, else the last context."""
+    acc = 0.0
+    for i, w in enumerate(game.context_weights):
+        acc += float(w)
+        if r < acc:
+            return i
+    return len(game.contexts) - 1
+
+
 def test_context_draw_is_sample_context():
     game = games.ContextualityGame(
         questions=(0, 1, 2), answers=(0, 1), contexts=((0,), (1,), (2,), (0, 1)),
         context_weights=("1/3", "1/3", "0", "1/3"), accepts={})
     uniforms = np.append(np.linspace(0, 1, 1001), [1 / 3, 2 / 3, 1 - 1e-16])
-    for r, ci in zip(uniforms, batch._contexts_at(game, uniforms)):
-        assert ci == game.sample_context(Uniform(r))
+    for r, ci in zip(uniforms, game.contexts_at(uniforms)):
+        assert ci == game.sample_context(Uniform(r)) == loop_context(game, r)
 
 
 def test_batched_engine_raises_the_scalar_errors():

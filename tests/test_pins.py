@@ -61,3 +61,17 @@ def test_batched_transcripts_are_pinned():
                                 np.random.default_rng(2026), lam=8, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
         "ca73ff99c8d130cdcd468dad6a851d79efc171c028ad5e4274282cd156863306"
+
+
+def test_scalar_zoo_draws_are_pinned():
+    # run_protocol and rewind_experiment against each classical prover
+    lines = []
+    for kind in poq.CLASSICAL_KINDS:
+        _, log = poq.run_protocol(poq.classical(kind), 100, np.random.default_rng(2027),
+                                  lam=5, keep_transcripts=True)
+        lines += [t.to_json() for t in log]
+    lines += [repr(poq.rewind_experiment(poq.classical(kind), 100, np.random.default_rng(2027),
+                                         lam=5))
+              for kind in poq.CLASSICAL_KINDS]
+    assert sha256("\n".join(lines)) == \
+        "130e21dce9fce0d177a4505ff4b85fbc643ad0fcad7c093783d2985a3000bdf6"

@@ -151,8 +151,10 @@ def test_accept_rule_on_arrays_is_decide():
 def test_batched_honest_leftover_is_the_predicted_bb84_state():
     rng = np.random.default_rng(140)
     s = rng.integers(0, 2, size=400)
-    keys = poq._Keys(LAM, *tcf.gen_many(LAM, 400, rng, hidden=s))
-    mu, d, y, leftover = poq.HonestProver.round1_many(keys, rng)
+    keys = tcf.gen_many(LAM, 400, rng, hidden=s)
+    prover = poq.HonestProver(keys, rng)
+    mu, d, y = prover.round1()
+    leftover = prover.leftover
     n = LAM
     for i in range(400):
         x0 = int(keys.inv_prp[i, y[i]])
@@ -166,12 +168,34 @@ def test_batched_honest_leftover_is_the_predicted_bb84_state():
         assert equal_up_to_global_phase(StateVector((2,), leftover[i]), expected, tol=1e-10)
 
 
+def one_row_chunk(keys) -> tcf.KeyChunk:
+    """The chunk holding exactly the key pair keys."""
+    return tcf.KeyChunk(keys.sk.inv_prp[None], np.array([keys.sk.delta]))
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_a_prover_plays_a_key_and_its_one_row_chunk_alike(name):
+    cls = poq.HonestProver if name == "honest" else poq.CLASSICAL_CLASSES[name]
+    for seed in range(20):
+        keys = tcf.gen(LAM, hidden=seed % 2, rng=np.random.default_rng(seed))
+        c = seed // 2 % 2
+        one = cls(keys.pk, np.random.default_rng(200 + seed))
+        row = cls(one_row_chunk(keys), np.random.default_rng(200 + seed))
+        commitment = one.round1()
+        assert [v.tolist() for v in row.round1()] == [[int(v)] for v in commitment]
+        if name == "honest":
+            assert one.leftover.shape == (2,)
+            assert np.array_equal(row.leftover, one.leftover[None])
+        assert row.round2(np.array([c])).tolist() == [int(one.round2(c))]
+
+
 def test_zoo_commitments_follow_their_scalar_rules():
     rng = np.random.default_rng(141)
-    keys = poq._Keys(LAM, *tcf.gen_many(LAM, 200, rng))
+    keys = tcf.gen_many(LAM, 200, rng)
     rows = np.arange(200)
     for kind, cls in poq.CLASSICAL_CLASSES.items():
-        mu, d, y, held = cls.round1_many(keys, rng)
+        prover = cls(keys, rng)
+        mu, d, y = prover.round1()
         preimage = keys.inv_prp[rows, y]  # x with f_0(x) = y
         if kind == "random-echo":
             assert set(mu.tolist()) == {0, 1}
@@ -180,7 +204,8 @@ def test_zoo_commitments_follow_their_scalar_rules():
             continue
         assert (mu == 0).all() and (d == 0).all()
         if kind == "preimage":
-            assert np.array_equal(held, preimage >> (LAM - 1))
+            assert np.array_equal(prover.round2(np.zeros(200, dtype=np.int64)),
+                                  preimage >> (LAM - 1))
             assert len(set(preimage.tolist())) > 1
         else:
             assert (preimage == 0).all()
@@ -261,26 +286,22 @@ def test_transcripts_change_no_draw(tmp_path, capsys):
 
 def test_the_engine_runs_the_verifier_checks(monkeypatch):
     class BadMu(poq.ZeroCommitEchoProver):
-        @classmethod
-        def round1_many(cls, keys, rng):
-            mu, d, y, held = super().round1_many(keys, rng)
-            return mu + 2, d, y, held
+        def round1(self):
+            mu, d, y = super().round1()
+            return mu + 2, d, y
 
     class BadD(poq.ZeroCommitEchoProver):
-        @classmethod
-        def round1_many(cls, keys, rng):
-            mu, d, y, held = super().round1_many(keys, rng)
-            return mu, d + (1 << (keys.lam - 1)), y, held
+        def round1(self):
+            mu, d, y = super().round1()
+            return mu, d + (1 << (self.pk.n - 1)), y
 
     class BadY(poq.ZeroCommitEchoProver):
-        @classmethod
-        def round1_many(cls, keys, rng):
-            mu, d, y, held = super().round1_many(keys, rng)
-            return mu, d, y + (1 << keys.lam), held
+        def round1(self):
+            mu, d, y = super().round1()
+            return mu, d, y + (1 << self.pk.n)
 
     class BadB(poq.ZeroCommitEchoProver):
-        @classmethod
-        def round2_many(cls, held, c, rng):
+        def round2(self, c):
             return c + 2
 
     for cls, message in ((BadMu, "mu must be a bit"), (BadD, "d must have"),

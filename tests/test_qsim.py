@@ -461,6 +461,15 @@ def test_public_constructor_copies_caller_data():
     assert amps.flags.writeable
 
 
+def test_check_norms_takes_any_leading_shape():
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    qsim.check_norms(plus)
+    qsim.check_norms(np.tile(plus, (3, 2, 1)))
+    for bad in (2 * plus, np.array([[1.0, 0.0], [0.5, 0.5]])):
+        with pytest.raises(ValueError, match="is not 1"):
+            qsim.check_norms(bad)
+
+
 def test_private_constructor_still_checks_norm_and_size():
     with pytest.raises(ValueError):
         StateVector._own((2,), np.array([1.0, 1.0], dtype=complex))

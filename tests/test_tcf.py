@@ -268,6 +268,33 @@ def test_public_claw_is_the_inverse_of_both_tables():
         assert all(type(x) is int for x in claw)
 
 
+def test_key_lookups_take_ints_and_arrays():
+    kp = ideal_pair(5, seed=17)
+    points = np.arange(32)
+    assert np.array_equal(kp.pk.image(points), [tcf.eval(kp.pk, 0, x) for x in range(32)])
+    assert kp.pk.image(7) == tcf.eval(kp.pk, 0, 7)
+    x0, x1 = kp.pk.claw(points)
+    assert list(zip(x0.tolist(), x1.tolist())) == [tcf.public_claw(kp.pk, y) for y in range(32)]
+    assert tuple(map(int, kp.pk.claw(7))) == tcf.public_claw(kp.pk, 7)
+    assert kp.pk.count is None and kp.pk.n == 5
+
+
+def test_a_key_chunk_reads_each_row_with_its_own_key():
+    rng = np.random.default_rng(18)
+    chunk = tcf.gen_many(5, 6, rng)
+    assert (chunk.n, chunk.count) == (5, 6)
+    points = rng.integers(0, 32, size=(6, 3))
+    for i, (inv_prp, delta) in enumerate(zip(*chunk)):
+        prp = np.argsort(inv_prp)
+        pk = tcf.IdealPublicKey(5, (prp, prp[np.arange(32) ^ delta]))
+        assert np.array_equal(chunk.image(points)[i], pk.image(points[i]))
+        assert chunk.image(points[:, 0])[i] == pk.image(points[i, 0])
+        for got, want in zip(chunk.claw(points), pk.claw(points[i])):
+            assert np.array_equal(got[i], want)
+        assert tuple(int(x[i]) for x in chunk.claw(points[:, 0])) == \
+            tcf.public_claw(pk, int(points[i, 0]))
+
+
 def test_used_public_key_is_not_kept_alive():
     kp = ideal_pair(6, seed=16)
     tcf.public_claw(kp.pk, 3)
