@@ -20,7 +20,8 @@ measured with the strategy's cached projectors through _born_pick.
 The kind's rules come from its CompilerSpec, the honest branches from
 HonestQuantumProver._branches_for, each session's answers and accept bit
 from compilers._decode_answers and compilers._decision, the claw-free keys
-from tcf.gen_many and the context draw from ContextualityGame.contexts_at,
+from tcf.gen_many (one tcf.IdealKey chunk; session i's transcript holds
+row i) and the context draw from ContextualityGame.contexts_at,
 which sample_context runs on one uniform.  The other scalar checks run on
 whole chunks: state norms, payload bits, outcome matching, d != 0 and
 pad-key widths.  So do the input draw, only where a context offers several
@@ -389,9 +390,8 @@ class _Table:
 def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: _Cipher,
                  pad_cipher: _Cipher, d, y, answers, accepts) -> list:
     """The CompiledTranscript of each session of a chunk, built from its arrays."""
-    game, kind, lam = plan.game, plan.kind, plan.lam
+    game, kind = plan.game, plan.kind
     hexed = s.key_ids.tobytes().hex()
-    xs = np.arange(1 << lam)
     answer_bits = plan.asked_count[s.inp] * plan.answer_width
     out = []
     for i in range(s.n):
@@ -404,10 +404,9 @@ def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: _Ci
                 for m, pad, nonce in zip(c.masked[i, :width].tolist(), c.pad[i, :width].tolist(),
                                          c.nonce[i, :width].tolist())), backend)
 
-        prp = np.argsort(s.keys.inv_prp[i])  # the inverse of the trapdoor table
         message1 = compilers.Message1(
             cipher(s.question_cipher), qfhe.QfhePublicHandle(backend.scheme, key_id, backend),
-            tcf.IdealPublicKey(lam, (prp, prp[xs ^ s.keys.delta[i]])),
+            tcf.IdealKey(s.keys.inv_prp[i], int(s.keys.delta[i])),
             opad.PhaseOracle("hash", seed=s.oracles.seeds[i]), game, kind)
         message2 = compilers.Message2(
             cipher(answer_cipher, int(answer_bits[i])), cipher(pad_cipher),

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     game: str | None = None
@@ -67,12 +67,7 @@ class RunConfig:
     out: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command, "game": self.game,
-            "compiler": self.compiler, "prover": self.prover,
-            "trials": self.trials, "seed": self.seed, "lambda": self.lam,
-            "fhe": self.fhe, "out": self.out,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in dataclasses.asdict(self).items()}
 
 
 def load_game(spec: str):
@@ -322,17 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    fields = dict(
-        command=args.command,
-        game=getattr(args, "game", None),
-        compiler=getattr(args, "compiler", None),
-        prover=getattr(args, "prover", None),
-        trials=getattr(args, "trials", None),
-        seed=getattr(args, "seed", None),
-        lam=getattr(args, "lam", None),
-        fhe=getattr(args, "fhe", None),
-        out=getattr(args, "out", None),
-    )
+    fields = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     if fields["trials"] is not None and fields["trials"] < 1:
         raise ConfigError("trials must be at least 1")
     if fields["lam"] is not None and not 3 <= fields["lam"] <= tcf.MAX_DOMAIN_BITS:

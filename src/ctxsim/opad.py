@@ -35,6 +35,7 @@ from .qsim import (
     apply_diagonal,
     apply_pauli_pad,
     apply_unitary,
+    checked_int,
     measure_registers,
     remove_registers,
 )
@@ -95,7 +96,8 @@ class OpadString:
     kind: str = "pauli"
 
     def __post_init__(self):
-        slots = tuple((int(d), int(y)) for d, y in self.slots)
+        slots = tuple((checked_int(d, "d must be a nonzero integer"),
+                       checked_int(y, "y is not in the image")) for d, y in self.slots)
         if self.kind not in ("pauli", "bits"):
             raise ValueError(f"unknown opad string kind {self.kind!r}")
         if self.kind == "pauli" and len(slots) % 2:

@@ -23,16 +23,16 @@ Rewinding: running one commitment and both challenges against a classical
 prover and guessing s' = 1 xor b0 xor b1 succeeds with probability at
 least 2*rate - 1; the experiment here realizes that extractor.
 
-Two engines play the protocol with the same prover classes.  run_protocol
-and rewind_experiment run one instance at a time through PoqVerifier, the
-prover on the instance's tcf.IdealPublicKey; they are the reference, and
-the only engine for the circuit-path honest prover and PeekingProver.
-estimate_rate and estimate_rewind run the collapsed honest prover and the
-classical zoo in chunks of batch.chunk_size(lam) instances, the prover on
-the chunk's tcf.KeyChunk (a fresh hidden bit and key per instance).  A
-prover draws size=pk.count values per rng call, one per instance, so on a
-one-row chunk it draws what it draws on that row's key, while a seed gives
-a chunk other instances than the scalar engine, from the same distribution.
+Two engines play the protocol with the same prover classes and verifier
+checks.  run_protocol and rewind_experiment run one instance at a time
+through PoqVerifier, the prover on the instance's tcf.IdealKey; they are
+the reference, and the only engine for the circuit-path honest prover and
+PeekingProver.  estimate_rate and estimate_rewind run the collapsed honest
+prover and the zoo in chunks of batch.chunk_size(lam) instances, the
+prover on the chunk's keys, one tcf.IdealKey with a fresh hidden bit and
+key per instance.  A prover draws size=pk.count values per rng call, so on
+a one-row chunk it draws what it draws on that row's key; a seed gives a
+chunk other instances than the scalar engine, from the same distribution.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import tcf
-from .qsim import StateVector, check_norms, measure_registers, remove_registers
+from .qsim import StateVector, check_norms, checked_int, measure_registers, remove_registers
 
 HONEST_RATE = math.cos(math.pi / 8) ** 2
 CLASSICAL_BOUND = 0.75
@@ -70,6 +70,23 @@ def rotated_measure(qubits: np.ndarray, c, rng: np.random.Generator):
     probs = probe.real ** 2 + probe.imag ** 2
     return (rng.random(qubits.shape[:-1] or None) * probs.sum(axis=-1)
             >= probs[..., 0]).astype(np.int64)
+
+
+def _checked(value, bound: int, message: str):
+    """value, an int or an int array, once every entry lies in [0, bound);
+    else ValueError(message).  A float is refused, never truncated."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        if value.dtype.kind not in "biu" or ((value < 0) | (value >= bound)).any():
+            raise ValueError(message)
+        return value
+    return checked_int(value, message, bound)
+
+
+def _checked_commitment(mu, d, y, n: int) -> tuple:
+    """The verifier's checks of a commitment (mu, d, y), on one or a chunk."""
+    return (_checked(mu, 2, "mu must be a bit"),
+            _checked(d, 1 << (n - 1), "d must have n-1 bits"),
+            _checked(y, 1 << n, "y outside the image"))
 
 
 def _accepts(s, mu, d, c, b, x0, x1, n: int):
@@ -112,8 +129,9 @@ class PoqVerifier:
     """One protocol instance; enforces the message order.
 
     round1() -> pk, round2(mu, d, y) -> c, decide(b) -> accepted.
-    The hidden bit and the trapdoor stay on this object; honest provers
-    only ever read .pk.
+    The hidden bit stays on this object.  keys.pk and keys.sk are one
+    tcf.IdealKey, as the public tables determine the trapdoor; provers are
+    handed it as .pk.
     """
 
     def __init__(self, lam: int, rng: np.random.Generator):
@@ -141,18 +159,7 @@ class PoqVerifier:
     def round2(self, mu: int, d: int, y: int) -> int:
         if self._phase != "round2":
             raise RuntimeError("round2 out of order")
-        n = self.keys.domain_bits
-        mu, d = int(mu), int(d)
-        # _check_commitments runs these checks on chunks; on one instance's
-        # 0-d arrays it takes about 12 us, these under 1 us
-        if mu not in (0, 1):
-            raise ValueError("mu must be a bit")
-        if not 0 <= d < (1 << (n - 1)):
-            raise ValueError("d must have n-1 bits")
-        y = int(y)
-        if not 0 <= y < (1 << n):
-            raise ValueError("y outside the image")
-        self._mu, self._d, self._y = mu, d, y
+        self._mu, self._d, self._y = _checked_commitment(mu, d, y, self.keys.domain_bits)
         self._c = int(self._rng.integers(0, 2))
         self._phase = "decide"
         return self._c
@@ -160,9 +167,7 @@ class PoqVerifier:
     def decide(self, b: int) -> bool:
         if self._phase != "decide":
             raise RuntimeError("decide out of order")
-        b = int(b)
-        if b not in (0, 1):
-            raise ValueError("b must be a bit")
+        b = _checked(b, 2, "b must be a bit")
         x0, x1 = tcf.claw(self.keys.sk, self._y)
         self._b = b
         self._accepted = bool(_accepts(self._s, self._mu, self._d, self._c, b, x0, x1,
@@ -415,16 +420,6 @@ def rewind_experiment(prover_factory, trials: int, rng: np.random.Generator,
     return hits / trials
 
 
-def _check_commitments(mu: np.ndarray, d: np.ndarray, y: np.ndarray, n: int) -> None:
-    """PoqVerifier.round2's checks on a chunk of commitments."""
-    if ((mu != 0) & (mu != 1)).any():
-        raise ValueError("mu must be a bit")
-    if ((d < 0) | (d >= 1 << (n - 1))).any():
-        raise ValueError("d must have n-1 bits")
-    if ((y < 0) | (y >= 1 << n)).any():
-        raise ValueError("y outside the image")
-
-
 def _chunks(trials: int, lam: int, rng: np.random.Generator):
     """(hidden bits, keys) of each chunk of trials fresh instances."""
     from .batch import chunk_size
@@ -448,12 +443,9 @@ def estimate_rate(name: str, trials: int, rng: np.random.Generator, lam: int = 8
     wins = 0
     for s, keys in _chunks(trials, lam, rng):
         prover = cls(keys, rng)
-        mu, d, y = prover.round1()
-        _check_commitments(mu, d, y, lam)
+        mu, d, y = _checked_commitment(*prover.round1(), lam)
         c = rng.integers(0, 2, size=len(s))
-        b = prover.round2(c)
-        if ((b != 0) & (b != 1)).any():
-            raise ValueError("b must be a bit")
+        b = _checked(prover.round2(c), 2, "b must be a bit")
         accepted = _accepts(s, mu, d, c, b, *keys.claw(y), lam)
         wins += int(accepted.sum())
         if transcript_log is not None:

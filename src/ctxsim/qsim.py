@@ -12,6 +12,7 @@ through :func:`equal_up_to_global_phase`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,19 @@ def check_norms(states: np.ndarray) -> None:
         raise ValueError(f"state norm {norms[bad][0]} is not 1 within {ATOL_STATE}")
 
 
+def checked_int(value, message: str, bound: int | None = None) -> int:
+    """value as a Python int, in [0, bound) when a bound is given.  Ints,
+    numpy ints and 0-d int arrays pass; anything else, a float included, is
+    refused with ValueError(message), never truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
+    if bound is not None and not 0 <= value < bound:
+        raise ValueError(message)
+    return value
+
+
 def _checked_dims(dims) -> tuple:
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
@@ -141,12 +155,10 @@ class PauliKey:
     z: tuple
 
     def __post_init__(self):
-        x = tuple(int(b) for b in self.x)
-        z = tuple(int(b) for b in self.z)
+        x = tuple(checked_int(b, "pad keys are bit strings", 2) for b in self.x)
+        z = tuple(checked_int(b, "pad keys are bit strings", 2) for b in self.z)
         if len(x) != len(z):
             raise ValueError("x and z must have equal length")
-        if any(b not in (0, 1) for b in x + z):
-            raise ValueError("pad keys are bit strings")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
 
@@ -185,7 +197,7 @@ class PauliKey:
 
     @classmethod
     def from_bits(cls, bits) -> "PauliKey":
-        bits = tuple(int(b) for b in bits)
+        bits = tuple(bits)  # the constructor refuses non-bits
         if len(bits) % 2:
             raise ValueError("pad bit payload must have even length")
         n = len(bits) // 2

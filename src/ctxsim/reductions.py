@@ -181,11 +181,7 @@ def run_a2_reduction(prover, game: ContextualityGame, kind, trials: int, lam: in
         keys = opad.gen(lam, drng)
         oracle = opad.PhaseOracle("hash", seed=int(drng.integers(2 ** 62)))
         message1 = Message1(cipher, handle, keys.pk, oracle, game, kind)
-        message2 = prover.round1(message1, drng)
-        width = max(1, len(message2.pad_string.slots) // 2)
-        table = {q: prover.round2(q, PauliKey.uniform(width, drng), drng)
-                 for q in game.questions}
-        return plan.guess(Assignment(table))
+        return plan.guess(extract_truthtable(prover, game, kind, None, lam, drng, message1))
 
     rate = qfhe.twoind_game(distinguisher, x0, x1, trials, rng, lam=lam,
                             backend=fhe_backend)

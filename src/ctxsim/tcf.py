@@ -3,11 +3,12 @@
 The family realizes the claw relation exactly: a seeded random
 permutation PRP over n-bit strings and a secret nonzero mask delta define
 f_b(x) = PRP(x xor b*delta), so f_0(x0) = f_1(x1) iff x1 = x0 xor delta.
-Both branch tables are part of the public key, held (like the secret
-inverse table) as read-only int64 arrays that become lists only in JSON;
-claw-freeness is a cryptographic property this toolkit never asserts,
-only the functional ones (injectivity per branch, perfect claw matching,
-hidden-bit xor).
+A key is held as its trapdoor, PRP^-1 as a read-only int64 array and
+delta; both branch tables are public and determine the trapdoor, so gen
+returns one IdealKey as both pk and sk, and gen_many a chunk of keys in
+the same class.  Arrays become lists only in JSON.  Claw-freeness is a
+cryptographic property this toolkit never asserts, only the functional
+ones (injectivity per branch, perfect claw matching, hidden-bit xor).
 
 Domain parsing: X = {0,1} x V, the first (most significant) bit carrying
 the hidden-bit role; helpers first_bit/trailing_bits/dot_bits implement
@@ -17,19 +18,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .qsim import StateVector, _checked_size, _norm, _sample_index
+from .qsim import StateVector, _checked_size, _norm, _sample_index, checked_int
 
 
 # One ideal gen at the bound takes about 64 ms and leaves three 2^20-entry
-# int64 tables (24 MB, 32 MB at peak); the first public_claw on the key adds
-# its two inverse tables (16 MB, about 26 ms). Measured on one core of a
-# 2-vCPU Xeon VM, CPython 3.11, numpy 2.4.
+# int64 tables (24 MB, 32 MB at peak); claw lookups read the trapdoor and
+# build nothing.  Measured on one core of a 2-vCPU Xeon VM, CPython 3.11,
+# numpy 2.4.
 MAX_DOMAIN_BITS = 20
 
 
@@ -64,61 +64,70 @@ def _inverse_permutation(table: np.ndarray) -> np.ndarray:
     return _readonly(inverse)
 
 
+def _branch_tables(prp: np.ndarray, delta: int) -> tuple:
+    """(f_0, f_1) as read-only tables, f_0 = PRP and f_1(x) = PRP(x xor delta)."""
+    return _readonly(prp), _readonly(prp[np.arange(len(prp)) ^ delta])
+
+
 @dataclass(frozen=True, eq=False)
-class IdealPublicKey:
-    n: int
-    tables: tuple  # tables[b][x] = f_b(x), both branches public, read-only int64 arrays
+class IdealKey:
+    """One claw-free key, or a chunk of count keys, held as its trapdoor.
+
+    One key: inv_prp is PRP^-1, shape (2^n,), and delta an int.  A chunk:
+    inv_prp is (count, 2^n), a key per row, and delta (count,).  image and
+    claw take ints or arrays; on a chunk they take (count,) or
+    (count, points) arrays, each row read with its own key.
+    """
+
+    inv_prp: np.ndarray
+    delta: int | np.ndarray
+    n: int = field(init=False)
+    count: int | None = field(init=False)  # None on one key
 
     def __post_init__(self):
-        object.__setattr__(self, "tables", tuple(_readonly(t) for t in self.tables))
+        inv_prp = _readonly(self.inv_prp)
+        object.__setattr__(self, "inv_prp", inv_prp)
+        object.__setattr__(self, "n", inv_prp.shape[-1].bit_length() - 1)
+        object.__setattr__(self, "count", None if inv_prp.ndim == 1 else len(inv_prp))
+        if self.count is not None:
+            object.__setattr__(self, "delta", _readonly(self.delta))
 
     def __eq__(self, other):
-        if not isinstance(other, IdealPublicKey):
+        if not isinstance(other, IdealKey):
             return NotImplemented
-        return self.n == other.n and all(
-            np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
-
-    count = None  # one key, where a KeyChunk holds count of them
-
-    def table_array(self, b: int) -> np.ndarray:
-        return self.tables[b]
+        return np.array_equal(self.delta, other.delta) and np.array_equal(
+            self.inv_prp, other.inv_prp)
 
     @cached_property
-    def inverse_tables(self) -> tuple:
-        """inverse_tables[b][y] = the branch-b preimage of y, built once per key."""
-        return tuple(_inverse_permutation(t) for t in self.tables)
+    def tables(self) -> tuple:
+        """tables[b][x] = f_b(x), both branches, read-only; one key only."""
+        if self.count is not None:
+            raise ValueError("forward tables are derived for one key only")
+        return _branch_tables(_inverse_permutation(self.inv_prp), self.delta)
 
     def image(self, x):
-        """f_0(x) at an in-domain point x or an array of them."""
-        return self.tables[0][x]
+        """f_0(x) at in-domain points x."""
+        if self.count is None:
+            return self.tables[0][x]
+        # a per-row search: forward tables would double every chunk's keys,
+        # and indexing inv_prp by row would copy every one
+        tables = np.expand_dims(self.inv_prp, tuple(range(1, x.ndim)))
+        return np.argmax(tables == x[..., None], axis=-1)
 
     def claw(self, y):
-        """(x0, x1) of an image point y or an array of them; public_claw
-        adds a range check."""
-        inv0, inv1 = self.inverse_tables
-        return inv0[y], inv1[y]
-
-
-@dataclass(frozen=True, eq=False)
-class IdealSecretKey:
-    n: int
-    inv_prp: np.ndarray  # PRP^-1 as a read-only table
-    delta: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "inv_prp", _readonly(self.inv_prp))
-
-    def __eq__(self, other):
-        if not isinstance(other, IdealSecretKey):
-            return NotImplemented
-        return (self.n, self.delta) == (other.n, other.delta) and np.array_equal(
-            self.inv_prp, other.inv_prp)
+        """(x0, x1) at in-range image points y; claw(key, y) adds a range check."""
+        if self.count is None:
+            x0, delta = self.inv_prp[y], self.delta
+        else:
+            rows = np.arange(self.count).reshape((-1,) + (1,) * (y.ndim - 1))
+            x0, delta = self.inv_prp[rows, y], self.delta[rows]
+        return x0, x0 ^ delta
 
 
 @dataclass(frozen=True)
 class TcfKeyPair:
-    pk: IdealPublicKey
-    sk: IdealSecretKey
+    pk: IdealKey  # the same key as sk: the public tables determine the trapdoor
+    sk: IdealKey
     domain_bits: int
     hidden_bit: int | None
 
@@ -132,20 +141,25 @@ class TcfKeyPair:
 
     @classmethod
     def from_json(cls, text: str) -> "TcfKeyPair":
+        """Refuses a trapdoor that is no key of domain_bits bits, or tables it does not give."""
         d = json.loads(text)
-        n = d["domain_bits"]
-        pk = IdealPublicKey(n, tuple(d["tables"]))
-        sk = IdealSecretKey(n, d["secret"]["inv_prp"], d["secret"]["delta"])
-        return cls(pk, sk, n, d["hidden_bit"])
+        n, secret = d["domain_bits"], d["secret"]
+        key = IdealKey(secret["inv_prp"], secret["delta"])
+        size = 1 << n
+        if (key.inv_prp.shape != (size,) or not 0 < key.delta < size
+                or not np.array_equal(np.sort(key.inv_prp), np.arange(size))
+                or not np.array_equal(key.tables, d["tables"])):
+            raise ValueError("the tables disagree with the trapdoor")
+        return cls(key, key, n, d["hidden_bit"])
 
 
-def _sample_mask(bits: int, hidden, rng: np.random.Generator) -> int:
-    """Nonzero n-bit mask whose first bit equals hidden when requested."""
+def _masks(bits: int, hidden, rng: np.random.Generator, count=None):
+    """Nonzero bits-bit masks, one per key (one scalar when count is None),
+    each with its first bit equal to its hidden bit when hidden is given."""
     if hidden is None:
-        return int(rng.integers(1, 1 << bits))
-    if hidden:
-        return (1 << (bits - 1)) | int(rng.integers(0, 1 << (bits - 1)))
-    return int(rng.integers(1, 1 << (bits - 1)))
+        return rng.integers(1, 1 << bits, size=count)
+    # below the first bit, nonzero unless the first bit is set
+    return (hidden << (bits - 1)) | rng.integers(1 - hidden, 1 << (bits - 1), size=count)
 
 
 def check_domain_bits(bits: int) -> None:
@@ -159,78 +173,42 @@ def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
     if rng is None:
         raise ValueError("an explicit rng is required")
     check_domain_bits(bits)
-    if hidden is not None and hidden not in (0, 1):
-        raise ValueError("hidden bit must be 0 or 1")
-    size = 1 << bits
-    prp = rng.permutation(size)
-    delta = _sample_mask(bits, hidden, rng)
-    pk = IdealPublicKey(bits, (prp, prp[np.arange(size) ^ delta]))
-    sk = IdealSecretKey(bits, _inverse_permutation(prp), delta)
-    return TcfKeyPair(pk, sk, bits, hidden)
+    if hidden is not None:
+        hidden = checked_int(hidden, "hidden bit must be 0 or 1", 2)
+    prp = rng.permutation(1 << bits)
+    delta = int(_masks(bits, hidden, rng))
+    key = IdealKey(_inverse_permutation(prp), delta)
+    # the permutation just drawn is the branch-0 table: fill the cache with it
+    key.__dict__["tables"] = _branch_tables(prp, delta)
+    return TcfKeyPair(key, key, bits, hidden)
 
 
-class KeyChunk(NamedTuple):
-    """The keys of a chunk of instances, read as IdealPublicKey reads one.
-
-    A row holds a key's branch-0 inverse table (also the trapdoor PRP^-1)
-    and its mask.  image and claw take (keys,) or (keys, points) arrays,
-    each row read with its own key.
-    """
-
-    inv_prp: np.ndarray
-    delta: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.inv_prp.shape[1].bit_length() - 1
-
-    @property
-    def count(self) -> int:
-        return len(self.delta)
-
-    def image(self, x: np.ndarray) -> np.ndarray:
-        """f_0 of each row's key at its points."""
-        # a view of the tables: indexing them by row would copy every one
-        tables = np.expand_dims(self.inv_prp, tuple(range(1, x.ndim)))
-        return np.argmax(tables == x[..., None], axis=-1)
-
-    def claw(self, y: np.ndarray) -> tuple:
-        """(x0, x1) of each row's key at its image points, which is also the
-        verifier's trapdoor inversion claw(sk, y)."""
-        rows = np.arange(self.count).reshape((-1,) + (1,) * (y.ndim - 1))
-        x0 = self.inv_prp[rows, y]
-        return x0, x0 ^ self.delta[rows]
-
-
-def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> KeyChunk:
-    """n fresh keys, drawn step by step, as a KeyChunk (inv_prp, delta).
+def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> IdealKey:
+    """n fresh keys, drawn step by step, as one IdealKey chunk.
 
     Row i of the (n, 2^bits) array inv_prp is key i's PRP^-1, drawn as such
-    because the inverse of a uniform permutation is uniform; it is also the
-    public inverse of key i's branch-0 table.  delta[i] is its mask, whose
-    first bit is hidden[i] when an array of hidden bits is given.  One rng
-    call draws every permutation and one every mask.
+    because the inverse of a uniform permutation is uniform.  delta[i] is
+    its mask, whose first bit is hidden[i] when an array of hidden bits is
+    given.  One rng call draws every permutation and one every mask.
     """
     check_domain_bits(bits)
     if hidden is not None:
-        hidden = np.asarray(hidden, dtype=np.int64)
-        if hidden.shape != (n,) or ((hidden != 0) & (hidden != 1)).any():
+        hidden = np.asarray(hidden)
+        if (hidden.shape != (n,) or hidden.dtype.kind not in "biu"
+                or ((hidden != 0) & (hidden != 1)).any()):
             raise ValueError("hidden must hold one bit per key")
-    size = 1 << bits
-    inv_prp = np.tile(np.arange(size), (n, 1))
+        hidden = hidden.astype(np.int64)
+    inv_prp = np.tile(np.arange(1 << bits), (n, 1))
     rng.permuted(inv_prp, axis=1, out=inv_prp)
-    if hidden is None:
-        return KeyChunk(inv_prp, rng.integers(1, size, size=n))
-    # _sample_mask's rule: below the first bit, nonzero unless the first bit is set
-    return KeyChunk(inv_prp, (hidden << (bits - 1)) | rng.integers(1 - hidden, size >> 1))
+    return IdealKey(inv_prp, _masks(bits, hidden, rng, n))
 
 
-def _check_domain(pk: IdealPublicKey, x: int) -> None:
-    if not 0 <= x < (1 << pk.n):
+def _check_domain(pk: IdealKey, x: int) -> None:
+    if not 0 <= checked_int(x, "x is not an integer") < (1 << pk.n):
         raise ValueError(f"x={x} outside the {pk.n}-bit domain")
 
 
-def eval(pk: IdealPublicKey, b: int, x: int) -> int:
+def eval(pk: IdealKey, b: int, x: int) -> int:
     """f_{pk,b}(x)."""
     if b not in (0, 1):
         raise ValueError("branch must be 0 or 1")
@@ -238,7 +216,7 @@ def eval(pk: IdealPublicKey, b: int, x: int) -> int:
     return int(pk.tables[b][x])
 
 
-def chk(pk: IdealPublicKey, b: int, x: int, y) -> int:
+def chk(pk: IdealKey, b: int, x: int, y) -> int:
     """1 iff y = f_{pk,b}(x); total over inputs."""
     if b not in (0, 1):
         return 0
@@ -250,32 +228,28 @@ def chk(pk: IdealPublicKey, b: int, x: int, y) -> int:
     return int(int(pk.tables[b][x]) == y)
 
 
-def inv(sk: IdealSecretKey, b: int, y):
+def inv(sk: IdealKey, b: int, y):
     """The unique branch-b preimage of y; errors when y is not in the image."""
     if b not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    if not isinstance(y, (int, np.integer)) or not 0 <= y < (1 << sk.n):
-        raise ValueError(f"y={y!r} is not in the image")
+    y = checked_int(y, "y is not in the image", 1 << sk.n)
     return int(sk.inv_prp[y]) ^ (sk.delta if b else 0)
 
 
-def claw(sk: IdealSecretKey, y: int):
+def claw(sk: IdealKey, y: int):
     """(x0, x1) with f_0(x0) = f_1(x1) = y, via the trapdoor."""
     x0 = inv(sk, 0, y)
     return x0, x0 ^ sk.delta
 
 
-def public_claw(pk: IdealPublicKey, y: int):
-    """(x0, x1) for y, read off the published branch tables.
+def public_claw(pk: IdealKey, y: int):
+    """(x0, x1) for y, which the published branch tables determine.
 
-    The family publishes both tables, so simulators may look claws up
-    without the trapdoor; provers in the protocols never rely on this.
+    The tables determine the trapdoor, so this is claw's lookup; simulators
+    may look claws up without the trapdoor, provers in the protocols never
+    rely on this.
     """
-    y = int(y)
-    if not 0 <= y < (1 << pk.n):
-        raise ValueError("y outside the image")
-    x0, x1 = pk.claw(y)
-    return int(x0), int(x1)
+    return claw(pk, y)
 
 
 def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Generator = None) -> StateVector:
@@ -312,7 +286,7 @@ def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Gene
     x_digits = tuple((xs >> (n - 1 - j)) & 1 for j in range(n))
     src = head / np.sqrt(size)
     for b in (0, 1):
-        new[(b,) + x_digits + (pk.table_array(b),)] = src[b][None]
+        new[(b,) + x_digits + (pk.tables[b],)] = src[b][None]
     return StateVector._own(state.dims, amps)
 
 

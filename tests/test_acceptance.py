@@ -92,13 +92,13 @@ def test_criterion_05_range_sampling_marginal_is_exact():
     keys = opad.gen(6, rng)
     size = 64
     bijective = all(
-        np.bincount(keys.pk.table_array(b), minlength=size).max() == 1
+        np.bincount(keys.pk.tables[b], minlength=size).max() == 1
         for b in (0, 1))
     # enc puts squared weight 2/(2*size) on each y, then a uniform nonzero
     # d; samp draws x uniformly and evaluates the same branch table
     p_enc = {(y, d): Fraction(1, size) * Fraction(1, size - 1)
              for y in range(size) for d in range(1, size)}
-    t0 = keys.pk.table_array(0)
+    t0 = keys.pk.tables[0]
     p_samp = {(y, d): Fraction(int((t0 == y).sum()), size) * Fraction(1, size - 1)
               for y in range(size) for d in range(1, size)}
     tv = sum(abs(p_enc[cell] - p_samp[cell]) for cell in p_enc) / 2

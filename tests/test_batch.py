@@ -22,15 +22,11 @@ SESSIONS = 4000
 
 
 def rebuilt_keys(t: cp.CompiledTranscript, lam: int):
-    """The session's secret keys, from its qfhe handle and public claw-free tables."""
+    """The session's secret keys, from its qfhe handle and claw-free key."""
     handle = t.message1.fhe_handle
     sk = qfhe.QfheSecretKey(handle.scheme, handle.key_id, lam, handle.backend)
     pk = t.message1.opad_pk
-    inv_prp = np.argsort(pk.tables[0])
-    # f_1(0) = PRP(delta)
-    delta = int(inv_prp[pk.tables[1][0]])
-    keys = tcf.TcfKeyPair(pk, tcf.IdealSecretKey(pk.n, inv_prp, delta), pk.n, None)
-    return sk, keys, t.message1.oracle
+    return sk, tcf.TcfKeyPair(pk, pk, pk.n, None), t.message1.oracle
 
 
 def accepted(game, ci, asked, given, q2, a2) -> bool:

@@ -74,6 +74,15 @@ def test_opad_string_validation_and_json():
         opad.OpadString(((1, 4),), "phases")
 
 
+def test_opad_string_refuses_non_integers():
+    for slot in ((1.5, 4), (1.0, 4), (1, 4.0), ("1", 4)):
+        with pytest.raises(ValueError):
+            opad.OpadString((slot, (1, 1)), "pauli")
+    s = opad.OpadString(((np.int64(3), np.array(10)), (np.uint8(1), 15)), "pauli")
+    assert s == opad.OpadString(((3, 10), (1, 15)), "pauli")
+    assert all(type(v) is int for slot in s.slots for v in slot)
+
+
 @given(st.lists(st.tuples(st.integers(1, 255), st.integers(0, 255)), min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_opad_string_json_roundtrip_property(slots):
@@ -165,8 +174,8 @@ def test_samp_marginal_equals_enc_marginal_exactly():
     # 1/size on each y and 1/(size-1) on each nonzero d, independently
     keys, _, rng = fresh(6, 50)
     size = 64
-    t0 = keys.pk.table_array(0)
-    t1 = keys.pk.table_array(1)
+    t0 = keys.pk.tables[0]
+    t1 = keys.pk.tables[1]
     for t in (t0, t1):
         counts = np.bincount(t, minlength=size)
         assert counts.min() == counts.max() == 1

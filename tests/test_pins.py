@@ -1,4 +1,4 @@
-"""sha256 pins of fixed-seed CLI outputs and circuit-path outcomes.
+"""sha256 pins of fixed-seed CLI outputs, circuit-path outcomes and key draws.
 
 Each pin fixes the map from seed to output bytes.  A change that moves a
 pin on purpose (for example, by drawing random numbers in another order)
@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ctxsim import cli, compilers, games, poq
+from ctxsim import cli, compilers, games, poq, tcf
 
 
 def sha256(data) -> str:
@@ -75,3 +75,25 @@ def test_scalar_zoo_draws_are_pinned():
               for kind in poq.CLASSICAL_KINDS]
     assert sha256("\n".join(lines)) == \
         "130e21dce9fce0d177a4505ff4b85fbc643ad0fcad7c093783d2985a3000bdf6"
+
+
+def test_key_draws_are_pinned():
+    # gen's forward tables, trapdoor and mask, then gen_many chunks
+    digest = hashlib.sha256()
+
+    def add(*arrays):
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+
+    for lam in (3, 5, 8):
+        for hidden in (None, 0, 1):
+            keys = tcf.gen(lam, hidden=hidden, rng=np.random.default_rng(2028 + lam))
+            add(*keys.pk.tables, keys.sk.inv_prp, [keys.sk.delta])
+    rng = np.random.default_rng(2029)
+    for lam, count in ((3, 50), (8, 20)):
+        chunk = tcf.gen_many(lam, count, rng)
+        add(chunk.inv_prp, chunk.delta)
+        chunk = tcf.gen_many(lam, count, rng, hidden=rng.integers(0, 2, size=count))
+        add(chunk.inv_prp, chunk.delta)
+    assert digest.hexdigest() == \
+        "969cc204472a7e283ca23f30e1543319846d55ba7e72ec55f84a718661fea2c4"

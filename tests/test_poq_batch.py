@@ -168,11 +168,6 @@ def test_batched_honest_leftover_is_the_predicted_bb84_state():
         assert equal_up_to_global_phase(StateVector((2,), leftover[i]), expected, tol=1e-10)
 
 
-def one_row_chunk(keys) -> tcf.KeyChunk:
-    """The chunk holding exactly the key pair keys."""
-    return tcf.KeyChunk(keys.sk.inv_prp[None], np.array([keys.sk.delta]))
-
-
 @pytest.mark.parametrize("name", ROWS)
 def test_a_prover_plays_a_key_and_its_one_row_chunk_alike(name):
     cls = poq.HonestProver if name == "honest" else poq.CLASSICAL_CLASSES[name]
@@ -180,7 +175,8 @@ def test_a_prover_plays_a_key_and_its_one_row_chunk_alike(name):
         keys = tcf.gen(LAM, hidden=seed % 2, rng=np.random.default_rng(seed))
         c = seed // 2 % 2
         one = cls(keys.pk, np.random.default_rng(200 + seed))
-        row = cls(one_row_chunk(keys), np.random.default_rng(200 + seed))
+        row = cls(tcf.IdealKey(keys.sk.inv_prp[None], np.array([keys.sk.delta])),
+                  np.random.default_rng(200 + seed))
         commitment = one.round1()
         assert [v.tolist() for v in row.round1()] == [[int(v)] for v in commitment]
         if name == "honest":
@@ -224,12 +220,13 @@ def test_trial_counts_across_chunk_edges(extra):
 def test_gen_many_follows_the_mask_rule():
     rng = np.random.default_rng(160)
     hidden = rng.integers(0, 2, size=300)
-    inv_prp, delta = tcf.gen_many(4, 300, rng, hidden=hidden)
+    chunk = tcf.gen_many(4, 300, rng, hidden=hidden)
+    inv_prp, delta = chunk.inv_prp, chunk.delta
     assert inv_prp.shape == (300, 16)
     assert (np.sort(inv_prp, axis=1) == np.arange(16)).all()
     assert ((delta >> 3) == hidden).all()
     assert ((0 < delta) & (delta < 16)).all()
-    _, delta = tcf.gen_many(4, 2000, rng)
+    delta = tcf.gen_many(4, 2000, rng).delta
     assert ((0 < delta) & (delta < 16)).all()
     assert len(set(delta.tolist())) == 15
     for bad in ([0, 2], [0]):
@@ -239,12 +236,12 @@ def test_gen_many_follows_the_mask_rule():
 
 def test_gen_many_draws_as_the_batched_sessions_did():
     # permutations first, drawn as one shuffle of tiled ranges, then the masks
-    inv_prp, delta = tcf.gen_many(6, 40, np.random.default_rng(161))
+    chunk = tcf.gen_many(6, 40, np.random.default_rng(161))
     rng = np.random.default_rng(161)
     ref = np.tile(np.arange(64), (40, 1))
     rng.permuted(ref, axis=1, out=ref)
-    assert np.array_equal(inv_prp, ref)
-    assert np.array_equal(delta, rng.integers(1, 64, size=40))
+    assert np.array_equal(chunk.inv_prp, ref)
+    assert np.array_equal(chunk.delta, rng.integers(1, 64, size=40))
 
 
 def test_gen_many_refuses_a_large_domain_before_any_draw():
@@ -335,3 +332,51 @@ def test_rewind_rows_miss_only_at_the_three_sigma_rate(capsys):
             assert cli.main(argv) == 0
             misses += not json.loads(capsys.readouterr().out)["bounds_ok"]
     assert misses <= 3
+
+
+# (field, value, message): one value the verifier must refuse, not truncate
+NON_INTEGERS = [("mu", 0.5, "mu must be a bit"), ("mu", 1.0, "mu must be a bit"),
+                ("d", 1.9, "d must have"), ("y", 3.7, "y outside the image"),
+                ("b", 0.9, "b must be a bit"), ("b", 1.0, "b must be a bit")]
+
+
+@pytest.mark.parametrize("field,value,message", NON_INTEGERS)
+def test_both_engines_refuse_non_integer_inputs(field, value, message, monkeypatch):
+    commitment = {"mu": 0, "d": 1, "y": 3}
+    verifier = poq.PoqVerifier(LAM, np.random.default_rng(182))
+    verifier.round1()
+    if field == "b":
+        verifier.round2(**commitment)
+        with pytest.raises(ValueError, match=message):
+            verifier.decide(value)
+    else:
+        with pytest.raises(ValueError, match=message):
+            verifier.round2(**{**commitment, field: value})
+
+    class Bad(poq.ZeroCommitEchoProver):
+        """Sends the value in every row, as floats."""
+
+        def round1(self):
+            sent = dict(zip(("mu", "d", "y"), super().round1()))
+            if field in sent:
+                sent[field] = np.full(self.pk.count, value)
+            return sent["mu"], sent["d"], sent["y"]
+
+        def round2(self, c):
+            return np.full(self.pk.count, value) if field == "b" else c
+
+    monkeypatch.setitem(poq.CLASSICAL_CLASSES, "zero-echo", Bad)
+    with pytest.raises(ValueError, match=message):
+        poq.estimate_rate("zero-echo", 3, np.random.default_rng(183), lam=LAM)
+
+
+@pytest.mark.parametrize("wrap", [np.int64, np.uint8, np.array])
+def test_the_verifier_takes_numpy_ints_and_0d_arrays(wrap):
+    logs = []
+    for cast in (int, wrap):
+        verifier = poq.PoqVerifier(LAM, np.random.default_rng(184))
+        verifier.round1()
+        c = verifier.round2(cast(1), cast(3), cast(5))
+        verifier.decide(cast(c))
+        logs.append(verifier.transcript().to_json())
+    assert logs[0] == logs[1]

@@ -254,6 +254,17 @@ def test_pauli_key_payload_roundtrip():
     assert PauliKey.from_bits(k.bits()) == k
 
 
+def test_pauli_key_refuses_non_integers():
+    for x, z in (((1.0,), (0.2,)), ((0.5,), (0,)), ((1,), (1.0,)), ((2,), (0,))):
+        with pytest.raises(ValueError, match="pad keys are bit strings"):
+            PauliKey(x, z)
+    with pytest.raises(ValueError, match="pad keys are bit strings"):
+        PauliKey.from_bits((1.0, 0.4))
+    k = PauliKey((np.int64(1), np.array(0)), (np.uint8(1), True))
+    assert k == PauliKey((1, 0), (1, 1))
+    assert all(type(b) is int for b in k.x + k.z)
+
+
 # Reference kernels: move the targets to the front by a transpose, act on
 # the (block, rest) matrix, transpose back.  The kernels under test read
 # consecutive targets through views instead.

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -85,6 +86,16 @@ def test_eval_rejects_out_of_domain():
     kp = ideal_pair(8)
     with pytest.raises(ValueError):
         tcf.eval(kp.pk, 0, 256)
+
+
+def test_eval_and_chk_refuse_non_integer_points():
+    kp = ideal_pair(8)
+    y = tcf.eval(kp.pk, 0, 1)
+    for x in (1.0, 1.5, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            tcf.eval(kp.pk, 0, x)
+        assert tcf.chk(kp.pk, 0, x, y) == 0
+    assert tcf.eval(kp.pk, 0, np.array(1)) == tcf.eval(kp.pk, 0, np.uint8(1)) == y
 
 
 def test_gen_rejects_tiny_domain_and_bad_backend():
@@ -249,13 +260,59 @@ def test_gen_bounds_the_domain_before_drawing(bits):
 
 def test_key_tables_are_read_only():
     kp = ideal_pair(6)
-    for table in (*kp.pk.tables, kp.sk.inv_prp, *kp.pk.inverse_tables):
+    for table in (*kp.pk.tables, kp.sk.inv_prp):
         assert table.dtype == np.int64
         with pytest.raises(ValueError):
             table[0] = 1
     back = tcf.TcfKeyPair.from_json(kp.to_json())
     with pytest.raises(ValueError):
-        back.pk.table_array(1)[0] = 1
+        back.pk.tables[1][0] = 1
+
+
+def test_chunk_arrays_are_read_only():
+    chunk = tcf.gen_many(5, 4, np.random.default_rng(19), hidden=[0, 1, 1, 0])
+    row = tcf.IdealKey(chunk.inv_prp[2], int(chunk.delta[2]))
+    for array in (chunk.inv_prp, chunk.delta, row.inv_prp, *row.tables):
+        assert array.dtype == np.int64
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_gen_returns_one_key_as_pk_and_sk():
+    kp = ideal_pair(5, hidden=1, seed=20)
+    assert kp.pk is kp.sk
+    assert (kp.pk.n, kp.pk.count, kp.pk.inv_prp.shape) == (5, None, (32,))
+    assert type(kp.pk.delta) is int and tcf.first_bit(kp.pk.delta, 5) == 1
+    # the cached forward tables are those the trapdoor gives
+    fresh = tcf.IdealKey(kp.sk.inv_prp, kp.sk.delta)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh.tables, kp.pk.tables))
+    assert isinstance(tcf.gen_many(5, 3, np.random.default_rng(20)), tcf.IdealKey)
+
+
+def test_gen_refuses_non_integer_hidden_bits():
+    for hidden in (0.0, 1.0, 2, "1"):
+        with pytest.raises(ValueError, match="hidden bit must be 0 or 1"):
+            tcf.gen(4, hidden=hidden, rng=_NoDrawRng())
+    rng = np.random.default_rng(22)
+    with pytest.raises(ValueError, match="one bit per key"):
+        tcf.gen_many(4, 2, rng, hidden=[0.0, 1.0])
+    chunk = tcf.gen_many(4, 3, rng, hidden=np.array([True, False, True]))
+    assert (chunk.delta >> 3).tolist() == [1, 0, 1]
+
+
+def test_from_json_refuses_tables_the_trapdoor_does_not_give():
+    kp = ideal_pair(5, seed=21)
+    body = json.loads(kp.to_json())
+    for edit in (lambda b: b["tables"][1].reverse(),
+                 lambda b: b["tables"][0].__setitem__(0, b["tables"][0][1]),
+                 lambda b: b["secret"].__setitem__("delta", b["secret"]["delta"] ^ 1),
+                 lambda b: b["secret"].__setitem__("delta", 0),
+                 lambda b: b["secret"]["inv_prp"].__setitem__(0, b["secret"]["inv_prp"][1]),
+                 lambda b: b.__setitem__("domain_bits", 6)):
+        bad = json.loads(json.dumps(body))
+        edit(bad)
+        with pytest.raises(ValueError, match="disagree with the trapdoor"):
+            tcf.TcfKeyPair.from_json(json.dumps(bad))
 
 
 def test_public_claw_is_the_inverse_of_both_tables():
@@ -266,6 +323,28 @@ def test_public_claw_is_the_inverse_of_both_tables():
         assert claw == (int(np.argsort(t0)[y]), int(np.argsort(t1)[y]))
         assert claw == tcf.claw(kp.sk, y)
         assert all(type(x) is int for x in claw)
+
+
+def test_the_first_claw_lookup_builds_no_table():
+    kp = ideal_pair(16, seed=23)
+    tracemalloc.start()
+    try:
+        claws = [tcf.public_claw(kp.pk, 12345), tcf.claw(kp.sk, 54321)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 12  # a 2^16-entry int64 table takes 2^19 bytes
+    assert claws[0][0] ^ claws[0][1] == claws[1][0] ^ claws[1][1] == kp.sk.delta
+
+
+def test_claw_lookups_refuse_non_integers():
+    kp = ideal_pair(5, seed=24)
+    for y in (3.7, 3.0, "3", None):
+        for lookup in (tcf.public_claw, tcf.claw):
+            with pytest.raises(ValueError, match="not in the image"):
+                lookup(kp.pk, y)
+    for y in (np.int64(3), np.uint8(3), np.array(3)):
+        assert tcf.public_claw(kp.pk, y) == tcf.claw(kp.sk, y) == tcf.claw(kp.sk, 3)
 
 
 def test_key_lookups_take_ints_and_arrays():
@@ -279,14 +358,26 @@ def test_key_lookups_take_ints_and_arrays():
     assert kp.pk.count is None and kp.pk.n == 5
 
 
+def test_a_key_and_its_one_row_chunk_answer_alike():
+    for seed in range(6):
+        key = ideal_pair(5, hidden=seed % 2, seed=30 + seed).pk
+        row = tcf.IdealKey(key.inv_prp[None], np.array([key.delta]))
+        assert (row.n, row.count) == (5, 1)
+        points = np.arange(32)
+        assert np.array_equal(row.image(points[None]), key.image(points)[None])
+        assert np.array_equal(row.image(points[:1]), [key.image(0)])
+        for got, want in zip(row.claw(points[None]), key.claw(points)):
+            assert np.array_equal(got, want[None])
+        assert tuple(int(x[0]) for x in row.claw(np.array([7]))) == tcf.claw(key, 7)
+
+
 def test_a_key_chunk_reads_each_row_with_its_own_key():
     rng = np.random.default_rng(18)
     chunk = tcf.gen_many(5, 6, rng)
     assert (chunk.n, chunk.count) == (5, 6)
     points = rng.integers(0, 32, size=(6, 3))
-    for i, (inv_prp, delta) in enumerate(zip(*chunk)):
-        prp = np.argsort(inv_prp)
-        pk = tcf.IdealPublicKey(5, (prp, prp[np.arange(32) ^ delta]))
+    for i in range(6):
+        pk = tcf.IdealKey(chunk.inv_prp[i], int(chunk.delta[i]))
         assert np.array_equal(chunk.image(points)[i], pk.image(points[i]))
         assert chunk.image(points[:, 0])[i] == pk.image(points[i, 0])
         for got, want in zip(chunk.claw(points), pk.claw(points[i])):
