@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ctxsim import cli, compilers, games, poq, tcf
+from ctxsim import cli, compilers, games, opad, poq, tcf
 
 
 def sha256(data) -> str:
@@ -97,3 +97,30 @@ def test_key_draws_are_pinned():
         add(chunk.inv_prp, chunk.delta)
     assert digest.hexdigest() == \
         "969cc204472a7e283ca23f30e1543319846d55ba7e72ec55f84a718661fea2c4"
+
+
+def test_scalar_compiled_draws_are_pinned():
+    # run_session on every kind, table and collapsed-honest provers, stub and lwe,
+    # then the pad's security game on lazy oracles
+    lines = []
+    rng = np.random.default_rng(2030)
+    for name, kind in (("kcbs", "1-1"), ("magic-square", "c-1"), ("magic-square", "cm1-1")):
+        game, strategy = cli.BUILTIN_GAMES[name]()
+        _, table = games.nc_value_with_table(game)
+        for prover in (compilers.truthtable_prover(table),
+                       compilers.honest_quantum_prover(strategy)):
+            for backend in ("stub", "lwe"):
+                for _ in range(10):
+                    _, state = compilers.run_session(game, kind, prover, rng, lam=5,
+                                                     fhe_backend=backend)
+                    lines.append(state.transcript().to_json())
+    rng = np.random.default_rng(2031)
+    for factory, trials, lam, j in (
+            (opad.PadHolderProver, 300, 5, 1),
+            (lambda keys, oracle: opad.PadHolderProver(keys, oracle, path="circuit"), 30, 3, 1),
+            (lambda keys, oracle: opad.ClawPlantingProver(keys, oracle, j=7), 100, 5, 7)):
+        lines.append(repr(opad.security_game(factory, trials, rng, lam=lam, j=j,
+                                             oracle_mode="lazy")))
+        lines.append(repr(rng.integers(2 ** 62)))
+    assert sha256("\n".join(lines)) == \
+        "10e7b32053c950c325d667dfedf027c5fcc482f03d0e2d44096c98256faad1a2"
