@@ -35,21 +35,10 @@ sessions than the scalar engine would, from the same distribution.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import compilers, opad, qfhe, tcf
 from .qsim import BORN_FLOOR, PauliKey, check_norms
-
-# A chunk's claw-free tables hold about this many entries.
-CHUNK_ENTRIES = 2 ** 16
-
-
-def chunk_size(lam: int) -> int:
-    """Sessions per chunk at this lambda."""
-    return max(1, CHUNK_ENTRIES >> lam)
-
 
 def runs(prover, fhe_backend: str) -> bool:
     """Whether estimate_win_rate batches the sessions of this prover and backend."""
@@ -58,26 +47,6 @@ def runs(prover, fhe_backend: str) -> bool:
     if type(prover) is compilers.HonestQuantumProver:
         return prover.opad_path == "collapsed"
     return type(prover) in (compilers.TruthTableProver, compilers.FeasibleInconsistentProver)
-
-
-class _Cipher(NamedTuple):
-    """Stub ciphertexts of a chunk: (sessions, bits) arrays."""
-
-    masked: np.ndarray
-    pad: np.ndarray
-    nonce: np.ndarray
-
-    def bits(self) -> np.ndarray:
-        """The plaintext, read with each session's own key."""
-        return self.masked ^ self.pad
-
-
-def _encrypt(bits: np.ndarray, rng: np.random.Generator) -> _Cipher:
-    """Stub encryption of a (sessions, width) bit array, one 63-bit draw per bit."""
-    if not ((bits == 0) | (bits == 1)).all():
-        raise ValueError("payload must be bits")
-    pad, nonce = qfhe.split_draw(rng.integers(0, 2 ** 63, size=bits.shape))
-    return _Cipher(bits ^ pad, pad, nonce)
 
 
 def _msb_weights(width: int) -> np.ndarray:
@@ -121,39 +90,6 @@ def _pauli(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_slots(d: np.ndarray, y: np.ndarray, size: int) -> None:
-    """The checks of an OpadString and of the trapdoor inversion, per slot."""
-    if (d == 0).any():
-        raise ValueError("d must be nonzero")
-    if ((y < 0) | (y >= size)).any():
-        raise ValueError("y is not in the image")
-
-
-class _Oracles:
-    """The hash oracles of a chunk's sessions, each with its own database.
-
-    A point is keyed by session * 2^lambda + x and hashed once, on its first
-    query, as PhaseOracle.query does.
-    """
-
-    def __init__(self, seeds: np.ndarray, lam: int):
-        self.seeds = seeds.tolist()
-        self.lam = lam
-        self.database = {}
-
-    def bits(self, *points: np.ndarray) -> tuple:
-        """The bits of each session's oracle at each of its rows of points."""
-        lam, db = self.lam, self.database
-        rows = np.arange(len(points[0]))[:, None]
-        keys = np.stack([(rows << lam) + x for x in points])
-        flat = keys.ravel().tolist()
-        new = [key for key in dict.fromkeys(flat) if key not in db]
-        low = (1 << lam) - 1
-        db.update(zip(new, map(opad.hash_bit, [self.seeds[key >> lam] for key in new],
-                               [key & low for key in new])))
-        return tuple(np.array([db[key] for key in flat]).reshape(keys.shape))
-
-
 class _Plan:
     """One kind's rules on one game, as tables over the round-1 inputs."""
 
@@ -188,10 +124,10 @@ class _Sessions:
     def __init__(self, plan: _Plan, n: int, rng: np.random.Generator):
         game = plan.game
         self.n = n
-        self.key_ids = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        self.key_ids = qfhe.key_ids(rng, n)
         # claw-free keys f_0 = PRP and f_1(x) = PRP(x ^ delta), as their trapdoors
         self.keys = tcf.gen_many(plan.lam, n, rng)
-        self.oracles = _Oracles(rng.integers(2 ** 62, size=n), plan.lam)
+        self.oracles = opad.PhaseOracleChunk(opad.hash_seeds(rng, n), plan.lam)
         self.ctx = game.contexts_at(rng.random(n))
         # one uniform draw only for sessions whose context offers several inputs
         pick = np.zeros(n, dtype=np.int64)
@@ -199,18 +135,17 @@ class _Sessions:
         if many.any():
             pick[many] = rng.integers(0, plan.counts[self.ctx][many])
         self.inp = plan.choices[self.ctx, pick]
-        self.question_cipher = _encrypt(plan.payloads[self.inp], rng)
+        self.question_cipher = qfhe.stub_encrypt(plan.payloads[self.inp], rng)
 
-    def message3(self, plan: _Plan, answer_cipher: _Cipher, pad_cipher: _Cipher,
-                 d: np.ndarray, y: np.ndarray, rng: np.random.Generator):
+    def message3(self, plan: _Plan, answer_cipher: qfhe.StubCipher,
+                 pad_cipher: qfhe.StubCipher, d: np.ndarray, y: np.ndarray,
+                 rng: np.random.Generator):
         """Decrypt the round-1 replies and draw the round-2 questions."""
-        game, size = plan.game, 1 << plan.lam
+        game = plan.game
         counts = plan.asked_count[self.inp].tolist()
         self.answers1 = [compilers._decode_answers(game, bits[:count * plan.answer_width], count)
                          for bits, count in zip(answer_cipher.bits().tolist(), counts)]
-        _check_slots(d, y, size)
-        x0, x1 = self.keys.claw(y)
-        k_prime = opad.phase_from(d, x0, x1, *self.oracles.bits(x0, x1))
+        k_prime = opad.pad_bits(self.keys, d, y, self.oracles)
         k_dbl = pad_cipher.bits()
         if k_dbl.shape[1] != k_prime.shape[1]:
             raise ValueError("pad key widths disagree")
@@ -291,7 +226,7 @@ class _Honest:
         n, m, size = s.n, self.m, 1 << plan.lam
         # enc_quantum: pad the strategy state with a uniform key, encrypt the key
         k_in = rng.integers(0, 2, size=(n, 2 * m))
-        pad_hat = _encrypt(k_in, rng)
+        pad_hat = qfhe.stub_encrypt(k_in, rng)
         states = _pauli(np.broadcast_to(self.psi, (n, len(self.psi))), k_in[:, :m], k_in[:, m:])
         # eval: the trusted executor reads the pad key and the selector
         seen = pad_hat.bits()
@@ -312,15 +247,12 @@ class _Honest:
                 branch[rows], step, obs, pick, width)
         k_out = rng.integers(0, 2, size=(n, 2 * m))
         states = _pauli(states, k_out[:, :m], k_out[:, m:])
-        pad_cipher = _encrypt(k_out, rng)
-        answer_cipher = _encrypt(answer_bits, rng)
+        pad_cipher = qfhe.stub_encrypt(k_out, rng)
+        answer_cipher = qfhe.stub_encrypt(answer_bits, rng)
         # collapsed opad rounds: slot 2t pads X on qubit t, slot 2t + 1 pads Z
         y = rng.integers(0, size, size=(n, 2 * m))
         d = rng.integers(1, size, size=(n, 2 * m))
-        _check_slots(d, y, size)
-        # the claw read off the public tables
-        x0, x1 = s.keys.claw(y)
-        bits = opad.phase_from(d, x0, x1, *s.oracles.bits(x0, x1))
+        bits = opad.pad_bits(s.keys, d, y, s.oracles)
         self.held = _pauli(states, bits[:, 0::2], bits[:, 1::2])
         return answer_cipher, pad_cipher, d, y
 
@@ -361,17 +293,16 @@ class _Table:
                                                    size=(len(self.fresh), n))))
         sources = circuit.token_sources
         outputs = circuit.outputs
-        answer_cipher = _Cipher(
+        answer_cipher = qfhe.StubCipher(
             _columns([masks[w] for w in outputs], n),
             _columns([pads[w] for w in outputs], n),
             _columns([nonces[w] if sources[w] is None else q.nonce[:, sources[w]]
                       for w in outputs], n))
         # a fresh one-qubit pad key, encrypted, and the string from samp(pk, 1)
-        pad_cipher = _encrypt(rng.integers(0, 2, size=(n, 2)), rng)
+        pad_cipher = qfhe.stub_encrypt(rng.integers(0, 2, size=(n, 2)), rng)
         x = rng.integers(0, size, size=(n, 2))
         y = s.keys.image(x)
         d = rng.integers(1, size, size=(n, 2))
-        _check_slots(d, y, size)
         return answer_cipher, pad_cipher, d, y
 
     def round2(self, plan: _Plan, s: _Sessions, rng: np.random.Generator) -> np.ndarray:
@@ -387,22 +318,18 @@ class _Table:
         return np.array(out, dtype=np.int64)
 
 
-def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: _Cipher,
-                 pad_cipher: _Cipher, d, y, answers, accepts) -> list:
+def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str,
+                 answer_cipher: qfhe.StubCipher, pad_cipher: qfhe.StubCipher, d, y,
+                 answers, accepts) -> list:
     """The CompiledTranscript of each session of a chunk, built from its arrays."""
     game, kind = plan.game, plan.kind
-    hexed = s.key_ids.tobytes().hex()
     answer_bits = plan.asked_count[s.inp] * plan.answer_width
     out = []
-    for i in range(s.n):
-        key_id = hexed[32 * i:32 * (i + 1)]
+    for i, key_id in enumerate(s.key_ids):
         backend = qfhe._StubBackend(key_id, fhe_backend == "leaky")
 
-        def cipher(c: _Cipher, width=None):
-            return qfhe.ClassicalCiphertext(tuple(
-                (m, qfhe.StubToken(key_id, nonce, pad))
-                for m, pad, nonce in zip(c.masked[i, :width].tolist(), c.pad[i, :width].tolist(),
-                                         c.nonce[i, :width].tolist())), backend)
+        def cipher(c: qfhe.StubCipher, width=None):
+            return qfhe.ClassicalCiphertext(backend.tokens(c.row(i, width)), backend)
 
         message1 = compilers.Message1(
             cipher(s.question_cipher), qfhe.QfhePublicHandle(backend.scheme, key_id, backend),
@@ -440,7 +367,7 @@ def win_count(game, kind, prover, trials: int, rng: np.random.Generator, lam: in
     """Accepted sessions among trials fresh-key sessions, run in chunks."""
     plan = _Plan(game, kind, lam)
     run = (_Honest if type(prover) is compilers.HonestQuantumProver else _Table)(prover, plan)
-    size = chunk_size(lam)
+    size = tcf.chunk_size(lam)
     return sum(_chunk_wins(plan, run, min(size, trials - start), rng, fhe_backend,
                            transcript_log)
                for start in range(0, trials, size))

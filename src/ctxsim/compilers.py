@@ -288,6 +288,24 @@ def _decision(game: ContextualityGame, ctx_index: int, round1_questions,
     return consistent is not False and pred_ok is not False, consistent, pred_ok
 
 
+def _open_reply(game: ContextualityGame, message2: Message2, count: int,
+                fhe_sk, opad_sk, oracle: opad.PhaseOracle):
+    """(round-1 answers, k) of a round-1 reply carrying count answers.
+
+    The pad string gives k' through the trapdoor and the pad cipher k''
+    under qfhe; U_k = U_{k''} U_{k'} up to global phase, so k = k' ^ k''.
+    """
+    bits = qfhe.dec_classical(fhe_sk, message2.answer_cipher)
+    answers1 = _decode_answers(game, bits, count)
+    k_prime = opad.dec(opad_sk, message2.pad_string, oracle)
+    if not isinstance(k_prime, PauliKey):
+        raise ValueError("pad string must carry a pauli key")
+    pad_bits = qfhe.dec_classical(fhe_sk, message2.pad_cipher)
+    if len(pad_bits) != 2 * len(k_prime):
+        raise ValueError("pad key widths disagree")
+    return answers1, k_prime ^ PauliKey.from_bits(pad_bits)
+
+
 class CompiledVerifier:
     """State machine for one four-message session.
 
@@ -307,7 +325,7 @@ class CompiledVerifier:
         self._rng = rng
         self.fhe_sk = qfhe.gen(lam, backend=fhe_backend, rng=rng)
         self.opad_keys = opad.gen(lam, rng)
-        self.oracle = opad.PhaseOracle("hash", seed=int(rng.integers(2 ** 62)))
+        self.oracle = opad.PhaseOracle("hash", seed=opad.hash_seeds(rng))
         self.ctx_index = game.sample_context(rng)
         choices = spec.context_inputs(game, self.ctx_index)
         # a lone choice is taken without a draw
@@ -341,17 +359,8 @@ class CompiledVerifier:
         if not isinstance(message2, Message2):
             raise ValueError("round-1 reply must be a Message2")
         rng = self._rng if rng is None else rng
-        bits = qfhe.dec_classical(self.fhe_sk, message2.answer_cipher)
-        self.answers1 = _decode_answers(self.game, bits, len(self.round1_questions))
-        k_prime = opad.dec(self.opad_keys.sk, message2.pad_string, self.oracle)
-        if not isinstance(k_prime, PauliKey):
-            raise ValueError("pad string must carry a pauli key")
-        pad_bits = qfhe.dec_classical(self.fhe_sk, message2.pad_cipher)
-        if len(pad_bits) != 2 * len(k_prime):
-            raise ValueError("pad key widths disagree")
-        k_dbl = PauliKey.from_bits(pad_bits)
-        # U_k = U_{k''} U_{k'} up to global phase, i.e. componentwise xor.
-        self.key = k_prime ^ k_dbl
+        self.answers1, self.key = _open_reply(self.game, message2, len(self.round1_questions),
+                                              self.fhe_sk, self.opad_keys.sk, self.oracle)
         context = self.game.contexts[self.ctx_index]
         self.question = context[int(rng.integers(len(context)))]
         self._message2 = message2
@@ -446,11 +455,9 @@ def recompute_decision(game: ContextualityGame, transcript: CompiledTranscript,
     if transcript.question not in game.contexts[transcript.ctx_index]:
         raise ValueError("transcript question lies outside its context")
     round1 = spec.questions(game, value)
-    bits = qfhe.dec_classical(fhe_sk, transcript.message2.answer_cipher)
-    answers1 = _decode_answers(game, bits, len(round1))
-    k_prime = opad.dec(opad_keys.sk, transcript.message2.pad_string, oracle)
-    k_dbl = PauliKey.from_bits(qfhe.dec_classical(fhe_sk, transcript.message2.pad_cipher))
-    if (k_prime ^ k_dbl) != transcript.key:
+    answers1, key = _open_reply(game, transcript.message2, len(round1), fhe_sk,
+                                opad_keys.sk, oracle)
+    if key != transcript.key:
         raise ValueError("transcript key disagrees with the pad ciphertexts")
     accept, _, _ = _decision(game, transcript.ctx_index, round1, answers1,
                              transcript.question, transcript.answer)

@@ -80,8 +80,43 @@ class PhaseOracle:
                 self.database[x] = int(self._rng.integers(0, 2))
         return self.database[x]
 
+    def bits(self, *points) -> tuple:
+        """H at each point, queried in order."""
+        return tuple(self.query(x) for x in points)
+
     def queried_points(self):
         return set(self.query_log)
+
+
+class PhaseOracleChunk:
+    """The hash oracles of a chunk's sessions, each with its own database.
+
+    bits takes (count, slots) arrays of points, row i queried on session i's
+    oracle.  A point is keyed by session * 2^lambda + x and hashed once, on
+    its first query, as PhaseOracle.query does.
+    """
+
+    def __init__(self, seeds: np.ndarray, lam: int):
+        self.seeds = seeds.tolist()
+        self.lam = lam
+        self.database = {}
+
+    def bits(self, *points: np.ndarray) -> tuple:
+        lam, db = self.lam, self.database
+        rows = np.arange(len(points[0]))[:, None]
+        keys = np.stack([(rows << lam) + x for x in points])
+        flat = keys.ravel().tolist()
+        new = [key for key in dict.fromkeys(flat) if key not in db]
+        low = (1 << lam) - 1
+        db.update(zip(new, map(hash_bit, [self.seeds[key >> lam] for key in new],
+                               [key & low for key in new])))
+        return tuple(np.array([db[key] for key in flat]).reshape(keys.shape))
+
+
+def hash_seeds(rng: np.random.Generator, count: int = None):
+    """Fresh hash-oracle seeds from [0, 2^62): one int, or an array of count."""
+    seeds = rng.integers(0, 2 ** 62, size=count)
+    return seeds if count is not None else int(seeds)
 
 
 @dataclass(frozen=True)
@@ -129,8 +164,26 @@ def phase_from(d, x0, x1, h0, h1):
     return tcf.dot_bits(d, x0 ^ x1) ^ h0 ^ h1
 
 
-def _phase_bit(oracle: PhaseOracle, d: int, x0: int, x1: int) -> int:
-    return phase_from(d, x0, x1, oracle.query(x0), oracle.query(x1))
+def pad_bits(key, d, y, oracle):
+    """The pad bit of each (d, y) slot, read off the claw through the trapdoor.
+
+    One slot: key is a tcf.IdealKey, oracle a PhaseOracle and d, y ints.  A
+    chunk: key is a tcf.IdealKey chunk, oracle a PhaseOracleChunk and d, y
+    (count, slots) arrays, row i read with session i's key and oracle.
+    d = 0 and y outside the image are refused, with the messages of
+    OpadString and tcf.inv; the oracle is queried at x0, then x1.
+    """
+    if key.count is None:
+        if d == 0:
+            raise ValueError("d must be nonzero")
+        x0, x1 = tcf.claw(key, y)
+    else:
+        if (d == 0).any():
+            raise ValueError("d must be nonzero")
+        if ((y < 0) | (y >= 1 << key.n)).any():
+            raise ValueError("y is not in the image")
+        x0, x1 = key.claw(y)
+    return phase_from(d, x0, x1, *oracle.bits(x0, x1))
 
 
 def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng):
@@ -152,15 +205,14 @@ def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng
     else:
         raise RuntimeError("d = 0 persisted across retries")
     work = remove_registers(post, x_regs)
-    return work, (d, y), _phase_bit(oracle, d, x0, x1)
+    return work, (d, y), phase_from(d, x0, x1, *oracle.bits(x0, x1))
 
 
 def _collapsed_round(pk, oracle: PhaseOracle, rng):
     size = 1 << pk.n
     y = int(rng.integers(0, size))
     d = int(rng.integers(1, size))
-    x0, x1 = tcf.public_claw(pk, y)
-    return (d, y), _phase_bit(oracle, d, x0, x1)
+    return (d, y), pad_bits(pk, d, y, oracle)
 
 
 def qubit_enc(pk, state: StateVector, target: int, oracle: PhaseOracle, rng):
@@ -206,11 +258,7 @@ def enc(pk, state: StateVector, targets, oracle: PhaseOracle, rng,
 
 def dec(sk, s: OpadString, oracle: PhaseOracle):
     """Recover the applied key from the classical string via the trapdoor."""
-    bits = []
-    for d, y in s.slots:
-        x0 = tcf.inv(sk, 0, y)
-        x1 = tcf.inv(sk, 1, y)
-        bits.append(_phase_bit(oracle, d, x0, x1))
+    bits = [pad_bits(sk, d, y, oracle) for d, y in s.slots]
     if s.kind == "bits":
         return tuple(bits)
     return PauliKey(tuple(bits[0::2]), tuple(bits[1::2]))
@@ -261,7 +309,7 @@ def security_game(prover_factory, trials: int, rng: np.random.Generator,
     for _ in range(trials):
         keys = gen(lam, rng)
         if oracle_mode == "hash":
-            oracle = PhaseOracle("hash", seed=int(rng.integers(0, 2 ** 62)))
+            oracle = PhaseOracle("hash", seed=hash_seeds(rng))
         else:
             oracle = PhaseOracle("lazy", rng=rng)
         prover = prover_factory(keys, oracle)
@@ -324,9 +372,7 @@ class ClawPlantingProver:
         self.k1 = None
 
     def round1(self, rng):
-        x0, x1 = tcf.claw(self.keys.sk, 0)
-        self.oracle.query(x0)
-        self.oracle.query(x1)
+        self.oracle.bits(*tcf.claw(self.keys.sk, 0))
         s = samp(self.keys.pk, self.j, rng)
         self.k1 = dec(self.keys.sk, s, self.oracle)
         return s

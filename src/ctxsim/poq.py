@@ -28,7 +28,7 @@ checks.  run_protocol and rewind_experiment run one instance at a time
 through PoqVerifier, the prover on the instance's tcf.IdealKey; they are
 the reference, and the only engine for the circuit-path honest prover and
 PeekingProver.  estimate_rate and estimate_rewind run the collapsed honest
-prover and the zoo in chunks of batch.chunk_size(lam) instances, the
+prover and the zoo in chunks of tcf.chunk_size(lam) instances, the
 prover on the chunk's keys, one tcf.IdealKey with a fresh hidden bit and
 key per instance.  A prover draws size=pk.count values per rng call, so on
 a one-row chunk it draws what it draws on that row's key; a seed gives a
@@ -422,11 +422,10 @@ def rewind_experiment(prover_factory, trials: int, rng: np.random.Generator,
 
 def _chunks(trials: int, lam: int, rng: np.random.Generator):
     """(hidden bits, keys) of each chunk of trials fresh instances."""
-    from .batch import chunk_size
     if trials <= 0:
         raise ValueError("trials must be positive")
     tcf.check_domain_bits(lam)
-    size = chunk_size(lam)
+    size = tcf.chunk_size(lam)
     for start in range(0, trials, size):
         s = rng.integers(0, 2, size=min(size, trials - start))
         yield s, tcf.gen_many(lam, len(s), rng, hidden=s)

@@ -32,6 +32,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,39 @@ def split_draw(v):
     v is an int or an int64 array of draws from [0, 2^63).
     """
     return v >> _NONCE_BITS, v & _NONCE_MASK
+
+
+class StubCipher(NamedTuple):
+    """Stub ciphertexts as int arrays shaped like the payload: masked bits,
+    pad bits and nonces; a (sessions, bits) payload gives a chunk's."""
+
+    masked: np.ndarray
+    pad: np.ndarray
+    nonce: np.ndarray
+
+    def bits(self) -> np.ndarray:
+        """The plaintext, read with the pads."""
+        return self.masked ^ self.pad
+
+    def row(self, i: int, width: int = None) -> "StubCipher":
+        """Session i's ciphertext of a chunk, its first width bits."""
+        return StubCipher(*(a[i, :width] for a in self))
+
+
+def stub_encrypt(bits, rng: np.random.Generator) -> StubCipher:
+    """Stub encryption of checked payload bits, a bit tuple or a (sessions,
+    bits) array: one draw of a 63-bit integer per bit, split by split_draw."""
+    bits = np.asarray(bits, dtype=np.int64)
+    pad, nonce = split_draw(rng.integers(0, 2 ** 63, size=bits.size).reshape(bits.shape))
+    return StubCipher(bits ^ pad, pad, nonce)
+
+
+def key_ids(rng: np.random.Generator, count: int = None):
+    """Fresh 16-byte key ids in hex from one draw: one id, or a list of count."""
+    raw = rng.integers(0, 256, size=(1 if count is None else count, 16), dtype=np.uint8)
+    hexed = raw.tobytes().hex()
+    ids = [hexed[i:i + 32] for i in range(0, len(hexed), 32)]
+    return ids if count is not None else ids[0]
 
 
 @dataclass(frozen=True)
@@ -99,12 +133,13 @@ class _StubBackend:
         return StubToken(self.key_id, int(rng.integers(0, 2 ** 62)), t0._bit & t1._bit)
 
     def encrypt(self, bits, rng: np.random.Generator) -> tuple:
-        """(masked, token) pairs for checked payload bits, from one draw."""
-        out = []
-        for b, v in zip(bits, rng.integers(0, 2 ** 63, size=len(bits)).tolist()):
-            pad, nonce = split_draw(v)
-            out.append((b ^ pad, StubToken(self.key_id, nonce, pad)))
-        return tuple(out)
+        """(masked, token) pairs for checked payload bits: stub_encrypt on one row."""
+        return self.tokens(stub_encrypt(bits, rng))
+
+    def tokens(self, c: StubCipher) -> tuple:
+        """(masked, token) pairs of one payload's stub ciphertext."""
+        return tuple((m, StubToken(self.key_id, nonce, pad)) for m, pad, nonce in
+                     zip(c.masked.tolist(), c.pad.tolist(), c.nonce.tolist()))
 
     def ceval(self, circuit: "ClassicalCircuit", pairs, rng: np.random.Generator) -> tuple:
         """Output (masked, token) pairs of circuit on input pairs.
@@ -218,7 +253,7 @@ class QfheCiphertext:
 def gen(lam: int, backend: str = "stub", rng: np.random.Generator = None) -> QfheSecretKey:
     if rng is None:
         raise ValueError("an explicit rng is required")
-    key_id = bytes(rng.integers(0, 256, size=16, dtype=np.uint8)).hex()
+    key_id = key_ids(rng)
     if backend in ("stub", "leaky"):
         be = _StubBackend(key_id, leaky=(backend == "leaky"))
     elif backend == "lwe":

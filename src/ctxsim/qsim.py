@@ -169,10 +169,8 @@ class PauliKey:
         # Group law up to global phase: X^x Z^z X^x' Z^z' ~ X^(x^x') Z^(z^z').
         if len(other) != len(self):
             raise ValueError("key length mismatch")
-        return PauliKey(
-            tuple(a ^ b for a, b in zip(self.x, other.x)),
-            tuple(a ^ b for a, b in zip(self.z, other.z)),
-        )
+        return PauliKey._trusted(tuple(a ^ b for a, b in zip(self.x, other.x)),
+                                 tuple(a ^ b for a, b in zip(self.z, other.z)))
 
     @classmethod
     def identity(cls, n: int) -> "PauliKey":

@@ -42,7 +42,7 @@ def _fresh_message1(game: ContextualityGame, kind: CompilerKind, value, lam: int
                     rng: np.random.Generator, fhe_backend: str = "stub") -> Message1:
     sk = qfhe.gen(lam, backend=fhe_backend, rng=rng)
     keys = opad.gen(lam, rng)
-    oracle = opad.PhaseOracle("hash", seed=int(rng.integers(2 ** 62)))
+    oracle = opad.PhaseOracle("hash", seed=opad.hash_seeds(rng))
     return compilers.round1_message(game, kind, value, sk.handle(), keys.pk,
                                     oracle, rng)
 
@@ -179,7 +179,7 @@ def run_a2_reduction(prover, game: ContextualityGame, kind, trials: int, lam: in
 
     def distinguisher(handle, cipher, drng):
         keys = opad.gen(lam, drng)
-        oracle = opad.PhaseOracle("hash", seed=int(drng.integers(2 ** 62)))
+        oracle = opad.PhaseOracle("hash", seed=opad.hash_seeds(drng))
         message1 = Message1(cipher, handle, keys.pk, oracle, game, kind)
         return plan.guess(extract_truthtable(prover, game, kind, None, lam, drng, message1))
 

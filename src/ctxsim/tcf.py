@@ -183,6 +183,15 @@ def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
     return TcfKeyPair(key, key, bits, hidden)
 
 
+# gen_many chunks in both batched engines hold about this many table entries.
+CHUNK_ENTRIES = 2 ** 16
+
+
+def chunk_size(bits: int) -> int:
+    """Keys per chunk at this many domain bits."""
+    return max(1, CHUNK_ENTRIES >> bits)
+
+
 def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> IdealKey:
     """n fresh keys, drawn step by step, as one IdealKey chunk.
 

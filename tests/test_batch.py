@@ -239,7 +239,7 @@ def test_honest_magic_square_is_exactly_one():
 def test_trial_counts_across_chunk_edges(extra):
     game, _ = games.kcbs()
     prover = cp.feasible_inconsistent_prover(game)
-    size = batch.chunk_size(LAM)
+    size = tcf.chunk_size(LAM)
     for trials in {1, size + extra}:
         log = []
         rate, _ = cp.estimate_win_rate(game, "c-1", prover, trials, np.random.default_rng(14),
@@ -250,9 +250,9 @@ def test_trial_counts_across_chunk_edges(extra):
 
 
 def test_chunks_hold_about_two_to_the_sixteen_table_entries():
-    assert batch.chunk_size(8) == 256
-    assert batch.chunk_size(16) == 1
-    assert batch.chunk_size(20) == 1
+    assert tcf.chunk_size(8) == 256
+    assert tcf.chunk_size(16) == 1
+    assert tcf.chunk_size(20) == 1
 
 
 def test_transcripts_change_no_draw(tmp_path, capsys):
@@ -374,6 +374,37 @@ def test_batched_engine_raises_the_scalar_errors():
         with pytest.raises(ValueError, match="domain must have 3 to"):
             cp.estimate_win_rate(game, "1-1", cp.honest_quantum_prover(strategy), 5,
                                  np.random.default_rng(19), lam=lam)
+
+
+def widened(c: qfhe.StubCipher) -> qfhe.StubCipher:
+    """c with each session's first bit repeated at the end."""
+    return qfhe.StubCipher(*(np.hstack([a, a[:, :1]]) for a in c))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda a, p, d, y: (a, p, d * 0, y), "d must be nonzero"),
+    (lambda a, p, d, y: (a, p, d, y + (1 << LAM)), "y is not in the image"),
+    (lambda a, p, d, y: (a, widened(p), d, y), "pad key widths disagree"),
+])
+@pytest.mark.parametrize("name", ["truthtable", "honest"])
+def test_batched_verifier_runs_the_scalar_checks(tamper, message, name, monkeypatch):
+    game, strategy = games.kcbs()
+    _, table = nc_value_with_table(game)
+    prover, run = ((cp.truthtable_prover(table), batch._Table) if name == "truthtable"
+                   else (cp.honest_quantum_prover(strategy), batch._Honest))
+    round1 = run.round1
+    monkeypatch.setattr(run, "round1", lambda *args: tamper(*round1(*args)))
+    with pytest.raises(ValueError, match=message):
+        cp.estimate_win_rate(game, "1-1", prover, 5, np.random.default_rng(21), lam=LAM)
+
+
+def test_a_one_row_stub_chunk_is_the_scalar_encryption():
+    be = qfhe._StubBackend("k" * 32, leaky=False)
+    for seed, bits in enumerate(((), (1,), (0, 1, 1, 0, 1), (1,) * 9)):
+        chunk = qfhe.stub_encrypt(np.array([bits], dtype=np.int64).reshape(1, -1),
+                                  np.random.default_rng(seed))
+        assert be.tokens(chunk.row(0)) == be.encrypt(bits, np.random.default_rng(seed))
+        assert chunk.bits().tolist() == [list(bits)]
 
 
 @pytest.mark.parametrize("kind", ["1-1", "c-1", "cm1-1"])

@@ -2,6 +2,9 @@
 exact per-cell acceptance probabilities and to the scalar run_protocol."""
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ctxsim import batch, cli, poq, tcf
+from ctxsim import cli, poq, tcf
 from ctxsim.qsim import StateVector, equal_up_to_global_phase
 
 LAM = 5
@@ -209,7 +212,7 @@ def test_zoo_commitments_follow_their_scalar_rules():
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_trial_counts_across_chunk_edges(extra):
-    size = batch.chunk_size(LAM)
+    size = tcf.chunk_size(LAM)
     for trials in {1, size + extra}:
         log = batched_log("honest", trials, seed=150)
         assert {t.lam for t in log} == {LAM}
@@ -242,6 +245,19 @@ def test_gen_many_draws_as_the_batched_sessions_did():
     rng.permuted(ref, axis=1, out=ref)
     assert np.array_equal(chunk.inv_prp, ref)
     assert np.array_equal(chunk.delta, rng.integers(1, 64, size=40))
+
+
+def test_the_quantumness_engine_loads_no_compiled_engine():
+    code = ("import sys, numpy as np; from ctxsim import poq; "
+            "poq.estimate_rate('honest', 40, np.random.default_rng(0), lam=4); "
+            "print('ctxsim.batch' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(poq.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_gen_many_refuses_a_large_domain_before_any_draw():

@@ -185,6 +185,14 @@ def test_pauli_pad_length_mismatch():
         apply_pauli_pad(ket(0, 0), PauliKey((1,), (0,)), [0, 1])
 
 
+def test_pauli_key_xor_is_componentwise_and_needs_equal_lengths():
+    k = PauliKey((1, 0), (1, 1)) ^ PauliKey((1, 1), (0, 1))
+    assert k == PauliKey((0, 1), (1, 0))
+    assert all(type(b) is int for b in k.bits())
+    with pytest.raises(ValueError, match="key length mismatch"):
+        PauliKey((1,), (0,)) ^ PauliKey((1, 0), (0, 0))
+
+
 def test_equal_up_to_global_phase_examples():
     e = np.exp(1j * np.pi / 3)
     assert equal_up_to_global_phase(ket(0), StateVector((2,), [e, 0]))
