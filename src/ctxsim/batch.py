@@ -6,29 +6,22 @@ included) or an HonestQuantumProver on the collapsed pad path.  Every other
 case runs the scalar state machines of compilers, which stay the protocol
 reference.
 
-Sessions run in chunks of max(1, 2^16 >> lambda), so a chunk's claw-free
+Sessions run in chunks of tcf.chunk_size(lambda), so a chunk's claw-free
 tables hold about 2^16 entries whatever lambda is, and each protocol step
-makes one rng call per chunk.  No layer is skipped.  Each session gets a
-fresh qfhe key id, claw-free permutation, mask and oracle seed.  Stub
-encryptions are (masked, pad, nonce) arrays, split from 63-bit draws by
-qfhe.split_draw.  The multiplexer runs gate by gate through qfhe.stub_wires
-on bit arrays.  Collapsed pad rounds hash each session's oracle points with
-opad.hash_bit, and the verifier inverts y with the trapdoor.  Strategy
-states are (sessions, 2^m) arrays, padded by index permutation and sign and
-measured with the strategy's cached projectors through _born_pick.
-
-The kind's rules come from its CompilerSpec, the honest branches from
-HonestQuantumProver._branches_for, each session's answers and accept bit
-from compilers._decode_answers and compilers._decision, the claw-free keys
-from tcf.gen_many (one tcf.IdealKey chunk; session i's transcript holds
-row i) and the context draw from ContextualityGame.contexts_at,
-which sample_context runs on one uniform.  The other scalar checks run on
-whole chunks: state norms, payload bits, outcome matching, d != 0 and
-pad-key widths.  So do the input draw, only where a context offers several
-inputs, and two rules whose one-row form would slow the scalar path, so
-they stay twins of their qsim originals: the Born draw of
-measure_observable (_born_pick), which never draws a branch below
-qsim.BORN_FLOOR, and the Pauli pad (_pauli).
+makes one rng call per chunk.  No layer is skipped.  This module keeps
+the session bookkeeping: the plan of a kind on a game, and each chunk's
+contexts, inputs, questions and transcripts.  The rules are the scalar
+engine's, in chunk form: the kind's CompilerSpec, the honest branches of
+HonestQuantumProver._branches_for, compilers._decode_answers and
+compilers._decision, the context draw ContextualityGame.contexts_at, the
+per-session qfhe key ids, claw-free keys and oracle seeds of qfhe.key_ids,
+tcf.gen_many and opad.hash_seeds, stub encryptions by qfhe.stub_encrypt,
+the multiplexer through qfhe.stub_wires, and the pad bits of the
+verifier's Dec and of the honest prover's collapsed rounds from
+opad.pad_bits on the key chunk and an opad.PhaseOracleChunk.  Two rules
+whose one-row form would slow the scalar path stay twins of their qsim
+originals: the Born draw of measure_observable (_born_pick), which never
+draws a branch below qsim.BORN_FLOOR, and the Pauli pad (_pauli).
 
 A chunk draws step by step, not session by session, so a seed gives other
 sessions than the scalar engine would, from the same distribution.
@@ -38,7 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import compilers, opad, qfhe, tcf
+from .qfhe import StubCipher
 from .qsim import BORN_FLOOR, PauliKey, check_norms
+
 
 def runs(prover, fhe_backend: str) -> bool:
     """Whether estimate_win_rate batches the sessions of this prover and backend."""
@@ -122,13 +117,12 @@ class _Sessions:
     """The verifier's side of a chunk of sessions."""
 
     def __init__(self, plan: _Plan, n: int, rng: np.random.Generator):
-        game = plan.game
         self.n = n
         self.key_ids = qfhe.key_ids(rng, n)
         # claw-free keys f_0 = PRP and f_1(x) = PRP(x ^ delta), as their trapdoors
         self.keys = tcf.gen_many(plan.lam, n, rng)
         self.oracles = opad.PhaseOracleChunk(opad.hash_seeds(rng, n), plan.lam)
-        self.ctx = game.contexts_at(rng.random(n))
+        self.ctx = plan.game.contexts_at(rng.random(n))
         # one uniform draw only for sessions whose context offers several inputs
         pick = np.zeros(n, dtype=np.int64)
         many = plan.counts[self.ctx] > 1
@@ -137,9 +131,8 @@ class _Sessions:
         self.inp = plan.choices[self.ctx, pick]
         self.question_cipher = qfhe.stub_encrypt(plan.payloads[self.inp], rng)
 
-    def message3(self, plan: _Plan, answer_cipher: qfhe.StubCipher,
-                 pad_cipher: qfhe.StubCipher, d: np.ndarray, y: np.ndarray,
-                 rng: np.random.Generator):
+    def message3(self, plan: _Plan, answer_cipher: StubCipher, pad_cipher: StubCipher,
+                 d: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         """Decrypt the round-1 replies and draw the round-2 questions."""
         game = plan.game
         counts = plan.asked_count[self.inp].tolist()
@@ -293,7 +286,7 @@ class _Table:
                                                    size=(len(self.fresh), n))))
         sources = circuit.token_sources
         outputs = circuit.outputs
-        answer_cipher = qfhe.StubCipher(
+        answer_cipher = StubCipher(
             _columns([masks[w] for w in outputs], n),
             _columns([pads[w] for w in outputs], n),
             _columns([nonces[w] if sources[w] is None else q.nonce[:, sources[w]]
@@ -318,25 +311,22 @@ class _Table:
         return np.array(out, dtype=np.int64)
 
 
-def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str,
-                 answer_cipher: qfhe.StubCipher, pad_cipher: qfhe.StubCipher, d, y,
-                 answers, accepts) -> list:
+def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: StubCipher,
+                 pad_cipher: StubCipher, d, y, answers, accepts) -> list:
     """The CompiledTranscript of each session of a chunk, built from its arrays."""
     game, kind = plan.game, plan.kind
     answer_bits = plan.asked_count[s.inp] * plan.answer_width
     out = []
     for i, key_id in enumerate(s.key_ids):
         backend = qfhe._StubBackend(key_id, fhe_backend == "leaky")
-
-        def cipher(c: qfhe.StubCipher, width=None):
-            return qfhe.ClassicalCiphertext(backend.tokens(c.row(i, width)), backend)
-
         message1 = compilers.Message1(
-            cipher(s.question_cipher), qfhe.QfhePublicHandle(backend.scheme, key_id, backend),
+            backend.cipher(s.question_cipher.row(i)),
+            qfhe.QfhePublicHandle(backend.scheme, key_id, backend),
             tcf.IdealKey(s.keys.inv_prp[i], int(s.keys.delta[i])),
             opad.PhaseOracle("hash", seed=s.oracles.seeds[i]), game, kind)
         message2 = compilers.Message2(
-            cipher(answer_cipher, int(answer_bits[i])), cipher(pad_cipher),
+            backend.cipher(answer_cipher.row(i, int(answer_bits[i]))),
+            backend.cipher(pad_cipher.row(i)),
             opad.OpadString(tuple(zip(d[i].tolist(), y[i].tolist())), "pauli"))
         out.append(compilers.CompiledTranscript(
             kind=kind.value, ctx_index=int(s.ctx[i]),

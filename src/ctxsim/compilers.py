@@ -290,11 +290,9 @@ def _decision(game: ContextualityGame, ctx_index: int, round1_questions,
 
 def _open_reply(game: ContextualityGame, message2: Message2, count: int,
                 fhe_sk, opad_sk, oracle: opad.PhaseOracle):
-    """(round-1 answers, k) of a round-1 reply carrying count answers.
-
-    The pad string gives k' through the trapdoor and the pad cipher k''
-    under qfhe; U_k = U_{k''} U_{k'} up to global phase, so k = k' ^ k''.
-    """
+    """(round-1 answers, k) of a reply carrying count answers: k = k' ^ k''
+    for U_k = U_{k''} U_{k'} up to global phase, k' read off the pad string
+    through the trapdoor and k'' decrypted from the pad cipher."""
     bits = qfhe.dec_classical(fhe_sk, message2.answer_cipher)
     answers1 = _decode_answers(game, bits, count)
     k_prime = opad.dec(opad_sk, message2.pad_string, oracle)
@@ -332,9 +330,8 @@ class CompiledVerifier:
         value = choices[int(rng.integers(len(choices)))] if len(choices) > 1 else choices[0]
         self.skip_pos = spec.skip_pos(value)
         self.round1_questions = spec.questions(game, value)
-        cipher = qfhe.enc_classical(self.fhe_sk, spec.encode(game, value), rng)
-        self._message1 = Message1(cipher, self.fhe_sk.handle(),
-                                  self.opad_keys.pk, self.oracle, game, kind)
+        self._message1 = round1_message(game, kind, value, self.fhe_sk, self.opad_keys.pk,
+                                        self.oracle, rng)
         self._message2 = None
         self.answers1 = None
         self.question = None

@@ -18,6 +18,11 @@ by the formula) is independent of the data state, which licenses the
 "collapsed" fast path that skips the register-level circuit entirely,
 draws (y, d) directly, and applies the derived pad.  Both paths produce
 identical distributions; tests pin that exactly.
+
+One rule, pad_bits, reads the pad bits of (d, y) slots for Dec and the
+collapsed round, and of a chunk's slot arrays for the batched compiled
+engine, on a tcf.IdealKey chunk and a PhaseOracleChunk.  hash_seeds draws
+the oracle seed of one session or of a chunk.
 """
 from __future__ import annotations
 
@@ -89,7 +94,7 @@ class PhaseOracle:
 
 
 class PhaseOracleChunk:
-    """The hash oracles of a chunk's sessions, each with its own database.
+    """PhaseOracle in hash mode for each session of a chunk, one seed each.
 
     bits takes (count, slots) arrays of points, row i queried on session i's
     oracle.  A point is keyed by session * 2^lambda + x and hashed once, on
@@ -106,10 +111,9 @@ class PhaseOracleChunk:
         rows = np.arange(len(points[0]))[:, None]
         keys = np.stack([(rows << lam) + x for x in points])
         flat = keys.ravel().tolist()
-        new = [key for key in dict.fromkeys(flat) if key not in db]
-        low = (1 << lam) - 1
-        db.update(zip(new, map(hash_bit, [self.seeds[key >> lam] for key in new],
-                               [key & low for key in new])))
+        for key in dict.fromkeys(flat):
+            if key not in db:
+                db[key] = hash_bit(self.seeds[key >> lam], key & ((1 << lam) - 1))
         return tuple(np.array([db[key] for key in flat]).reshape(keys.shape))
 
 
@@ -158,24 +162,14 @@ def gen(lam: int, rng: np.random.Generator) -> tcf.TcfKeyPair:
     return tcf.gen(lam, hidden=None, rng=rng)
 
 
-def phase_from(d, x0, x1, h0, h1):
-    """The pad bit d.(x0 xor x1) + H(x0) + H(x1) mod 2, given the oracle bits
-    h0 = H(x0) and h1 = H(x1); the arguments may be int arrays."""
-    return tcf.dot_bits(d, x0 ^ x1) ^ h0 ^ h1
-
-
 def pad_bits(key, d, y, oracle):
-    """The pad bit of each (d, y) slot, read off the claw through the trapdoor.
-
-    One slot: key is a tcf.IdealKey, oracle a PhaseOracle and d, y ints.  A
-    chunk: key is a tcf.IdealKey chunk, oracle a PhaseOracleChunk and d, y
-    (count, slots) arrays, row i read with session i's key and oracle.
-    d = 0 and y outside the image are refused, with the messages of
-    OpadString and tcf.inv; the oracle is queried at x0, then x1.
-    """
+    """The pad bit d.(x0 xor x1) + H(x0) + H(x1) mod 2 of each (d, y) slot,
+    the claw (x0, x1) of y read through the trapdoor and H queried at x0,
+    then x1.  d and y are ints, as an OpadString holds them, or (count,
+    slots) arrays on a key chunk and a PhaseOracleChunk, row i read with
+    session i's key and oracle, where d = 0 and y outside the image are
+    refused with the messages of OpadString and tcf.claw."""
     if key.count is None:
-        if d == 0:
-            raise ValueError("d must be nonzero")
         x0, x1 = tcf.claw(key, y)
     else:
         if (d == 0).any():
@@ -183,7 +177,8 @@ def pad_bits(key, d, y, oracle):
         if ((y < 0) | (y >= 1 << key.n)).any():
             raise ValueError("y is not in the image")
         x0, x1 = key.claw(y)
-    return phase_from(d, x0, x1, *oracle.bits(x0, x1))
+    h0, h1 = oracle.bits(x0, x1)
+    return tcf.dot_bits(d, x0 ^ x1) ^ h0 ^ h1
 
 
 def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng):
@@ -191,8 +186,7 @@ def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng
     y, x0, x1, work = tcf.measure_claw(pk, state, target, rng)
 
     signs = np.ones(1 << pk.n)
-    signs[x0] = 1 - 2 * oracle.query(x0)
-    signs[x1] = 1 - 2 * oracle.query(x1)
+    signs[[x0, x1]] = 1 - 2 * np.array(oracle.bits(x0, x1))
     x_regs = list(range(state.num_registers, work.num_registers))
     work = apply_diagonal(work, signs, x_regs)
 
@@ -205,7 +199,7 @@ def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng
     else:
         raise RuntimeError("d = 0 persisted across retries")
     work = remove_registers(post, x_regs)
-    return work, (d, y), phase_from(d, x0, x1, *oracle.bits(x0, x1))
+    return work, (d, y), pad_bits(pk, d, y, oracle)
 
 
 def _collapsed_round(pk, oracle: PhaseOracle, rng):

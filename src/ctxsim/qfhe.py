@@ -13,14 +13,17 @@ Three pluggable classical backends:
          that security games and reductions detect a broken scheme.
   lwe    toy Regev bit encryption (additive xor, plaintext-assisted and).
 
-The stub and leaky backends encrypt and evaluate on plain bits.  An
-encryption makes one draw of a 63-bit integer per payload bit: bit 62 is
-the pad and bits 0-61 the token's nonce.  ceval runs the gates on
-(mask, pad) int pairs, draws the fresh pad bits of all and/const gates in
-one call, and builds tokens only for the output wires, with their nonces
-drawn in one more call; an output that is an input wire or a chain of
-nots of one keeps that input's token.  Backends without these fast paths
-(lwe) combine tokens gate by gate, drawing a nonce per token.
+The stub and leaky backends encrypt and evaluate on plain bits.
+stub_encrypt makes one draw of a 63-bit integer per payload bit: bit 62
+is the pad and bits 0-61 the token's nonce.  It encrypts one payload or
+a chunk's (sessions, bits) array into int arrays (StubCipher), which a
+stub backend's cipher method turns into (masked, token) pairs; key_ids
+draws one key id or a chunk's.  ceval runs the gates on (mask, pad) int
+pairs, draws the fresh pad bits of all and/const gates in one call, and
+builds tokens only for the output wires, with their nonces drawn in one
+more call; an output that is an input wire or a chain of nots of one
+keeps that input's token.  Backends without these fast paths (lwe)
+combine tokens gate by gate, drawing a nonce per token.
 
 Decrypting with the wrong key yields keyed pseudorandom garbage instead
 of an error, as a real scheme would.
@@ -51,14 +54,6 @@ def _garbage_bit(reader_key: str, token_key: str, nonce: int, position: int) -> 
     return h[0] & 1
 
 
-def split_draw(v):
-    """(pad bit, nonce) of a 63-bit stub encryption draw: bit 62 and bits 0-61.
-
-    v is an int or an int64 array of draws from [0, 2^63).
-    """
-    return v >> _NONCE_BITS, v & _NONCE_MASK
-
-
 class StubCipher(NamedTuple):
     """Stub ciphertexts as int arrays shaped like the payload: masked bits,
     pad bits and nonces; a (sessions, bits) payload gives a chunk's."""
@@ -78,17 +73,18 @@ class StubCipher(NamedTuple):
 
 def stub_encrypt(bits, rng: np.random.Generator) -> StubCipher:
     """Stub encryption of checked payload bits, a bit tuple or a (sessions,
-    bits) array: one draw of a 63-bit integer per bit, split by split_draw."""
+    bits) array: per bit, one 63-bit draw gives the pad (bit 62) and the
+    nonce (bits 0-61)."""
     bits = np.asarray(bits, dtype=np.int64)
-    pad, nonce = split_draw(rng.integers(0, 2 ** 63, size=bits.size).reshape(bits.shape))
-    return StubCipher(bits ^ pad, pad, nonce)
+    draws = rng.integers(0, 2 ** 63, size=bits.size).reshape(bits.shape)
+    pad = draws >> _NONCE_BITS
+    return StubCipher(bits ^ pad, pad, draws & _NONCE_MASK)
 
 
 def key_ids(rng: np.random.Generator, count: int = None):
     """Fresh 16-byte key ids in hex from one draw: one id, or a list of count."""
     raw = rng.integers(0, 256, size=(1 if count is None else count, 16), dtype=np.uint8)
-    hexed = raw.tobytes().hex()
-    ids = [hexed[i:i + 32] for i in range(0, len(hexed), 32)]
+    ids = [row.tobytes().hex() for row in raw]
     return ids if count is not None else ids[0]
 
 
@@ -132,14 +128,15 @@ class _StubBackend:
     def and_(self, t0, t1, rng):
         return StubToken(self.key_id, int(rng.integers(0, 2 ** 62)), t0._bit & t1._bit)
 
-    def encrypt(self, bits, rng: np.random.Generator) -> tuple:
-        """(masked, token) pairs for checked payload bits: stub_encrypt on one row."""
-        return self.tokens(stub_encrypt(bits, rng))
+    def encrypt(self, bits, rng: np.random.Generator) -> "ClassicalCiphertext":
+        """Ciphertext of checked payload bits: stub_encrypt on one row."""
+        return self.cipher(stub_encrypt(bits, rng))
 
-    def tokens(self, c: StubCipher) -> tuple:
-        """(masked, token) pairs of one payload's stub ciphertext."""
-        return tuple((m, StubToken(self.key_id, nonce, pad)) for m, pad, nonce in
-                     zip(c.masked.tolist(), c.pad.tolist(), c.nonce.tolist()))
+    def cipher(self, c: StubCipher) -> "ClassicalCiphertext":
+        """One payload's stub arrays as (masked, token) pairs under this key."""
+        return ClassicalCiphertext(tuple(
+            (m, StubToken(self.key_id, nonce, pad))
+            for m, pad, nonce in zip(c.masked.tolist(), c.pad.tolist(), c.nonce.tolist())), self)
 
     def ceval(self, circuit: "ClassicalCircuit", pairs, rng: np.random.Generator) -> tuple:
         """Output (masked, token) pairs of circuit on input pairs.
@@ -288,7 +285,7 @@ def enc_classical(key, bits, rng: np.random.Generator) -> ClassicalCiphertext:
     be = _backend_of(key)
     bits = _checked_bits(bits)
     if hasattr(be, "encrypt"):
-        return ClassicalCiphertext(be.encrypt(bits, rng), be)
+        return be.encrypt(bits, rng)
     out = []
     for b in bits:
         pad = int(rng.integers(0, 2))
