@@ -87,7 +87,7 @@ class PhaseOracle:
 
     def bits(self, *points) -> tuple:
         """H at each point, queried in order."""
-        return tuple(self.query(x) for x in points)
+        return tuple(map(self.query, points))
 
     def queried_points(self):
         return set(self.query_log)
