@@ -64,11 +64,6 @@ def _born_pick(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.where(drawable.any(axis=1), pick, -1)
 
 
-def _columns(columns: list, n: int) -> np.ndarray:
-    """(n, len(columns)) array of per-session columns; a round can carry no bits."""
-    return np.stack(columns, axis=1) if columns else np.zeros((n, 0), dtype=np.int64)
-
-
 def _pauli(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """X^x Z^z on each session's qubits, qubit 0 the most significant.
 
@@ -284,13 +279,11 @@ class _Table:
         masks, pads = qfhe.stub_wires(circuit, q.masked.T, q.pad.T, r)
         nonces = dict(zip(self.fresh, rng.integers(0, 2 ** qfhe._NONCE_BITS,
                                                    size=(len(self.fresh), n))))
-        sources = circuit.token_sources
-        outputs = circuit.outputs
-        answer_cipher = StubCipher(
-            _columns([masks[w] for w in outputs], n),
-            _columns([pads[w] for w in outputs], n),
-            _columns([nonces[w] if sources[w] is None else q.nonce[:, sources[w]]
-                      for w in outputs], n))
+        sources, outputs = circuit.token_sources, list(circuit.outputs)
+        # (n, outputs) arrays; a round can carry no bits
+        nonce = [nonces[w] if sources[w] is None else q.nonce[:, sources[w]] for w in outputs]
+        answer_cipher = StubCipher(np.array(masks)[outputs].T, np.array(pads)[outputs].T,
+                                   np.array(nonce, dtype=np.int64).reshape(-1, n).T)
         # a fresh one-qubit pad key, encrypted, and the string from samp(pk, 1)
         pad_cipher = qfhe.stub_encrypt(rng.integers(0, 2, size=(n, 2)), rng)
         x = rng.integers(0, size, size=(n, 2))

@@ -35,7 +35,8 @@ for the lwe backend, the circuit pad path and any prover class but the
 three named next; stub- and leaky-backend sessions of a TruthTableProver,
 a FeasibleInconsistentProver or an HonestQuantumProver on the collapsed
 pad path run in chunks through the batched engine of ctxsim.batch, which
-reads the same spec, branches, answer decoding and accept rule.
+reads the same spec, branches, answer decoding and accept rule, and runs
+the chunk forms of opad.pad_bits and qfhe.stub_encrypt.
 """
 from __future__ import annotations
 

@@ -255,7 +255,8 @@ def dec(sk, s: OpadString, oracle: PhaseOracle):
     bits = [pad_bits(sk, d, y, oracle) for d, y in s.slots]
     if s.kind == "bits":
         return tuple(bits)
-    return PauliKey(tuple(bits[0::2]), tuple(bits[1::2]))
+    # pad_bits gives int bits, and a pauli string has an even slot count
+    return PauliKey._trusted(tuple(bits[0::2]), tuple(bits[1::2]))
 
 
 def samp(pk, j: int, rng: np.random.Generator) -> OpadString:

@@ -83,9 +83,9 @@ def stub_encrypt(bits, rng: np.random.Generator) -> StubCipher:
 
 def key_ids(rng: np.random.Generator, count: int = None):
     """Fresh 16-byte key ids in hex from one draw: one id, or a list of count."""
-    raw = rng.integers(0, 256, size=(1 if count is None else count, 16), dtype=np.uint8)
-    ids = [row.tobytes().hex() for row in raw]
-    return ids if count is not None else ids[0]
+    hexed = rng.integers(0, 256, size=16 * (1 if count is None else count),
+                         dtype=np.uint8).tobytes().hex()
+    return hexed if count is None else [hexed[i:i + 32] for i in range(0, len(hexed), 32)]
 
 
 @dataclass(frozen=True)
