@@ -23,6 +23,13 @@ whose one-row form would slow the scalar path stay twins of their qsim
 originals: the Born draw of measure_observable (_born_pick), which never
 draws a branch below qsim.BORN_FLOOR, and the Pauli pad (_pauli).
 
+Rules with a handful of outcomes run once per distinct row of a chunk, not
+once per session (_per_row): the verifier decodes each distinct (input,
+answer-bits) row and decides each distinct (context, reply, question,
+answer) row, the honest prover matches each drawn eigenvalue once per
+distinct (branch, observable, cluster), and both provers look each round-2
+answer up once per distinct question or (observable, cluster).
+
 A chunk draws step by step, not session by session, so a seed gives other
 sessions than the scalar engine would, from the same distribution.
 """
@@ -62,6 +69,15 @@ def _born_pick(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     last = probs.shape[1] - 1 - np.argmax(drawable[:, ::-1], axis=1)
     pick = np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
     return np.where(drawable.any(axis=1), pick, -1)
+
+
+def _per_row(rule, *columns) -> tuple:
+    """rule(*row) once per distinct row of the int columns, as (values,
+    where): values[where[i]] is rule's value on row i.  A column is an (n,)
+    or (n, k) array; a (n, k) one gives k entries of the row."""
+    rows = np.column_stack(columns)
+    distinct, where = np.unique(rows, axis=0, return_inverse=True)
+    return [rule(*row) for row in distinct.tolist()], where.reshape(-1)
 
 
 def _pauli(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -128,11 +144,17 @@ class _Sessions:
 
     def message3(self, plan: _Plan, answer_cipher: StubCipher, pad_cipher: StubCipher,
                  d: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-        """Decrypt the round-1 replies and draw the round-2 questions."""
-        game = plan.game
-        counts = plan.asked_count[self.inp].tolist()
-        self.answers1 = [compilers._decode_answers(game, bits[:count * plan.answer_width], count)
-                         for bits, count in zip(answer_cipher.bits().tolist(), counts)]
+        """Decrypt the round-1 replies and draw the round-2 questions.
+
+        Each distinct (input, answer-bits) row is decoded once: replies[r]
+        holds (input, round-1 answers) and reply[i] session i's row r."""
+        game, width = plan.game, plan.answer_width
+
+        def decode(inp, *bits):
+            count = int(plan.asked_count[inp])
+            return inp, compilers._decode_answers(game, bits[:count * width], count)
+
+        self.replies, self.reply = _per_row(decode, self.inp, answer_cipher.bits())
         k_prime = opad.pad_bits(self.keys, d, y, self.oracles)
         k_dbl = pad_cipher.bits()
         if k_dbl.shape[1] != k_prime.shape[1]:
@@ -144,12 +166,17 @@ class _Sessions:
         self.question = plan.ctx_questions[self.ctx, rng.integers(0, plan.ctx_sizes[self.ctx])]
 
     def decide(self, plan: _Plan, answers: np.ndarray) -> list:
+        """Each session's accept bit, decided once per distinct (context,
+        reply, question, answer) row."""
         game = plan.game
-        return [compilers._decision(game, ctx, plan.asked[inp], given, game.questions[q],
-                                    game.answers[a])[0]
-                for ctx, inp, given, q, a in zip(self.ctx.tolist(), self.inp.tolist(),
-                                                 self.answers1, self.question.tolist(),
-                                                 answers.tolist())]
+
+        def decision(ctx, r, q, a):
+            inp, given = self.replies[r]
+            return compilers._decision(game, ctx, plan.asked[inp], given, game.questions[q],
+                                       game.answers[a])[0]
+
+        accepts, where = _per_row(decision, self.ctx, self.reply, self.question, answers)
+        return np.array(accepts)[where].tolist()
 
 
 class _Honest:
@@ -183,8 +210,6 @@ class _Honest:
             self.nsteps[b] = len(steps)
             self.steps[b, :len(steps)] = [where[id(obs)] for obs, _, _ in steps]
             self.outcomes.append([outcomes for _, _, outcomes in steps])
-        self._matched = {}
-        self._answers = {}
         self.held = None
 
     def _measure(self, states: np.ndarray, obs: np.ndarray, r: np.ndarray):
@@ -200,15 +225,14 @@ class _Honest:
         return pick, post
 
     def _answer_bits(self, branch, step: int, obs, pick, width: int) -> np.ndarray:
-        """qfhe._match_outcome of each drawn eigenvalue, once per distinct one."""
-        out = []
-        for key in zip(branch.tolist(), obs.tolist(), pick.tolist()):
-            if key not in self._matched:
-                b, o, v = key
-                value = self.observables[o].eigensystem[v][0]
-                self._matched[key] = qfhe._match_outcome(self.outcomes[b][step], value)
-            out.append(self._matched[key])
-        return np.array(out, dtype=np.int64).reshape(len(out), width)
+        """qfhe._match_outcome of each drawn eigenvalue, once per distinct
+        (branch, observable, cluster) row."""
+        def match(b, o, v):
+            value = self.observables[o].eigensystem[v][0]
+            return qfhe._match_outcome(self.outcomes[b][step], value)
+
+        bits, where = _per_row(match, branch, obs, pick)
+        return np.array(bits, dtype=np.int64).reshape(-1, width)[where]
 
     def round1(self, plan: _Plan, s: _Sessions, rng: np.random.Generator):
         n, m, size = s.n, self.m, 1 << plan.lam
@@ -250,14 +274,14 @@ class _Honest:
         obs = s.question
         pick, post = self._measure(unpadded, obs, rng.random(s.n))
         self.held = _pauli(post, s.key_x, s.key_z)
-        out = []
-        for key in zip(obs.tolist(), pick.tolist()):
-            if key not in self._answers:
-                value = self.observables[key[0]].eigensystem[key[1]][0]
-                self._answers[key] = self.game.answers.index(
-                    self.emb.answer_for(self.game, value))
-            out.append(self._answers[key])
-        return np.array(out, dtype=np.int64)
+        game = self.game
+
+        def answer(o, v):
+            value = self.observables[o].eigensystem[v][0]
+            return game.answers.index(self.emb.answer_for(game, value))
+
+        answers, where = _per_row(answer, obs, pick)
+        return np.array(answers, dtype=np.int64)[where]
 
 
 class _Table:
@@ -268,7 +292,6 @@ class _Table:
         self.circuit = prover._circuit_for(plan.game, plan.kind)
         sources = self.circuit.token_sources
         self.fresh = [w for w in dict.fromkeys(self.circuit.outputs) if sources[w] is None]
-        self._answers = {}
 
     def round1(self, plan: _Plan, s: _Sessions, rng: np.random.Generator):
         n, size, circuit = s.n, 1 << plan.lam, self.circuit
@@ -293,15 +316,15 @@ class _Table:
 
     def round2(self, plan: _Plan, s: _Sessions, rng: np.random.Generator) -> np.ndarray:
         game = plan.game
-        out = []
-        for q in s.question.tolist():
-            if q not in self._answers:
-                answer = self.prover.round2(game.questions[q], None)
-                if answer not in game.answers:
-                    raise ValueError("answer outside the label set")
-                self._answers[q] = game.answers.index(answer)
-            out.append(self._answers[q])
-        return np.array(out, dtype=np.int64)
+
+        def answer(q):
+            given = self.prover.round2(game.questions[q], None)
+            if given not in game.answers:
+                raise ValueError("answer outside the label set")
+            return game.answers.index(given)
+
+        answers, where = _per_row(answer, s.question)
+        return np.array(answers, dtype=np.int64)[where]
 
 
 def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: StubCipher,

@@ -23,6 +23,12 @@ One rule, pad_bits, reads the pad bits of (d, y) slots for Dec and the
 collapsed round, and of a chunk's slot arrays for the batched compiled
 engine, on a tcf.IdealKey chunk and a PhaseOracleChunk.  hash_seeds draws
 the oracle seed of one session or of a chunk.
+
+A hash-mode oracle answers H(x) with bit x mod 256 of
+SHA-256(f"{seed}|{x // 256}"), little-endian within each digest byte, so
+one digest (hash_block) answers 256 consecutive points: a PhaseOracle
+hashes each block it touches once, and a PhaseOracleChunk each (session,
+block) pair, reading its points from the digest bytes by array indexing.
 """
 from __future__ import annotations
 
@@ -46,18 +52,21 @@ from .qsim import (
 )
 
 _MAX_NONZERO_RETRIES = 64
+_BLOCK_BITS = 8  # one digest answers 2^8 consecutive points
 
 
-def hash_bit(seed: int, x: int) -> int:
-    """The bit a hash-mode oracle of this seed answers at x."""
-    return hashlib.sha256(f"{seed}|{x}".encode()).digest()[0] & 1
+def hash_block(seed: int, block: int) -> bytes:
+    """The digest that answers a hash-mode oracle of this seed at the
+    points block * 256 + i: bit i of its 32 bytes, little-endian per byte."""
+    return hashlib.sha256(f"{seed}|{block}".encode()).digest()
 
 
 class PhaseOracle:
     """Binary random oracle, either a seeded hash or a lazily sampled table.
 
     Lazy mode records every queried point; the extraction experiments read
-    that database.  Repeated queries always return the same bit.
+    that database.  Hash mode keeps one digest per block it has touched.
+    Repeated queries always return the same bit.
     """
 
     def __init__(self, mode: str = "hash", seed: int = None, rng: np.random.Generator = None):
@@ -73,16 +82,20 @@ class PhaseOracle:
         self._seed = seed
         self._rng = rng
         self.database = {}
+        self._digests = {}
         self.query_log = []
 
     def query(self, x: int) -> int:
         x = int(x)
         self.query_log.append(x)
+        if self.mode == "hash":
+            block = x >> _BLOCK_BITS
+            digest = self._digests.get(block)
+            if digest is None:
+                digest = self._digests[block] = hash_block(self._seed, block)
+            return digest[(x & 255) >> 3] >> (x & 7) & 1
         if x not in self.database:
-            if self.mode == "hash":
-                self.database[x] = hash_bit(self._seed, x)
-            else:
-                self.database[x] = int(self._rng.integers(0, 2))
+            self.database[x] = int(self._rng.integers(0, 2))
         return self.database[x]
 
     def bits(self, *points) -> tuple:
@@ -96,25 +109,33 @@ class PhaseOracle:
 class PhaseOracleChunk:
     """PhaseOracle in hash mode for each session of a chunk, one seed each.
 
-    bits takes (count, slots) arrays of points, row i queried on session i's
-    oracle.  A point is keyed by session * 2^lambda + x and hashed once, on
-    its first query, as PhaseOracle.query does.
+    bits takes (count, slots) arrays of points in [0, 2^lam), row i queried
+    on session i's oracle.  The 32-byte digest of each (session, block)
+    pair is hashed once, on its first query, into a (count * blocks, 32)
+    table, blocks = 2^max(0, lam - 8) per session; points are read from it
+    by array indexing.
     """
 
     def __init__(self, seeds: np.ndarray, lam: int):
         self.seeds = seeds.tolist()
         self.lam = lam
-        self.database = {}
+        self._shift = max(0, lam - _BLOCK_BITS)
+        blocks = len(self.seeds) << self._shift
+        self._table = np.zeros((blocks, 32), dtype=np.uint8)
+        self._hashed = np.zeros(blocks, dtype=bool)
 
     def bits(self, *points: np.ndarray) -> tuple:
-        lam, db = self.lam, self.database
-        rows = np.arange(len(points[0]))[:, None]
-        keys = np.stack([(rows << lam) + x for x in points])
-        flat = keys.ravel().tolist()
-        for key in dict.fromkeys(flat):
-            if key not in db:
-                db[key] = hash_bit(self.seeds[key >> lam], key & ((1 << lam) - 1))
-        return tuple(np.array([db[key] for key in flat]).reshape(keys.shape))
+        x = np.stack(points)
+        shift, seeds = self._shift, self.seeds
+        blocks = (np.arange(x.shape[1])[:, None] << shift) | (x >> _BLOCK_BITS)
+        fresh = np.zeros_like(self._hashed)
+        fresh[blocks] = True
+        new = np.flatnonzero(fresh & ~self._hashed)
+        low = (1 << shift) - 1
+        digests = b"".join([hash_block(seeds[b >> shift], b & low) for b in new.tolist()])
+        self._table[new] = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)
+        self._hashed[new] = True
+        return tuple(self._table[blocks, (x & 255) >> 3] >> (x & 7) & 1)
 
 
 def hash_seeds(rng: np.random.Generator, count: int = None):

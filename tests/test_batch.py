@@ -474,3 +474,97 @@ def test_one_question_contexts_run_from_the_cli(tmp_path, capsys):
             "--trials", "50", "--seed", "18", "--lambda", "4"]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rows"][0]["rate"] == 1.0
+
+
+def spied_chunks(monkeypatch) -> list:
+    """Record each batched chunk as (plan, sessions, round-2 answers, accepts),
+    the sessions keeping the decrypted answer bits of round 1."""
+    chunks = []
+    message3, decide = batch._Sessions.message3, batch._Sessions.decide
+
+    def spy_message3(self, plan, answer_cipher, *args):
+        self.answer_bits = answer_cipher.bits()
+        return message3(self, plan, answer_cipher, *args)
+
+    def spy_decide(self, plan, answers):
+        accepts = decide(self, plan, answers)
+        chunks.append((plan, self, answers, accepts))
+        return accepts
+
+    monkeypatch.setattr(batch._Sessions, "message3", spy_message3)
+    monkeypatch.setattr(batch._Sessions, "decide", spy_decide)
+    return chunks
+
+
+def assert_per_session_rule(chunks):
+    """Each session's reply and accept bit are _decode_answers and _decision
+    on that session alone."""
+    assert chunks
+    for plan, s, answers, accepts in chunks:
+        game, width = plan.game, plan.answer_width
+        for i in range(s.n):
+            inp = int(s.inp[i])
+            asked = plan.asked[inp]
+            given = cp._decode_answers(game, s.answer_bits[i, :len(asked) * width].tolist(),
+                                       len(asked))
+            assert s.replies[s.reply[i]] == (inp, given)
+            assert accepts[i] is cp._decision(game, int(s.ctx[i]), asked, given,
+                                               game.questions[s.question[i]],
+                                               game.answers[answers[i]])[0]
+
+
+def builtin_provers(game, strategy, kind) -> list:
+    provers = [cp.honest_quantum_prover(strategy)]
+    table = _compilable_table(game, kind)
+    if table is not None:
+        provers.append(cp.truthtable_prover(table))
+    if kind == "c-1":
+        provers.append(cp.feasible_inconsistent_prover(game))
+    return provers
+
+
+BUILTIN_KINDS = [(name, kind) for name in sorted(cli.BUILTIN_GAMES)
+                 for kind in ("1-1", "c-1", "cm1-1") if (name, kind) != ("magic-square", "1-1")]
+
+
+@pytest.mark.parametrize("backend", ["stub", "leaky"])
+@pytest.mark.parametrize("name,kind", BUILTIN_KINDS, ids=[f"{g}-{k}" for g, k in BUILTIN_KINDS])
+def test_distinct_row_decode_and_decide_are_the_per_session_rule(name, kind, backend,
+                                                                 monkeypatch):
+    game, strategy = cli.BUILTIN_GAMES[name]()
+    chunks = spied_chunks(monkeypatch)
+    for prover in builtin_provers(game, strategy, kind):
+        cp.estimate_win_rate(game, kind, prover, 300, np.random.default_rng(22), lam=LAM,
+                             fhe_backend=backend)
+    assert len(chunks) == len(builtin_provers(game, strategy, kind))
+    assert_per_session_rule(chunks)
+
+
+def test_distinct_row_decode_and_decide_on_one_question_contexts(monkeypatch):
+    game, strategy = one_question_game()
+    chunks = spied_chunks(monkeypatch)
+    table = _compilable_table(game, "cm1-1")
+    assert table is not None
+    for prover in (cp.honest_quantum_prover(strategy), cp.truthtable_prover(table)):
+        cp.estimate_win_rate(game, "cm1-1", prover, 50, np.random.default_rng(23), lam=4)
+    assert_per_session_rule(chunks)
+
+
+def test_distinct_row_decode_refuses_codes_outside_the_label_set(monkeypatch):
+    # three labels take two bits, so code 3 names no label
+    game = games.ContextualityGame(("a", "b"), (0, 1, 2), (("a", "b"),), ("1",),
+                                   {0: [(0, 0), (1, 1), (2, 2)]})
+    table = _compilable_table(game, "1-1")
+    with pytest.raises(ValueError, match="answer code outside the label set"):
+        cp._decode_answers(game, (1, 1), 1)
+    round1 = batch._Table.round1
+
+    def all_ones(*args):
+        answer_cipher, pad_cipher, d, y = round1(*args)
+        ones = np.ones_like(answer_cipher.masked)
+        return qfhe.StubCipher(ones, ones * 0, answer_cipher.nonce), pad_cipher, d, y
+
+    monkeypatch.setattr(batch._Table, "round1", all_ones)
+    with pytest.raises(ValueError, match="answer code outside the label set"):
+        cp.estimate_win_rate(game, "1-1", cp.truthtable_prover(table), 20,
+                             np.random.default_rng(24), lam=4)

@@ -182,6 +182,14 @@ def test_compile_report_rows_and_bounds(capsys):
         assert row["within"] is True
 
 
+def test_compile_runs_at_the_largest_lambda(capsys):
+    # one session per chunk, 2^12 oracle blocks per session
+    code, report, _ = run_cli(capsys, ["compile", "--game", "kcbs", "--compiler", "1-1",
+                                       "--lambda", "20", "--trials", "5", "--seed", "1"])
+    assert code == 0
+    assert {r["trials"] for r in report["rows"]} == {5}
+
+
 def test_compile_config_errors(capsys, monkeypatch):
     # every case is refused before any key exists
     def no_keys(*args, **kwargs):

@@ -44,6 +44,54 @@ def test_phase_oracle_hash_is_deterministic():
     assert 0 < sum(bits) < 40
 
 
+@pytest.mark.parametrize("lam", [3, 8, 9, 12])
+def test_chunk_bits_are_the_scalar_oracle_bits(lam):
+    rng = np.random.default_rng(60 + lam)
+    seeds = opad.hash_seeds(rng, 6)
+    size = 1 << lam
+    # each 256-point boundary in the domain, with its two neighbours
+    edges = [p for b in range(256, size, 256) for p in (b - 1, b)]
+    points = [np.column_stack([rng.integers(0, size, size=(6, 8)),
+                               np.tile(edges + [0, size - 1], (6, 1))])
+              for _ in range(2)]
+    chunk = opad.PhaseOracleChunk(seeds, lam)
+    for _ in range(2):  # the second call reads the digests of the first
+        h0, h1 = chunk.bits(*points)
+        for i, seed in enumerate(seeds.tolist()):
+            oracle = opad.PhaseOracle("hash", seed=seed)
+            assert h0[i].tolist() == list(oracle.bits(*points[0][i].tolist()))
+            assert h1[i].tolist() == list(oracle.bits(*points[1][i].tolist()))
+
+
+def test_hash_mode_reads_one_digest_per_block(monkeypatch):
+    digests = []
+    hash_block = opad.hash_block
+
+    def counted(seed, block):
+        digests.append((seed, block))
+        return hash_block(seed, block)
+
+    monkeypatch.setattr(opad, "hash_block", counted)
+    oracle = opad.PhaseOracle("hash", seed=3)
+    points = [5, 255, 256, 9, 700, 1023, 511, 5, 256]
+    bits = oracle.bits(*points)
+    assert sorted(digests) == [(3, 0), (3, 1), (3, 2), (3, 3)]
+    assert oracle.query_log == points
+    # bit x mod 256 of the block's digest, little-endian within each byte
+    for x, bit in zip(points, bits):
+        digest = hash_block(3, x // 256)
+        assert bit == digest[(x % 256) // 8] >> (x % 8) & 1
+    digests.clear()
+    opad.PhaseOracleChunk(np.array([3, 4]), 10).bits(np.array([[5, 300], [5, 5]]))
+    assert sorted(digests) == [(3, 0), (3, 1), (4, 0)]
+
+
+def test_hash_mode_bits_are_balanced():
+    bits = opad.PhaseOracle("hash", seed=11).bits(*range(1 << 12))
+    # 3 sigma of a fair coin over 2^12 bits is 96
+    assert abs(sum(bits) - (1 << 11)) <= 96
+
+
 def test_phase_oracle_lazy_logs_queries():
     oracle = opad.PhaseOracle("lazy", rng=np.random.default_rng(1))
     first = oracle.query(5)

@@ -21,7 +21,7 @@ CLI_PINS = [
      "d0f16cee2599fb83b2233b8ca8aa9d919911263fce6082401e3ba1c549c9997d", None),
     (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "200", "--seed", "7"],
      "0564cd05dc53a70328c9f352b20e6baf4ca8871b0bc37bc574268834125e27cd",
-     "86c47985b8f6d559a14dd4e81d05f65472494e34b088c21a01a6412097d65655"),
+     "f97573e80130c05df30a7f0fe9ad62564ab63f85e8608a6a5192c73a08397542"),
     (["compile", "--game", "magic-square", "--compiler", "cm1-1", "--trials", "200", "--seed", "7"],
      "ec28f52b9bf2d87d9148d28cac3bf442304ec5dce8312513d0264e218c052e0d", None),
 ]
@@ -50,7 +50,7 @@ def test_circuit_path_outcomes_are_pinned():
                                 compilers.honest_quantum_prover(strategy, opad_path="circuit"),
                                 100, np.random.default_rng(2025), lam=5, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "ccce961b6adebb85e9a5a6e90c2a38d3fb649e4ca1dfefdfd10d3a0e62406ae9"
+        "943a2d01f849eafdb5bc16d7b136d159bf884bbc84ef46e18f57b09abf0c51af"
 
 
 def test_batched_transcripts_are_pinned():
@@ -60,7 +60,7 @@ def test_batched_transcripts_are_pinned():
     compilers.estimate_win_rate(game, "c-1", compilers.feasible_inconsistent_prover(game), 300,
                                 np.random.default_rng(2026), lam=8, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "ca73ff99c8d130cdcd468dad6a851d79efc171c028ad5e4274282cd156863306"
+        "0dd6d18b3be811083659c2cb4b24565842fb93d01be2b6e21a054d93de9a3c30"
 
 
 def test_scalar_zoo_draws_are_pinned():
@@ -123,4 +123,4 @@ def test_scalar_compiled_draws_are_pinned():
                                              oracle_mode="lazy")))
         lines.append(repr(rng.integers(2 ** 62)))
     assert sha256("\n".join(lines)) == \
-        "10e7b32053c950c325d667dfedf027c5fcc482f03d0e2d44096c98256faad1a2"
+        "8bf6bb659b090b57d336301f4a7c0f1b01ed97daa01b88c2ceb45d3318a4ba1f"
