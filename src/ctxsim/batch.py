@@ -6,8 +6,9 @@ included) or an HonestQuantumProver on the collapsed pad path.  Every other
 case runs the scalar state machines of compilers, which stay the protocol
 reference.
 
-Sessions run in chunks of tcf.chunk_size(lambda), so a chunk's claw-free
-tables hold about 2^16 entries whatever lambda is, and each protocol step
+Sessions run in chunks of tcf.CHUNK_SIZE at every lambda: a chunk's
+claw-free keys are sampled lazily and its oracles keep only the digests
+they touch, so nothing in a chunk grows with 2^lambda.  Each protocol step
 makes one rng call per chunk.  No layer is skipped.  This module keeps
 the session bookkeeping: the plan of a kind on a game, and each chunk's
 contexts, inputs, questions and transcripts.  The rules are the scalar
@@ -130,7 +131,7 @@ class _Sessions:
     def __init__(self, plan: _Plan, n: int, rng: np.random.Generator):
         self.n = n
         self.key_ids = qfhe.key_ids(rng, n)
-        # claw-free keys f_0 = PRP and f_1(x) = PRP(x ^ delta), as their trapdoors
+        # claw-free keys f_0 = P and f_1(x) = P(x ^ delta), P sampled lazily
         self.keys = tcf.gen_many(plan.lam, n, rng)
         self.oracles = opad.PhaseOracleChunk(opad.hash_seeds(rng, n), plan.lam)
         self.ctx = plan.game.contexts_at(rng.random(n))
@@ -338,7 +339,7 @@ def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: Stu
         message1 = compilers.Message1(
             backend.cipher(s.question_cipher.row(i)),
             qfhe.QfhePublicHandle(backend.scheme, key_id, backend),
-            tcf.IdealKey(s.keys.inv_prp[i], int(s.keys.delta[i])),
+            s.keys.row(i),
             opad.PhaseOracle("hash", seed=s.oracles.seeds[i]), game, kind)
         message2 = compilers.Message2(
             backend.cipher(answer_cipher.row(i, int(answer_bits[i]))),
@@ -373,7 +374,7 @@ def win_count(game, kind, prover, trials: int, rng: np.random.Generator, lam: in
     """Accepted sessions among trials fresh-key sessions, run in chunks."""
     plan = _Plan(game, kind, lam)
     run = (_Honest if type(prover) is compilers.HonestQuantumProver else _Table)(prover, plan)
-    size = tcf.chunk_size(lam)
+    size = tcf.CHUNK_SIZE
     return sum(_chunk_wins(plan, run, min(size, trials - start), rng, fhe_backend,
                            transcript_log)
                for start in range(0, trials, size))

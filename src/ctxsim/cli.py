@@ -273,9 +273,9 @@ COMMANDS = {"values": cmd_values, "poq": cmd_poq, "compile": cmd_compile}
 
 
 LAMBDA_HELP = (f"claw-free domain bits, 3 to {tcf.MAX_DOMAIN_BITS} (default 8); "
-               f"every trial draws fresh keys, whose cost doubles per bit: about "
-               f"64 ms per trial at {tcf.MAX_DOMAIN_BITS}, so 20000 trials take "
-               f"about 20 minutes per row there")
+               f"every trial draws a fresh key, sampled lazily, so its cost does not "
+               f"grow with lambda: 20000 honest kcbs 1-1 trials take about 0.6 s "
+               f"at 16 against 0.45 s at 8")
 
 
 def build_parser() -> argparse.ArgumentParser:

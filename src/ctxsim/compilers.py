@@ -420,9 +420,10 @@ class CompiledTranscript:
         }
 
     def to_json(self) -> str:
+        # delta and the points of P the session fixed: writing draws nothing
         pk = self.message1.opad_pk
-        tables_text = json.dumps([t.tolist() for t in pk.tables])
-        digest = hashlib.sha256(tables_text.encode()).hexdigest()[:16]
+        key_text = json.dumps([pk.delta, pk.pairs()])
+        digest = hashlib.sha256(key_text.encode()).hexdigest()[:16]
         return json.dumps({
             "kind": self.kind,
             "ctx_index": self.ctx_index,

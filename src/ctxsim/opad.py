@@ -111,31 +111,36 @@ class PhaseOracleChunk:
 
     bits takes (count, slots) arrays of points in [0, 2^lam), row i queried
     on session i's oracle.  The 32-byte digest of each (session, block)
-    pair is hashed once, on its first query, into a (count * blocks, 32)
-    table, blocks = 2^max(0, lam - 8) per session; points are read from it
-    by array indexing.
+    pair is hashed once, on its first query, and kept with its pair's id
+    (session << max(0, lam - 8) | block) in id order; points are read from
+    the digests the ids' sorted search finds, by array indexing.  Only the
+    pairs a chunk touches are kept, whatever lam is.
     """
 
     def __init__(self, seeds: np.ndarray, lam: int):
         self.seeds = seeds.tolist()
         self.lam = lam
         self._shift = max(0, lam - _BLOCK_BITS)
-        blocks = len(self.seeds) << self._shift
-        self._table = np.zeros((blocks, 32), dtype=np.uint8)
-        self._hashed = np.zeros(blocks, dtype=bool)
+        # a sentinel id past every pair's keeps each search in range
+        self._ids = np.array([np.iinfo(np.int64).max])
+        self._digests = np.zeros((1, 32), dtype=np.uint8)
 
     def bits(self, *points: np.ndarray) -> tuple:
         x = np.stack(points)
         shift, seeds = self._shift, self.seeds
-        blocks = (np.arange(x.shape[1])[:, None] << shift) | (x >> _BLOCK_BITS)
-        fresh = np.zeros_like(self._hashed)
-        fresh[blocks] = True
-        new = np.flatnonzero(fresh & ~self._hashed)
-        low = (1 << shift) - 1
-        digests = b"".join([hash_block(seeds[b >> shift], b & low) for b in new.tolist()])
-        self._table[new] = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)
-        self._hashed[new] = True
-        return tuple(self._table[blocks, (x & 255) >> 3] >> (x & 7) & 1)
+        ids = (np.arange(x.shape[1])[:, None] << shift) | (x >> _BLOCK_BITS)
+        at = np.searchsorted(self._ids, ids)
+        new = np.sort(ids[self._ids[at] != ids])
+        new = new[np.diff(new, prepend=-1) != 0]
+        if new.size:
+            low = (1 << shift) - 1
+            digests = b"".join([hash_block(seeds[b >> shift], b & low) for b in new.tolist()])
+            where = np.searchsorted(self._ids, new)
+            self._ids = np.insert(self._ids, where, new)
+            self._digests = np.insert(self._digests, where, np.frombuffer(
+                digests, dtype=np.uint8).reshape(-1, 32), axis=0)
+            at = np.searchsorted(self._ids, ids)
+        return tuple(self._digests[at, (x & 255) >> 3] >> (x & 7) & 1)
 
 
 def hash_seeds(rng: np.random.Generator, count: int = None):
@@ -195,8 +200,6 @@ def pad_bits(key, d, y, oracle):
     else:
         if (d == 0).any():
             raise ValueError("d must be nonzero")
-        if ((y < 0) | (y >= 1 << key.n)).any():
-            raise ValueError("y is not in the image")
         x0, x1 = key.claw(y)
     h0, h1 = oracle.bits(x0, x1)
     return tcf.dot_bits(d, x0 ^ x1) ^ h0 ^ h1
@@ -293,22 +296,17 @@ def samp(pk, j: int, rng: np.random.Generator) -> OpadString:
 
 
 def extract_claw(oracle: PhaseOracle, pk):
-    """Search the lazy oracle's query database for a claw under pk."""
+    """Search the lazy oracle's query database for a claw under pk.
+
+    f_0(x0) = f_1(x1) iff x1 = x0 xor delta, so the claw is a pair of
+    queried points delta apart, the one with the least x1; P is not read.
+    """
     if oracle.mode != "lazy":
         raise ValueError("claw extraction reads a lazy oracle database")
-    queried = sorted(oracle.queried_points())
-    by_y0 = {}
-    for x in queried:
-        if 0 <= x < (1 << pk.n):
-            by_y0.setdefault(tcf.eval(pk, 0, x), x)
-    for x1 in queried:
-        if not 0 <= x1 < (1 << pk.n):
-            continue
-        y = tcf.eval(pk, 1, x1)
-        if y in by_y0:
-            x0 = by_y0[y]
-            if tcf.chk(pk, 0, x0, y) and tcf.chk(pk, 1, x1, y):
-                return x0, x1
+    queried = oracle.queried_points()
+    for x1 in sorted(queried):
+        if 0 <= x1 < (1 << pk.n) and x1 ^ pk.delta in queried:
+            return x1 ^ pk.delta, x1
     return None
 
 

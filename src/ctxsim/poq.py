@@ -15,9 +15,9 @@ classical strategy caps at 3/4.
 
 The commitment distribution (y uniform, d uniform, branch bit uniform
 when s = 1) is independent of everything the prover cannot see, so a
-"collapsed" prover path draws it directly from the public tables and
-skips the register-level circuit; the circuit path stays available and
-tests pin the equivalence.
+"collapsed" prover path draws it directly, reading the claw of y from the
+key, and skips the register-level circuit; the circuit path stays
+available and tests pin the equivalence.
 
 Rewinding: running one commitment and both challenges against a classical
 prover and guessing s' = 1 xor b0 xor b1 succeeds with probability at
@@ -28,7 +28,7 @@ checks.  run_protocol and rewind_experiment run one instance at a time
 through PoqVerifier, the prover on the instance's tcf.IdealKey; they are
 the reference, and the only engine for the circuit-path honest prover and
 PeekingProver.  estimate_rate and estimate_rewind run the collapsed honest
-prover and the zoo in chunks of tcf.chunk_size(lam) instances, the
+prover and the zoo in chunks of tcf.CHUNK_SIZE instances, the
 prover on the chunk's keys, one tcf.IdealKey with a fresh hidden bit and
 key per instance.  A prover draws size=pk.count values per rng call, so on
 a one-row chunk it draws what it draws on that row's key; a seed gives a
@@ -130,8 +130,8 @@ class PoqVerifier:
 
     round1() -> pk, round2(mu, d, y) -> c, decide(b) -> accepted.
     The hidden bit stays on this object.  keys.pk and keys.sk are one
-    tcf.IdealKey, as the public tables determine the trapdoor; provers are
-    handed it as .pk.
+    tcf.IdealKey, as the public tables would determine the trapdoor;
+    provers are handed it as .pk.
     """
 
     def __init__(self, lam: int, rng: np.random.Generator):
@@ -186,8 +186,8 @@ class HonestProver:
     """Quantum prover; holds the leftover qubit's amplitudes between rounds.
 
     path="circuit" runs the full register-level preparation on one key; the
-    default "collapsed" path draws the identically distributed commitment
-    from the public tables and prepares the leftover directly, on any pk.
+    default "collapsed" path draws the identically distributed commitment,
+    reads the claw of y from pk and prepares the leftover directly, on any pk.
     """
 
     def __init__(self, pk, rng: np.random.Generator, path: str = "collapsed"):
@@ -425,7 +425,7 @@ def _chunks(trials: int, lam: int, rng: np.random.Generator):
     if trials <= 0:
         raise ValueError("trials must be positive")
     tcf.check_domain_bits(lam)
-    size = tcf.chunk_size(lam)
+    size = tcf.CHUNK_SIZE
     for start in range(0, trials, size):
         s = rng.integers(0, 2, size=min(size, trials - start))
         yield s, tcf.gen_many(lam, len(s), rng, hidden=s)

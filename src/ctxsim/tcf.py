@@ -1,14 +1,17 @@
 """Trapdoor claw-free function layer, idealized.
 
-The family realizes the claw relation exactly: a seeded random
-permutation PRP over n-bit strings and a secret nonzero mask delta define
-f_b(x) = PRP(x xor b*delta), so f_0(x0) = f_1(x1) iff x1 = x0 xor delta.
-A key is held as its trapdoor, PRP^-1 as a read-only int64 array and
-delta; both branch tables are public and determine the trapdoor, so gen
-returns one IdealKey as both pk and sk, and gen_many a chunk of keys in
-the same class.  Arrays become lists only in JSON.  Claw-freeness is a
-cryptographic property this toolkit never asserts, only the functional
-ones (injectivity per branch, perfect claw matching, hidden-bit xor).
+The family realizes the claw relation exactly: a uniform random
+permutation P of the n-bit strings and a secret nonzero mask delta define
+f_b(x) = P(x xor b*delta), so f_0(x0) = f_1(x1) iff x1 = x0 xor delta.
+P is sampled lazily (the lazy-sampling step of code-based game-playing
+proofs, Bellare-Rogaway, ePrint 2004/331): a key holds delta, the
+generator it was drawn with and the points of P fixed so far, and
+fixes P at a point on its first query, so a session pays for the 1 to 6
+points it reads, never for 2^n.  The public tables would determine the
+trapdoor, so gen returns one IdealKey as both pk and sk, and gen_many a
+chunk of keys in the same class.  Claw-freeness is a cryptographic
+property this toolkit never asserts, only the functional ones
+(injectivity per branch, perfect claw matching, hidden-bit xor).
 
 Domain parsing: X = {0,1} x V, the first (most significant) bit carrying
 the hidden-bit role; helpers first_bit/trailing_bits/dot_bits implement
@@ -18,18 +21,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from bisect import insort
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qsim import StateVector, _checked_size, _norm, _sample_index, checked_int
 
 
-# One ideal gen at the bound takes about 64 ms and leaves three 2^20-entry
-# int64 tables (24 MB, 32 MB at peak); claw lookups read the trapdoor and
-# build nothing.  Measured on one core of a 2-vCPU Xeon VM, CPython 3.11,
-# numpy 2.4.
+# A key costs the same at every domain size: gen takes about 4.5 us and
+# each point of P a session reads about 3 us more, at n = 8 and 20 alike
+# (one core of a 2-vCPU Xeon VM, CPython 3.11, numpy 2.4).  The bound is
+# the circuit paths': a circuit-path pad round or honest quantumness
+# prover builds a state of (data amplitudes) * 2^n, and coherent_samp a
+# 2^(2n)-fold one.
 MAX_DOMAIN_BITS = 20
 
 
@@ -58,70 +63,213 @@ def _readonly(values) -> np.ndarray:
     return table
 
 
-def _inverse_permutation(table: np.ndarray) -> np.ndarray:
-    inverse = np.empty_like(table)
-    inverse[table] = np.arange(len(table))
-    return _readonly(inverse)
+# the refusal of a point outside [0, 2^n), by direction: P^-1 (False) or P (True)
+_OUTSIDE = ("y is not in the image", "x is outside the domain")
+# an empty slot of a chunk's fixed points, past every point and slot count
+_EMPTY = 1 << 62
 
 
-def _branch_tables(prp: np.ndarray, delta: int) -> tuple:
-    """(f_0, f_1) as read-only tables, f_0 = PRP and f_1(x) = PRP(x xor delta)."""
-    return _readonly(prp), _readonly(prp[np.arange(len(prp)) ^ delta])
+def _nth_free(taken: list, r: int) -> int:
+    """The r-th point, counting from 0, not in the sorted list taken."""
+    for a in taken:
+        if a > r:
+            break
+        r += 1
+    return r
 
 
-@dataclass(frozen=True, eq=False)
 class IdealKey:
-    """One claw-free key, or a chunk of count keys, held as its trapdoor.
+    """One claw-free key, or a chunk of count keys, sampled lazily.
 
-    One key: inv_prp is PRP^-1, shape (2^n,), and delta an int.  A chunk:
-    inv_prp is (count, 2^n), a key per row, and delta (count,).  image and
-    claw take ints or arrays; on a chunk they take (count,) or
-    (count, points) arrays, each row read with its own key.
+    One key: delta is an int.  A chunk: delta is a (count,) array, a key
+    per row.  image(x) fixes P(x) and claw(y) fixes P^-1(y) on first
+    query: it draws r uniform in [0, 2^n - k), k the points already fixed,
+    and takes the r-th free point, so the fixed points are distributed as
+    the restriction of a uniform permutation and no draw is ever repeated.
+    image and claw take ints or arrays; on a chunk they take (count,) or
+    (count, points) arrays, each row read with its own key, column by
+    column.  Points outside [0, 2^n) raise ValueError.
+
+    One key keeps its fixed points in two dicts (P and P^-1) and two
+    sorted lists; a chunk in (count, k) arrays of fixed (x, y) pairs,
+    padded where a row has fewer than k.  pairs, when given,
+    are points of P fixed from the start: [x, P(x)] pairs on one key, a
+    list of them per row on a chunk; a repeated x or y and a point outside
+    the domain are refused.  tables completes P; it is for tests and small
+    n.  A key without a generator (rng=None) answers only at fixed points.
     """
 
-    inv_prp: np.ndarray
-    delta: int | np.ndarray
-    n: int = field(init=False)
-    count: int | None = field(init=False)  # None on one key
-
-    def __post_init__(self):
-        inv_prp = _readonly(self.inv_prp)
-        object.__setattr__(self, "inv_prp", inv_prp)
-        object.__setattr__(self, "n", inv_prp.shape[-1].bit_length() - 1)
-        object.__setattr__(self, "count", None if inv_prp.ndim == 1 else len(inv_prp))
-        if self.count is not None:
-            object.__setattr__(self, "delta", _readonly(self.delta))
+    def __init__(self, n: int, delta, rng: np.random.Generator = None, pairs=None):
+        self.n = n
+        self.rng = rng
+        self._tables = None
+        if np.ndim(delta):
+            self.delta = _readonly(delta)
+            self.count = len(self.delta)
+            rows = [IdealKey(n, 0, pairs=row).pairs() for row in pairs or ()]
+            k = max(map(len, rows), default=0)
+            fixed = np.full((self.count, k, 2), _EMPTY, dtype=np.int64)
+            for i, row in enumerate(rows):
+                fixed[i, :len(row)] = np.reshape(row, (-1, 2))
+            self._x, self._y = fixed[..., 0], fixed[..., 1]
+        else:
+            self.delta = int(delta)
+            self.count = None
+            self._fwd, self._inv = {}, {}
+            self._xs, self._ys = [], []
+            message = "a fixed point lies outside the domain"
+            for x, y in pairs or ():
+                x, y = checked_int(x, message, 1 << n), checked_int(y, message, 1 << n)
+                if x in self._fwd or y in self._inv:
+                    raise ValueError("a fixed x or y repeats")
+                self._assign(x, y)
 
     def __eq__(self, other):
         if not isinstance(other, IdealKey):
             return NotImplemented
-        return np.array_equal(self.delta, other.delta) and np.array_equal(
-            self.inv_prp, other.inv_prp)
+        return self._state() == other._state()
 
-    @cached_property
-    def tables(self) -> tuple:
-        """tables[b][x] = f_b(x), both branches, read-only; one key only."""
-        if self.count is not None:
-            raise ValueError("forward tables are derived for one key only")
-        return _branch_tables(_inverse_permutation(self.inv_prp), self.delta)
+    def _state(self) -> tuple:
+        if self.count is None:
+            return self.n, self.delta, self.pairs()
+        return self.n, self.delta.tolist(), [self.row(i).pairs() for i in range(self.count)]
+
+    def pairs(self) -> list:
+        """The fixed points of P as [x, P(x)] pairs sorted by x; one key only."""
+        return [[x, self._fwd[x]] for x in self._xs]
+
+    def _assign(self, x: int, y: int) -> None:
+        self._fwd[x] = y
+        self._inv[y] = x
+        insort(self._xs, x)
+        insort(self._ys, y)
+
+    def _draw(self, high):
+        """r uniform in [0, high), elementwise, each from whole 64-bit
+        outputs: a numpy draw below 2^32 takes half an output and leaves the
+        other half to the next draw, which would tie a point of P to the
+        protocol coin drawn beside it bit for bit."""
+        if self.rng is None:
+            raise ValueError("the key holds no generator to fix P at a new point")
+        return self.rng.integers(0, high << 32) >> 32
+
+    def _one(self, p, forward: bool) -> int:
+        """P(p) (forward) or P^-1(p) on one key, fixed on first query."""
+        size = 1 << self.n
+        p = checked_int(p, _OUTSIDE[forward], size)
+        known = self._fwd if forward else self._inv
+        q = known.get(p)
+        if q is None:
+            q = _nth_free(self._ys if forward else self._xs, int(self._draw(size - len(known))))
+            self._assign(*((p, q) if forward else (q, p)))
+        return q
+
+    def _each(self, points: np.ndarray, forward: bool) -> np.ndarray:
+        """_one at an array of points on one key, in order, once all lie in the domain."""
+        if ((points < 0) | (points >= 1 << self.n)).any():
+            raise ValueError(_OUTSIDE[forward])
+        return np.array([self._one(p, forward) for p in points.flat],
+                        dtype=np.int64).reshape(points.shape)
+
+    def _many(self, points: np.ndarray, forward: bool) -> np.ndarray:
+        """P (forward) or P^-1 at a chunk's (count,) or (count, m) points.
+
+        Points already fixed are read in one pass; the rest are fixed
+        column by column, each row's draws in column order.
+        """
+        size = 1 << self.n
+        if points.shape[:1] != (self.count,) or ((points < 0) | (points >= size)).any():
+            raise ValueError(_OUTSIDE[forward])
+        cols = points.reshape(self.count, -1)
+        src, dst = (self._x, self._y) if forward else (self._y, self._x)
+        known = src.shape[1]
+        if known:
+            hit = src[:, None, :] == cols[:, :, None]
+            out = np.take_along_axis(dst, hit.argmax(axis=2), axis=1)
+            fresh = ~hit.any(axis=2)
+        else:
+            out = np.empty_like(cols)
+            fresh = np.ones(cols.shape, dtype=bool)
+        for j in np.flatnonzero(fresh.any(axis=0)).tolist():
+            rows = np.flatnonzero(fresh[:, j])
+            p = cols[rows, j]
+            if src.shape[1] > known:
+                # a point an earlier column of this call fixed on the same row
+                again = src[rows, known:] == p[:, None]
+                found = again.any(axis=1)
+                out[rows[found], j] = dst[rows[found], known + again[found].argmax(axis=1)]
+                rows, p = rows[~found], p[~found]
+                if not rows.size:
+                    continue
+            # the r-th free point is r plus the fixed points a_i (sorted, i
+            # counted from 0) with a_i - i <= r; empty slots sort last and
+            # never count
+            taken = np.sort(dst[rows], axis=1)
+            r = self._draw(size - (taken < _EMPTY).sum(axis=1))
+            q = r + (taken - np.arange(taken.shape[1]) <= r[:, None]).sum(axis=1)
+            out[rows, j] = q
+            new_src, new_dst = np.full(self.count, _EMPTY), np.full(self.count, _EMPTY)
+            new_src[rows], new_dst[rows] = p, q
+            src, dst = np.column_stack([src, new_src]), np.column_stack([dst, new_dst])
+            self._x, self._y = (src, dst) if forward else (dst, src)
+        return out.reshape(points.shape)
 
     def image(self, x):
-        """f_0(x) at in-domain points x."""
-        if self.count is None:
-            return self.tables[0][x]
-        # a per-row search: forward tables would double every chunk's keys,
-        # and indexing inv_prp by row would copy every one
-        tables = np.expand_dims(self.inv_prp, tuple(range(1, x.ndim)))
-        return np.argmax(tables == x[..., None], axis=-1)
+        """f_0(x) = P(x)."""
+        if self.count is not None:
+            return self._many(np.asarray(x), True)
+        if isinstance(x, np.ndarray) and x.ndim:
+            return self._each(x, True)
+        return self._one(x, True)
 
     def claw(self, y):
-        """(x0, x1) at in-range image points y; claw(key, y) adds a range check."""
-        if self.count is None:
-            x0, delta = self.inv_prp[y], self.delta
+        """(x0, x1) = (P^-1(y), P^-1(y) xor delta), the claw of y."""
+        if self.count is not None:
+            x0 = self._many(np.asarray(y), False)
+            return x0, x0 ^ self.delta.reshape((-1,) + (1,) * (x0.ndim - 1))
+        if isinstance(y, np.ndarray) and y.ndim:
+            x0 = self._each(y, False)
         else:
-            rows = np.arange(self.count).reshape((-1,) + (1,) * (y.ndim - 1))
-            x0, delta = self.inv_prp[rows, y], self.delta[rows]
-        return x0, x0 ^ delta
+            x0 = self._one(y, False)
+        return x0, x0 ^ self.delta
+
+    def row(self, i: int) -> "IdealKey":
+        """Key i of a chunk as one key, with its fixed points and the chunk's generator."""
+        x, y = self._x[i], self._y[i]
+        return IdealKey(self.n, self.delta[i], self.rng,
+                        np.column_stack([x, y])[x < _EMPTY].tolist())
+
+    @property
+    def tables(self) -> tuple:
+        """(f_0, f_1) as read-only arrays, (2^n,) on one key and (count, 2^n)
+        on a chunk, once P is completed: each free x in increasing order
+        gets P(x) as image(x) would give it, one rng call per key."""
+        if self._tables is None:
+            if self.count is not None:
+                keys = [self.row(i) for i in range(self.count)]
+                f0 = np.array([key.tables[0] for key in keys])
+                self._x = np.tile(np.arange(1 << self.n), (self.count, 1))
+                self._y = f0
+                self._tables = (_readonly(f0), _readonly(
+                    np.take_along_axis(f0, self._x ^ self.delta[:, None], axis=1)))
+            else:
+                self._complete()
+                f0 = np.array([self._fwd[x] for x in range(1 << self.n)], dtype=np.int64)
+                self._tables = (_readonly(f0), _readonly(f0[np.arange(len(f0)) ^ self.delta]))
+        return self._tables
+
+    def _complete(self) -> None:
+        size = 1 << self.n
+        free_x = [x for x in range(size) if x not in self._fwd]
+        if not free_x:
+            return
+        free_y = [y for y in range(size) if y not in self._inv]
+        draws = self._draw(np.arange(len(free_x), 0, -1)).tolist()
+        for x, r in zip(free_x, draws):
+            y = free_y.pop(r)
+            self._fwd[x] = y
+            self._inv[y] = x
+        self._xs, self._ys = list(range(size)), list(range(size))
 
 
 @dataclass(frozen=True)
@@ -132,25 +280,28 @@ class TcfKeyPair:
     hidden_bit: int | None
 
     def to_json(self) -> str:
+        """delta and the points of P fixed so far; draws nothing."""
         return json.dumps({
             "domain_bits": self.domain_bits,
             "hidden_bit": self.hidden_bit,
-            "tables": [t.tolist() for t in self.pk.tables],
-            "secret": {"inv_prp": self.sk.inv_prp.tolist(), "delta": self.sk.delta},
+            "delta": self.sk.delta,
+            "assigned": self.sk.pairs(),
         })
 
     @classmethod
-    def from_json(cls, text: str) -> "TcfKeyPair":
-        """Refuses a trapdoor that is no key of domain_bits bits, or tables it does not give."""
+    def from_json(cls, text: str, rng: np.random.Generator = None) -> "TcfKeyPair":
+        """Refuses a delta outside (0, 2^n) or off the hidden bit, and the
+        fixed points IdealKey refuses; rng, when given, fixes P at new points."""
         d = json.loads(text)
-        n, secret = d["domain_bits"], d["secret"]
-        key = IdealKey(secret["inv_prp"], secret["delta"])
-        size = 1 << n
-        if (key.inv_prp.shape != (size,) or not 0 < key.delta < size
-                or not np.array_equal(np.sort(key.inv_prp), np.arange(size))
-                or not np.array_equal(key.tables, d["tables"])):
-            raise ValueError("the tables disagree with the trapdoor")
-        return cls(key, key, n, d["hidden_bit"])
+        n, hidden = d["domain_bits"], d["hidden_bit"]
+        check_domain_bits(n)
+        delta = checked_int(d["delta"], "delta must lie in (0, 2^n)")
+        if not 0 < delta < 1 << n:
+            raise ValueError("delta must lie in (0, 2^n)")
+        if hidden is not None and first_bit(delta, n) != hidden:
+            raise ValueError("the hidden bit disagrees with delta")
+        key = IdealKey(n, delta, rng, d["assigned"])
+        return cls(key, key, n, hidden)
 
 
 def _masks(bits: int, hidden, rng: np.random.Generator, count=None):
@@ -169,36 +320,27 @@ def check_domain_bits(bits: int) -> None:
 
 
 def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
-    """Key generation; bits is the domain size n of X = {0,1}^n."""
+    """Key generation; bits is the domain size n of X = {0,1}^n.  Draws
+    only the mask; the key fixes P from rng as it is read."""
     if rng is None:
         raise ValueError("an explicit rng is required")
     check_domain_bits(bits)
     if hidden is not None:
         hidden = checked_int(hidden, "hidden bit must be 0 or 1", 2)
-    prp = rng.permutation(1 << bits)
-    delta = int(_masks(bits, hidden, rng))
-    key = IdealKey(_inverse_permutation(prp), delta)
-    # the permutation just drawn is the branch-0 table: fill the cache with it
-    key.__dict__["tables"] = _branch_tables(prp, delta)
+    key = IdealKey(bits, int(_masks(bits, hidden, rng)), rng)
     return TcfKeyPair(key, key, bits, hidden)
 
 
-# gen_many chunks in both batched engines hold about this many table entries.
-CHUNK_ENTRIES = 2 ** 16
-
-
-def chunk_size(bits: int) -> int:
-    """Keys per chunk at this many domain bits."""
-    return max(1, CHUNK_ENTRIES >> bits)
+# Sessions (or quantumness instances) per chunk in both batched engines.
+CHUNK_SIZE = 256
 
 
 def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> IdealKey:
-    """n fresh keys, drawn step by step, as one IdealKey chunk.
+    """n fresh keys as one IdealKey chunk; one rng call draws every mask.
 
-    Row i of the (n, 2^bits) array inv_prp is key i's PRP^-1, drawn as such
-    because the inverse of a uniform permutation is uniform.  delta[i] is
-    its mask, whose first bit is hidden[i] when an array of hidden bits is
-    given.  One rng call draws every permutation and one every mask.
+    delta[i] is key i's mask, whose first bit is hidden[i] when an array
+    of hidden bits is given; the chunk fixes each key's P from rng as it
+    is read.
     """
     check_domain_bits(bits)
     if hidden is not None:
@@ -207,22 +349,21 @@ def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> IdealK
                 or ((hidden != 0) & (hidden != 1)).any()):
             raise ValueError("hidden must hold one bit per key")
         hidden = hidden.astype(np.int64)
-    inv_prp = np.tile(np.arange(1 << bits), (n, 1))
-    rng.permuted(inv_prp, axis=1, out=inv_prp)
-    return IdealKey(inv_prp, _masks(bits, hidden, rng, n))
+    return IdealKey(bits, _masks(bits, hidden, rng, n), rng)
 
 
-def _check_domain(pk: IdealKey, x: int) -> None:
-    if not 0 <= checked_int(x, "x is not an integer") < (1 << pk.n):
+def _checked_point(pk: IdealKey, x) -> int:
+    x = checked_int(x, "x is not an integer")
+    if not 0 <= x < (1 << pk.n):
         raise ValueError(f"x={x} outside the {pk.n}-bit domain")
+    return x
 
 
 def eval(pk: IdealKey, b: int, x: int) -> int:
     """f_{pk,b}(x)."""
     if b not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    _check_domain(pk, x)
-    return int(pk.tables[b][x])
+    return pk.image(_checked_point(pk, x) ^ (pk.delta if b else 0))
 
 
 def chk(pk: IdealKey, b: int, x: int, y) -> int:
@@ -230,19 +371,18 @@ def chk(pk: IdealKey, b: int, x: int, y) -> int:
     if b not in (0, 1):
         return 0
     try:
-        _check_domain(pk, x)
+        x = _checked_point(pk, x)
     except ValueError:
         return 0
     # a Python int, so a tuple y compares unequal instead of broadcasting
-    return int(int(pk.tables[b][x]) == y)
+    return int(pk.image(x ^ (pk.delta if b else 0)) == y)
 
 
 def inv(sk: IdealKey, b: int, y):
     """The unique branch-b preimage of y; errors when y is not in the image."""
     if b not in (0, 1):
         raise ValueError("branch must be 0 or 1")
-    y = checked_int(y, "y is not in the image", 1 << sk.n)
-    return int(sk.inv_prp[y]) ^ (sk.delta if b else 0)
+    return sk.claw(checked_int(y, "y is not in the image", 1 << sk.n))[b]
 
 
 def claw(sk: IdealKey, y: int):

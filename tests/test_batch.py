@@ -239,7 +239,7 @@ def test_honest_magic_square_is_exactly_one():
 def test_trial_counts_across_chunk_edges(extra):
     game, _ = games.kcbs()
     prover = cp.feasible_inconsistent_prover(game)
-    size = tcf.chunk_size(LAM)
+    size = tcf.CHUNK_SIZE
     for trials in {1, size + extra}:
         log = []
         rate, _ = cp.estimate_win_rate(game, "c-1", prover, trials, np.random.default_rng(14),
@@ -249,10 +249,21 @@ def test_trial_counts_across_chunk_edges(extra):
         assert len({t.message1.fhe_handle.key_id for t in log}) == trials
 
 
-def test_chunks_hold_about_two_to_the_sixteen_table_entries():
-    assert tcf.chunk_size(8) == 256
-    assert tcf.chunk_size(16) == 1
-    assert tcf.chunk_size(20) == 1
+def test_chunks_hold_256_sessions_at_every_lambda(monkeypatch):
+    assert tcf.CHUNK_SIZE == 256
+    sizes = []
+    sessions = batch._Sessions.__init__
+
+    def spy(self, plan, n, rng):
+        sizes.append((plan.lam, n))
+        sessions(self, plan, n, rng)
+
+    monkeypatch.setattr(batch._Sessions, "__init__", spy)
+    game, _ = games.kcbs()
+    for lam in (3, 8, 16, 20):
+        cp.estimate_win_rate(game, "c-1", cp.feasible_inconsistent_prover(game), 300,
+                             np.random.default_rng(18), lam=lam)
+    assert sizes == [(lam, n) for lam in (3, 8, 16, 20) for n in (256, 44)]
 
 
 def test_transcripts_change_no_draw(tmp_path, capsys):
@@ -536,7 +547,8 @@ def test_distinct_row_decode_and_decide_are_the_per_session_rule(name, kind, bac
     for prover in builtin_provers(game, strategy, kind):
         cp.estimate_win_rate(game, kind, prover, 300, np.random.default_rng(22), lam=LAM,
                              fhe_backend=backend)
-    assert len(chunks) == len(builtin_provers(game, strategy, kind))
+    # 300 sessions run as a chunk of 256 and one of 44
+    assert len(chunks) == 2 * len(builtin_provers(game, strategy, kind))
     assert_per_session_rule(chunks)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -183,11 +184,39 @@ def test_compile_report_rows_and_bounds(capsys):
 
 
 def test_compile_runs_at_the_largest_lambda(capsys):
-    # one session per chunk, 2^12 oracle blocks per session
+    # keys fix only the points a session reads; oracles hash only the blocks it touches
     code, report, _ = run_cli(capsys, ["compile", "--game", "kcbs", "--compiler", "1-1",
                                        "--lambda", "20", "--trials", "5", "--seed", "1"])
     assert code == 0
     assert {r["trials"] for r in report["rows"]} == {5}
+
+
+def test_a_lambda_20_compile_row_holds_nothing_of_size_2_to_the_lambda(capsys):
+    # three chunks of sessions; a 2^20-entry int64 table alone would take 8 MiB
+    tracemalloc.start()
+    try:
+        code = cli.main(["compile", "--game", "kcbs", "--compiler", "1-1", "--prover", "honest",
+                         "--lambda", "20", "--trials", "600", "--seed", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["trials"] == 600
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "200", "--seed", "7"], 400),
+    (["poq", "--trials", "200", "--seed", "7"], 1000)], ids=["kcbs-1-1", "poq"])
+def test_writing_transcripts_draws_nothing(argv, lines, tmp_path, capsys):
+    # a transcript reads each key's fixed points only; a draw would shift every later row
+    argv = argv + ["--out", str(tmp_path / "r.json")]
+    files = [tmp_path / "r.json", tmp_path / "r.csv"]
+    assert cli.main(argv) == 0
+    plain = [capsys.readouterr().out] + [f.read_bytes() for f in files]
+    assert cli.main(argv + ["--transcripts", str(tmp_path / "t.jsonl")]) == 0
+    assert [capsys.readouterr().out] + [f.read_bytes() for f in files] == plain
+    assert len((tmp_path / "t.jsonl").read_text().splitlines()) == lines
 
 
 def test_compile_config_errors(capsys, monkeypatch):

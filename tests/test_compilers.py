@@ -574,11 +574,19 @@ def test_recompute_decision_matches_and_detects_tampering():
                      if not set(ctx) & set(state.round1_questions))
         with pytest.raises(ValueError, match="context disagrees with the t1 payload"):
             cp.recompute_decision(game, dataclasses.replace(t, ctx_index=other), *keys)
-        # nor can any other context
+        # nor can any other context, unless it holds both the round-1 input and
+        # the round-2 question: then the transcript fits it as well
+        spec = cp.spec_of(kind)
+        value = spec.decode(game, qfhe.dec_classical(state.fhe_sk, t.message1.question_cipher))
         for i in range(len(game.contexts)):
-            if i != t.ctx_index:
-                with pytest.raises(ValueError, match="disagrees|outside its context"):
-                    cp.recompute_decision(game, dataclasses.replace(t, ctx_index=i), *keys)
+            if i == t.ctx_index:
+                continue
+            relabelled = dataclasses.replace(t, ctx_index=i)
+            if value in spec.context_inputs(game, i) and t.question in game.contexts[i]:
+                cp.recompute_decision(game, relabelled, *keys)  # raises nothing
+                continue
+            with pytest.raises(ValueError, match="disagrees|outside its context"):
+                cp.recompute_decision(game, relabelled, *keys)
         if kind == "cm1-1":
             moved = (t.skip_pos + 1) % len(game.contexts[t.ctx_index])
             with pytest.raises(ValueError, match="skip position disagrees"):

@@ -18,12 +18,12 @@ def sha256(data) -> str:
 
 CLI_PINS = [
     (["poq", "--trials", "200", "--seed", "7"],
-     "d0f16cee2599fb83b2233b8ca8aa9d919911263fce6082401e3ba1c549c9997d", None),
+     "a17b7c64614dc7beb707002777127dcba870a7b3a575b361ef859020a618e31a", None),
     (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "200", "--seed", "7"],
-     "0564cd05dc53a70328c9f352b20e6baf4ca8871b0bc37bc574268834125e27cd",
-     "f97573e80130c05df30a7f0fe9ad62564ab63f85e8608a6a5192c73a08397542"),
+     "c77cebb0b8a6ec853106e2bf701285659e895ec554a23771d6d163e8edff86a1",
+     "c63257ef4a71d51ba23dd24403c46bf5ccc57a558835063a39fa18007a68f46f"),
     (["compile", "--game", "magic-square", "--compiler", "cm1-1", "--trials", "200", "--seed", "7"],
-     "ec28f52b9bf2d87d9148d28cac3bf442304ec5dce8312513d0264e218c052e0d", None),
+     "d81c4d1efebd75d06a4676b0d0b2fe35f760fb79e1dbf6132aff6ad880a46a45", None),
 ]
 
 
@@ -42,7 +42,7 @@ def test_circuit_path_outcomes_are_pinned():
     _, log = poq.run_protocol(poq.honest("circuit"), 200, np.random.default_rng(2024),
                               lam=5, keep_transcripts=True)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "8e526dfdebb8a08a5cf4493df74eb4d98356b6c4925e62d7d1a17b3b702d3516"
+        "6fb7d99c9f6bf13a2131a33891844ca5587a88b95fa7db7262ba1acfb0a536e9"
 
     game, strategy = games.kcbs()
     log = []
@@ -50,7 +50,7 @@ def test_circuit_path_outcomes_are_pinned():
                                 compilers.honest_quantum_prover(strategy, opad_path="circuit"),
                                 100, np.random.default_rng(2025), lam=5, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "943a2d01f849eafdb5bc16d7b136d159bf884bbc84ef46e18f57b09abf0c51af"
+        "7826984afd28605c15a987c1da2e189faa76618ba695af66f72b8b148d2ee0d8"
 
 
 def test_batched_transcripts_are_pinned():
@@ -60,7 +60,7 @@ def test_batched_transcripts_are_pinned():
     compilers.estimate_win_rate(game, "c-1", compilers.feasible_inconsistent_prover(game), 300,
                                 np.random.default_rng(2026), lam=8, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "0dd6d18b3be811083659c2cb4b24565842fb93d01be2b6e21a054d93de9a3c30"
+        "296ac5780b6ddfb9f2dae2a9d969badd04749981a2cd2a81bff45ff2167a4a9b"
 
 
 def test_scalar_zoo_draws_are_pinned():
@@ -74,11 +74,12 @@ def test_scalar_zoo_draws_are_pinned():
                                          lam=5))
               for kind in poq.CLASSICAL_KINDS]
     assert sha256("\n".join(lines)) == \
-        "130e21dce9fce0d177a4505ff4b85fbc643ad0fcad7c093783d2985a3000bdf6"
+        "43b28d9728ec4a7930105aca4f98fd9d532cb9f688c57c629277e7dfd2d65e57"
 
 
 def test_key_draws_are_pinned():
-    # gen's forward tables, trapdoor and mask, then gen_many chunks
+    # gen's mask, a claw and an image fixed lazily, then the completed forward
+    # tables; then gen_many chunks read the same way
     digest = hashlib.sha256()
 
     def add(*arrays):
@@ -88,15 +89,15 @@ def test_key_draws_are_pinned():
     for lam in (3, 5, 8):
         for hidden in (None, 0, 1):
             keys = tcf.gen(lam, hidden=hidden, rng=np.random.default_rng(2028 + lam))
-            add(*keys.pk.tables, keys.sk.inv_prp, [keys.sk.delta])
+            add([keys.sk.delta], keys.sk.claw(1), [keys.pk.image(2)], *keys.pk.tables)
     rng = np.random.default_rng(2029)
     for lam, count in ((3, 50), (8, 20)):
-        chunk = tcf.gen_many(lam, count, rng)
-        add(chunk.inv_prp, chunk.delta)
-        chunk = tcf.gen_many(lam, count, rng, hidden=rng.integers(0, 2, size=count))
-        add(chunk.inv_prp, chunk.delta)
+        for hidden in (None, rng.integers(0, 2, size=count)):
+            chunk = tcf.gen_many(lam, count, rng, hidden=hidden)
+            add(chunk.delta, *chunk.claw(np.full(count, 1)), chunk.image(np.full(count, 2)),
+                *chunk.tables)
     assert digest.hexdigest() == \
-        "969cc204472a7e283ca23f30e1543319846d55ba7e72ec55f84a718661fea2c4"
+        "7d919a76ff0bd371ac60e0b8d1b0d5f9eabcf8b32ed65ff8e83e88ab5cc35bad"
 
 
 def test_scalar_compiled_draws_are_pinned():
@@ -123,4 +124,4 @@ def test_scalar_compiled_draws_are_pinned():
                                              oracle_mode="lazy")))
         lines.append(repr(rng.integers(2 ** 62)))
     assert sha256("\n".join(lines)) == \
-        "8bf6bb659b090b57d336301f4a7c0f1b01ed97daa01b88c2ceb45d3318a4ba1f"
+        "35b285da502230cabd51c441230ba2d422dc8d6d5c626c3528e629bef0637b38"

@@ -159,9 +159,10 @@ def test_batched_honest_leftover_is_the_predicted_bb84_state():
     mu, d, y = prover.round1()
     leftover = prover.leftover
     n = LAM
+    claws = keys.claw(y)  # fixed by round1, so read without a draw
     for i in range(400):
-        x0 = int(keys.inv_prp[i, y[i]])
-        x1 = x0 ^ int(keys.delta[i])
+        x0, x1 = int(claws[0][i]), int(claws[1][i])
+        assert x1 == x0 ^ int(keys.delta[i])
         if s[i] == 1:
             expected = StateVector.basis((2,), (int(mu[i]) ^ tcf.first_bit(x0, n),))
         else:
@@ -175,10 +176,11 @@ def test_batched_honest_leftover_is_the_predicted_bb84_state():
 def test_a_prover_plays_a_key_and_its_one_row_chunk_alike(name):
     cls = poq.HonestProver if name == "honest" else poq.CLASSICAL_CLASSES[name]
     for seed in range(20):
+        # equal generators give the key and the row equal masks and points of P
         keys = tcf.gen(LAM, hidden=seed % 2, rng=np.random.default_rng(seed))
         c = seed // 2 % 2
         one = cls(keys.pk, np.random.default_rng(200 + seed))
-        row = cls(tcf.IdealKey(keys.sk.inv_prp[None], np.array([keys.sk.delta])),
+        row = cls(tcf.gen_many(LAM, 1, np.random.default_rng(seed), hidden=[seed % 2]),
                   np.random.default_rng(200 + seed))
         commitment = one.round1()
         assert [v.tolist() for v in row.round1()] == [[int(v)] for v in commitment]
@@ -191,11 +193,10 @@ def test_a_prover_plays_a_key_and_its_one_row_chunk_alike(name):
 def test_zoo_commitments_follow_their_scalar_rules():
     rng = np.random.default_rng(141)
     keys = tcf.gen_many(LAM, 200, rng)
-    rows = np.arange(200)
     for kind, cls in poq.CLASSICAL_CLASSES.items():
         prover = cls(keys, rng)
         mu, d, y = prover.round1()
-        preimage = keys.inv_prp[rows, y]  # x with f_0(x) = y
+        preimage = keys.claw(y)[0]  # x with f_0(x) = y
         if kind == "random-echo":
             assert set(mu.tolist()) == {0, 1}
             assert set(d.tolist()) == set(range(1 << (LAM - 1)))
@@ -212,7 +213,7 @@ def test_zoo_commitments_follow_their_scalar_rules():
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_trial_counts_across_chunk_edges(extra):
-    size = tcf.chunk_size(LAM)
+    size = tcf.CHUNK_SIZE
     for trials in {1, size + extra}:
         log = batched_log("honest", trials, seed=150)
         assert {t.lam for t in log} == {LAM}
@@ -224,9 +225,9 @@ def test_gen_many_follows_the_mask_rule():
     rng = np.random.default_rng(160)
     hidden = rng.integers(0, 2, size=300)
     chunk = tcf.gen_many(4, 300, rng, hidden=hidden)
-    inv_prp, delta = chunk.inv_prp, chunk.delta
-    assert inv_prp.shape == (300, 16)
-    assert (np.sort(inv_prp, axis=1) == np.arange(16)).all()
+    delta = chunk.delta
+    assert (chunk.count, chunk.tables[0].shape) == (300, (300, 16))
+    assert (np.sort(chunk.tables[0], axis=1) == np.arange(16)).all()
     assert ((delta >> 3) == hidden).all()
     assert ((0 < delta) & (delta < 16)).all()
     delta = tcf.gen_many(4, 2000, rng).delta
@@ -238,13 +239,12 @@ def test_gen_many_follows_the_mask_rule():
 
 
 def test_gen_many_draws_as_the_batched_sessions_did():
-    # permutations first, drawn as one shuffle of tiled ranges, then the masks
-    chunk = tcf.gen_many(6, 40, np.random.default_rng(161))
+    # the masks in one call, and nothing else until the keys are read
     rng = np.random.default_rng(161)
-    ref = np.tile(np.arange(64), (40, 1))
-    rng.permuted(ref, axis=1, out=ref)
-    assert np.array_equal(chunk.inv_prp, ref)
-    assert np.array_equal(chunk.delta, rng.integers(1, 64, size=40))
+    chunk = tcf.gen_many(6, 40, rng)
+    ref = np.random.default_rng(161)
+    assert np.array_equal(chunk.delta, ref.integers(1, 64, size=40))
+    assert rng.bit_generator.state == ref.bit_generator.state and chunk.rng is rng
 
 
 def test_the_quantumness_engine_loads_no_compiled_engine():

@@ -1,7 +1,12 @@
+import copy
 import gc
+import hashlib
+import itertools
 import json
+import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,7 +265,7 @@ def test_gen_bounds_the_domain_before_drawing(bits):
 
 def test_key_tables_are_read_only():
     kp = ideal_pair(6)
-    for table in (*kp.pk.tables, kp.sk.inv_prp):
+    for table in kp.pk.tables:
         assert table.dtype == np.int64
         with pytest.raises(ValueError):
             table[0] = 1
@@ -271,8 +276,8 @@ def test_key_tables_are_read_only():
 
 def test_chunk_arrays_are_read_only():
     chunk = tcf.gen_many(5, 4, np.random.default_rng(19), hidden=[0, 1, 1, 0])
-    row = tcf.IdealKey(chunk.inv_prp[2], int(chunk.delta[2]))
-    for array in (chunk.inv_prp, chunk.delta, row.inv_prp, *row.tables):
+    row = chunk.row(2)
+    for array in (chunk.delta, *chunk.tables, *row.tables):
         assert array.dtype == np.int64
         with pytest.raises(ValueError):
             array[0] = 1
@@ -281,11 +286,12 @@ def test_chunk_arrays_are_read_only():
 def test_gen_returns_one_key_as_pk_and_sk():
     kp = ideal_pair(5, hidden=1, seed=20)
     assert kp.pk is kp.sk
-    assert (kp.pk.n, kp.pk.count, kp.pk.inv_prp.shape) == (5, None, (32,))
+    assert (kp.pk.n, kp.pk.count, kp.pk.pairs()) == (5, None, [])
     assert type(kp.pk.delta) is int and tcf.first_bit(kp.pk.delta, 5) == 1
-    # the cached forward tables are those the trapdoor gives
-    fresh = tcf.IdealKey(kp.sk.inv_prp, kp.sk.delta)
-    assert all(np.array_equal(a, b) for a, b in zip(fresh.tables, kp.pk.tables))
+    # the completed tables keep the points fixed before completion
+    y, (x0, x1) = kp.pk.image(3), kp.sk.claw(9)
+    t0, t1 = kp.pk.tables
+    assert (t0[3], t0[x0], t1[x1]) == (y, 9, 9)
     assert isinstance(tcf.gen_many(5, 3, np.random.default_rng(20)), tcf.IdealKey)
 
 
@@ -300,19 +306,89 @@ def test_gen_refuses_non_integer_hidden_bits():
     assert (chunk.delta >> 3).tolist() == [1, 0, 1]
 
 
-def test_from_json_refuses_tables_the_trapdoor_does_not_give():
-    kp = ideal_pair(5, seed=21)
+def lazy_key_json(edit):
+    """The JSON of a 5-bit key with three points fixed, after edit(body)."""
+    kp = ideal_pair(5, hidden=0, seed=21)
+    kp.pk.image(1), kp.pk.image(4), kp.sk.claw(7)
     body = json.loads(kp.to_json())
-    for edit in (lambda b: b["tables"][1].reverse(),
-                 lambda b: b["tables"][0].__setitem__(0, b["tables"][0][1]),
-                 lambda b: b["secret"].__setitem__("delta", b["secret"]["delta"] ^ 1),
-                 lambda b: b["secret"].__setitem__("delta", 0),
-                 lambda b: b["secret"]["inv_prp"].__setitem__(0, b["secret"]["inv_prp"][1]),
-                 lambda b: b.__setitem__("domain_bits", 6)):
-        bad = json.loads(json.dumps(body))
-        edit(bad)
-        with pytest.raises(ValueError, match="disagree with the trapdoor"):
-            tcf.TcfKeyPair.from_json(json.dumps(bad))
+    edit(body)
+    return json.dumps(body)
+
+
+def test_from_json_refuses_a_repeated_x():
+    def edit(body):
+        body["assigned"][1][0] = body["assigned"][0][0]
+    with pytest.raises(ValueError, match="fixed x or y repeats"):
+        tcf.TcfKeyPair.from_json(lazy_key_json(edit))
+
+
+def test_from_json_refuses_a_repeated_y():
+    def edit(body):
+        body["assigned"][2][1] = body["assigned"][0][1]
+    with pytest.raises(ValueError, match="fixed x or y repeats"):
+        tcf.TcfKeyPair.from_json(lazy_key_json(edit))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("point", [-1, 32, 1.0, "3"])
+def test_from_json_refuses_a_point_outside_the_domain(side, point):
+    def edit(body):
+        body["assigned"][0][side] = point
+    with pytest.raises(ValueError, match="outside the domain"):
+        tcf.TcfKeyPair.from_json(lazy_key_json(edit))
+
+
+@pytest.mark.parametrize("delta", [0, 32, -3, 2.0])
+def test_from_json_refuses_a_delta_outside_the_domain(delta):
+    def edit(body):
+        body["delta"], body["hidden_bit"] = delta, None
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 2\^n\)"):
+        tcf.TcfKeyPair.from_json(lazy_key_json(edit))
+
+
+def test_from_json_refuses_a_delta_off_the_hidden_bit():
+    def edit(body):
+        body["hidden_bit"] = 1
+    with pytest.raises(ValueError, match="hidden bit disagrees"):
+        tcf.TcfKeyPair.from_json(lazy_key_json(edit))
+
+
+def test_key_json_holds_delta_and_the_fixed_points_and_draws_nothing():
+    rng = np.random.default_rng(25)
+    kp = tcf.gen(12, hidden=1, rng=rng)
+    fixed = [kp.pk.image(5), kp.sk.claw(3)[0], kp.pk.image(4000)]
+    before = rng.bit_generator.state
+    text = kp.to_json()
+    body = json.loads(text)
+    assert rng.bit_generator.state == before
+    assert body["delta"] == kp.sk.delta and body["hidden_bit"] == 1
+    assert body["assigned"] == sorted([[5, fixed[0]], [fixed[1], 3], [4000, fixed[2]]])
+    back = tcf.TcfKeyPair.from_json(text)
+    assert back == kp and back.pk == kp.pk and back.pk.rng is None
+    assert tcf.claw(back.sk, 3) == tcf.claw(kp.sk, 3)
+    with pytest.raises(ValueError, match="no generator"):
+        back.pk.image(6)
+    # given a generator, a loaded key goes on fixing points
+    again = tcf.TcfKeyPair.from_json(text, rng=np.random.default_rng(26))
+    assert again.pk.image(6) not in {y for _, y in body["assigned"]}
+    assert again.pk != kp.pk
+
+
+def test_keys_are_equal_when_delta_and_the_fixed_points_are():
+    a, b = (tcf.gen(6, rng=np.random.default_rng(27)).pk for _ in range(2))
+    assert a == b
+    a.image(2)
+    assert a != b
+    b.image(2)
+    assert a == b
+    b.claw(0)
+    assert a != b
+    rows = [tcf.gen_many(6, 3, np.random.default_rng(28)) for _ in range(2)]
+    assert rows[0] == rows[1]
+    rows[0].claw(np.array([1, 2, 3]))
+    assert rows[0] != rows[1]
+    rows[1].claw(np.array([1, 2, 3]))
+    assert rows[0] == rows[1] and rows[0].row(1) == rows[1].row(1) != rows[1].row(2)
 
 
 def test_public_claw_is_the_inverse_of_both_tables():
@@ -359,16 +435,18 @@ def test_key_lookups_take_ints_and_arrays():
 
 
 def test_a_key_and_its_one_row_chunk_answer_alike():
+    # drawn from equal generators, they fix the same points in the same order
     for seed in range(6):
         key = ideal_pair(5, hidden=seed % 2, seed=30 + seed).pk
-        row = tcf.IdealKey(key.inv_prp[None], np.array([key.delta]))
-        assert (row.n, row.count) == (5, 1)
+        row = tcf.gen_many(5, 1, np.random.default_rng(30 + seed), hidden=[seed % 2])
+        assert (row.n, row.count, row.delta.tolist()) == (5, 1, [key.delta])
+        assert tuple(int(x[0]) for x in row.claw(np.array([7]))) == tcf.claw(key, 7)
         points = np.arange(32)
-        assert np.array_equal(row.image(points[None]), key.image(points)[None])
         assert np.array_equal(row.image(points[:1]), [key.image(0)])
+        assert np.array_equal(row.image(points[None]), key.image(points)[None])
         for got, want in zip(row.claw(points[None]), key.claw(points)):
             assert np.array_equal(got, want[None])
-        assert tuple(int(x[0]) for x in row.claw(np.array([7]))) == tcf.claw(key, 7)
+        assert row.row(0) == key
 
 
 def test_a_key_chunk_reads_each_row_with_its_own_key():
@@ -376,14 +454,19 @@ def test_a_key_chunk_reads_each_row_with_its_own_key():
     chunk = tcf.gen_many(5, 6, rng)
     assert (chunk.n, chunk.count) == (5, 6)
     points = rng.integers(0, 32, size=(6, 3))
+    images, first = chunk.image(points), chunk.image(points[:, 0])
+    claws, first_claws = chunk.claw(points), chunk.claw(points[:, 0])
+    before = rng.bit_generator.state
     for i in range(6):
-        pk = tcf.IdealKey(chunk.inv_prp[i], int(chunk.delta[i]))
-        assert np.array_equal(chunk.image(points)[i], pk.image(points[i]))
-        assert chunk.image(points[:, 0])[i] == pk.image(points[i, 0])
-        for got, want in zip(chunk.claw(points), pk.claw(points[i])):
+        # row i holds the points the chunk fixed on its row, and reads them without a draw
+        pk = chunk.row(i)
+        assert np.array_equal(images[i], pk.image(points[i]))
+        assert first[i] == images[i, 0] == pk.image(points[i, 0])
+        for got, want in zip(claws, pk.claw(points[i])):
             assert np.array_equal(got[i], want)
-        assert tuple(int(x[i]) for x in chunk.claw(points[:, 0])) == \
-            tcf.public_claw(pk, int(points[i, 0]))
+        assert tuple(int(x[i]) for x in first_claws) == tcf.public_claw(pk, int(points[i, 0]))
+    assert rng.bit_generator.state == before
+    assert (np.sort(chunk.tables[0], axis=1) == np.arange(32)).all()
 
 
 def test_used_public_key_is_not_kept_alive():
@@ -396,11 +479,140 @@ def test_used_public_key_is_not_kept_alive():
 
 
 def test_transcript_table_digest_is_stable():
-    # the digest hashes the JSON text of the tables; this value predates
-    # the array representation of keys
+    # the digest hashes the JSON text of [delta, the fixed (x, P(x)) pairs]
     game, strategy = games.kcbs()
     _, state = compilers.run_session(game, "1-1", compilers.honest_quantum_prover(strategy),
                                      np.random.default_rng(3))
+    pk = state.message1.opad_pk
+    text = json.dumps([pk.delta, pk.pairs()])
+    assert len(pk.pairs()) == 4  # two qubits, an X and a Z slot each
     body = json.loads(state.transcript().to_json())
-    assert body["t2_opad_pk"] == {"domain_bits": 8, "table_digest": "7c1cc4c7137dcbdc"}
+    assert body["t2_opad_pk"] == {"domain_bits": 8,
+                                  "table_digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
+    assert body["t2_opad_pk"]["table_digest"] == "92a5d521ddb1e581"
 
+
+
+def test_key_lookups_refuse_points_outside_the_domain():
+    kp = tcf.gen(4, rng=np.random.default_rng(29))
+    for point in (-1, 16, 99):
+        with pytest.raises(ValueError, match="outside the domain"):
+            kp.pk.image(point)
+        with pytest.raises(ValueError, match="not in the image"):
+            kp.pk.claw(point)
+        with pytest.raises(ValueError):
+            kp.pk.image(np.array([3, point]))
+    chunk = tcf.gen_many(4, 3, np.random.default_rng(30))
+    for points in (np.array([16, 99, -1]), np.array([0, 1, -1]), np.array([[0, 1], [2, 16], [3, 4]])):
+        with pytest.raises(ValueError, match="outside the domain"):
+            chunk.image(points)
+        with pytest.raises(ValueError, match="not in the image"):
+            chunk.claw(points)
+    assert kp.pk.pairs() == [] and chunk == tcf.gen_many(4, 3, np.random.default_rng(30))
+
+
+def test_gen_draws_only_the_mask():
+    for hidden in (None, 0, 1):
+        rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+        kp = tcf.gen(20, hidden=hidden, rng=rng)
+        assert kp.pk.delta == int(tcf._masks(20, hidden, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert kp.pk.rng is rng and kp.pk.pairs() == []
+    rng, ref = np.random.default_rng(32), np.random.default_rng(32)
+    chunk = tcf.gen_many(20, 256, rng, hidden=np.arange(256) % 2)
+    assert chunk.delta.tolist() == tcf._masks(20, np.arange(256) % 2, ref, 256).tolist()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class ScriptedRng:
+    """Stands in for the generator of a lazy key: integers(0, high) answers
+    each entry of high with the next scripted choice (0 once the script
+    runs out) and records the entry's range.  The key asks for whole 64-bit
+    outputs, integers(0, m << 32) >> 32, so a choice c comes back as c << 32."""
+
+    def __init__(self, script):
+        self.script = script
+        self.ranges = []
+
+    def _next(self, m: int) -> int:
+        at = len(self.ranges)
+        self.ranges.append(m)
+        return (self.script[at] if at < len(self.script) else 0) << 32
+
+    def integers(self, low, high):
+        assert low == 0
+        if np.ndim(high):
+            return np.array([self._next(m) for m in (high >> 32).tolist()], dtype=np.int64)
+        return self._next(high >> 32)
+
+
+def choice_tree(run) -> dict:
+    """{leaf: 1/probability} over every path of run's scripted choices, each
+    choice uniform over its range; run(rng) returns the leaf."""
+    leaves, script = {}, []
+    while True:
+        rng = ScriptedRng(script)
+        leaf = run(rng)
+        assert leaf not in leaves
+        leaves[leaf] = math.prod(rng.ranges)
+        # the next path: bump the last choice below its range, drop the rest
+        script = script + [0] * (len(rng.ranges) - len(script))
+        while script and script[-1] == rng.ranges[len(script) - 1] - 1:
+            script.pop()
+        if not script:
+            return leaves
+        script[-1] += 1
+
+
+def lazy_law(queries) -> dict:
+    """{P: probability} of a 3-bit key after queries(rng), which returns the
+    key it read, and then completion; completion is enumerated from each
+    assignment the queries leave, on one key holding it."""
+    law = {}
+    fixed = choice_tree(lambda rng: tuple(map(tuple, queries(rng).pairs())))
+    for pairs, p in fixed.items():
+        completed = choice_tree(lambda rng: tuple(tcf.IdealKey(3, 5, rng, pairs).tables[0].tolist()))
+        for perm, q in completed.items():
+            assert perm not in law
+            law[perm] = Fraction(1, p * q)
+    return law
+
+
+def test_lazy_sampling_has_the_law_of_a_uniform_permutation():
+    # claw, image, a repeated point and a point fixed by the other side, then completion
+    def one_key(rng):
+        key = tcf.IdealKey(3, 5, rng)
+        key.claw(6), key.image(2), key.claw(6), key.image(key.claw(1)[0]), key.claw(3)
+        return key
+
+    def chunk_row(i):
+        # the other row starts complete, so every draw is row i's
+        other = [[x, (3 * x + 1) % 8] for x in range(8)]
+        pairs = [[], other] if i == 0 else [other, []]
+
+        def queries(rng):
+            chunk = tcf.IdealKey(3, np.array([5, 3]), rng, pairs)
+            chunk.claw(np.array([6, 6])), chunk.image(np.array([[2, 0], [2, 0]]))
+            chunk.claw(np.array([[6, 1], [6, 1]])), chunk.claw(np.array([3, 3]))
+            assert chunk.row(1 - i).pairs() == other
+            return chunk.row(i)
+        return queries
+
+    for queries in (one_key, chunk_row(0), chunk_row(1)):
+        law = lazy_law(queries)
+        assert len(law) == math.factorial(8)
+        assert set(law.values()) == {Fraction(1, 40320)}
+        assert set(law) == set(itertools.permutations(range(8)))
+
+
+def test_a_chunk_completes_each_row_as_its_one_key_would():
+    chunk = tcf.gen_many(4, 3, np.random.default_rng(33))
+    chunk.claw(np.array([[1, 5], [2, 2], [0, 15]]))
+    # one keys with the rows' points and a copy of the chunk's generator, completed in row order
+    ref = copy.deepcopy(chunk.rng)
+    keys = [tcf.IdealKey(4, chunk.delta[i], ref, chunk.row(i).pairs()) for i in range(3)]
+    tables = chunk.tables
+    for i, key in enumerate(keys):
+        assert np.array_equal(tables[0][i], key.tables[0])
+        assert np.array_equal(tables[1][i], key.tables[1])
+    assert chunk.row(1).pairs() == keys[1].pairs() == [[x, int(tables[0][1, x])] for x in range(16)]
