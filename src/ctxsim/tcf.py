@@ -234,9 +234,10 @@ class IdealKey:
         return x0, x0 ^ self.delta
 
     def row(self, i: int) -> "IdealKey":
-        """Key i of a chunk as one key, with its fixed points and the chunk's generator."""
+        """Key i of a chunk as one key holding its fixed points; it has no
+        generator, so it answers only there and never forks the chunk's P."""
         x, y = self._x[i], self._y[i]
-        return IdealKey(self.n, self.delta[i], self.rng,
+        return IdealKey(self.n, self.delta[i], None,
                         np.column_stack([x, y])[x < _EMPTY].tolist())
 
     @property
@@ -246,7 +247,8 @@ class IdealKey:
         gets P(x) as image(x) would give it, one rng call per key."""
         if self._tables is None:
             if self.count is not None:
-                keys = [self.row(i) for i in range(self.count)]
+                keys = [IdealKey(self.n, self.delta[i], self.rng, self.row(i).pairs())
+                        for i in range(self.count)]
                 f0 = np.array([key.tables[0] for key in keys])
                 self._x = np.tile(np.arange(1 << self.n), (self.count, 1))
                 self._y = f0
@@ -289,9 +291,9 @@ class TcfKeyPair:
         })
 
     @classmethod
-    def from_json(cls, text: str, rng: np.random.Generator = None) -> "TcfKeyPair":
+    def from_json(cls, text: str) -> "TcfKeyPair":
         """Refuses a delta outside (0, 2^n) or off the hidden bit, and the
-        fixed points IdealKey refuses; rng, when given, fixes P at new points."""
+        fixed points IdealKey refuses; the loaded key holds no generator."""
         d = json.loads(text)
         n, hidden = d["domain_bits"], d["hidden_bit"]
         check_domain_bits(n)
@@ -300,7 +302,7 @@ class TcfKeyPair:
             raise ValueError("delta must lie in (0, 2^n)")
         if hidden is not None and first_bit(delta, n) != hidden:
             raise ValueError("the hidden bit disagrees with delta")
-        key = IdealKey(n, delta, rng, d["assigned"])
+        key = IdealKey(n, delta, None, d["assigned"])
         return cls(key, key, n, hidden)
 
 
