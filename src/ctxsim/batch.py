@@ -6,10 +6,11 @@ included) or an HonestQuantumProver on the collapsed pad path.  Every other
 case runs the scalar state machines of compilers, which stay the protocol
 reference.
 
-Sessions run in chunks of tcf.CHUNK_SIZE at every lambda: a chunk's
-claw-free keys are sampled lazily and its oracles keep only the digests
-they touch, so nothing in a chunk grows with 2^lambda.  Each protocol step
-makes one rng call per chunk.  No layer is skipped.  This module keeps
+Sessions run in chunks of tcf.CHUNK_SIZE = 4096 at every lambda, so a
+row of up to 4096 trials runs as one chunk: a chunk's claw-free keys are
+sampled lazily and its oracles keep only the digests they touch, so
+nothing in a chunk grows with 2^lambda.  Each protocol step makes one rng
+call per chunk.  No layer is skipped.  This module keeps
 the session bookkeeping: the plan of a kind on a game, and each chunk's
 contexts, inputs, questions and transcripts.  The rules are the scalar
 engine's, in chunk form: the kind's CompilerSpec, the honest branches of

@@ -274,8 +274,8 @@ COMMANDS = {"values": cmd_values, "poq": cmd_poq, "compile": cmd_compile}
 
 LAMBDA_HELP = (f"claw-free domain bits, 3 to {tcf.MAX_DOMAIN_BITS} (default 8); "
                f"every trial draws a fresh key, sampled lazily, so its cost does not "
-               f"grow with lambda: 20000 honest kcbs 1-1 trials take about 0.6 s "
-               f"at 16 against 0.45 s at 8")
+               f"grow with lambda: 20000 honest kcbs 1-1 trials take about 0.55 s "
+               f"at 16 against 0.37 s at 8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,6 +323,12 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if fields["lam"] is not None and not 3 <= fields["lam"] <= tcf.MAX_DOMAIN_BITS:
         raise ConfigError(f"--lambda must be 3 to {tcf.MAX_DOMAIN_BITS}, "
                           f"not {fields['lam']}")
+    if fields["seed"] is not None and fields["seed"] < 0:
+        raise ConfigError(f"--seed must be 0 or more, not {fields['seed']}")
+    outputs = {"--out": fields["out"], "--transcripts": getattr(args, "transcripts", None)}
+    for flag, path in outputs.items():
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigError(f"{flag}: no directory {str(Path(path).parent)!r}")
     return RunConfig(**fields)
 
 

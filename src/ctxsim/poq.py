@@ -28,11 +28,12 @@ checks.  run_protocol and rewind_experiment run one instance at a time
 through PoqVerifier, the prover on the instance's tcf.IdealKey; they are
 the reference, and the only engine for the circuit-path honest prover and
 PeekingProver.  estimate_rate and estimate_rewind run the collapsed honest
-prover and the zoo in chunks of tcf.CHUNK_SIZE instances, the
-prover on the chunk's keys, one tcf.IdealKey with a fresh hidden bit and
-key per instance.  A prover draws size=pk.count values per rng call, so on
-a one-row chunk it draws what it draws on that row's key; a seed gives a
-chunk other instances than the scalar engine, from the same distribution.
+prover and the zoo in chunks of tcf.CHUNK_SIZE = 4096 instances (a row of
+up to 4096 trials is one chunk), the prover on the chunk's keys, one
+tcf.IdealKey with a fresh hidden bit and key per instance.  A prover
+draws size=pk.count values per rng call, so on a one-row chunk it draws
+what it draws on that row's key; a seed gives a chunk other instances
+than the scalar engine, from the same distribution.
 """
 from __future__ import annotations
 

@@ -334,7 +334,12 @@ def gen(bits: int, hidden=None, rng: np.random.Generator = None) -> TcfKeyPair:
 
 
 # Sessions (or quantumness instances) per chunk in both batched engines.
-CHUNK_SIZE = 256
+# Each chunk pays a fixed cost of 0.2 to 3 ms at lambda 8, so 4096 is the
+# knee of a sweep: a 2*10^4-trial poq row took 150, 53, 25 and 28 ms at
+# 256, 1024, 4096 and 16384 on a 2-vCPU Xeon VM.  Memory stops it there: a
+# 2*10^4-trial honest kcbs 1-1 row at lambda 20 peaks at 10 MiB by
+# tracemalloc at 4096, against 41 MiB at 16384.
+CHUNK_SIZE = 4096
 
 
 def gen_many(bits: int, n: int, rng: np.random.Generator, hidden=None) -> IdealKey:

@@ -236,11 +236,12 @@ def test_honest_magic_square_is_exactly_one():
 
 
 @pytest.mark.parametrize("extra", [0, 1])
-def test_trial_counts_across_chunk_edges(extra):
+def test_trial_counts_across_chunk_edges(extra, monkeypatch):
+    size = 7
+    monkeypatch.setattr(tcf, "CHUNK_SIZE", size)
     game, _ = games.kcbs()
     prover = cp.feasible_inconsistent_prover(game)
-    size = tcf.CHUNK_SIZE
-    for trials in {1, size + extra}:
+    for trials in {1, 3 * size + extra}:
         log = []
         rate, _ = cp.estimate_win_rate(game, "c-1", prover, trials, np.random.default_rng(14),
                                        lam=LAM, transcript_log=log)
@@ -249,8 +250,8 @@ def test_trial_counts_across_chunk_edges(extra):
         assert len({t.message1.fhe_handle.key_id for t in log}) == trials
 
 
-def test_chunks_hold_256_sessions_at_every_lambda(monkeypatch):
-    assert tcf.CHUNK_SIZE == 256
+def test_chunks_hold_4096_sessions_at_every_lambda(monkeypatch):
+    assert tcf.CHUNK_SIZE == 4096
     sizes = []
     sessions = batch._Sessions.__init__
 
@@ -261,9 +262,9 @@ def test_chunks_hold_256_sessions_at_every_lambda(monkeypatch):
     monkeypatch.setattr(batch._Sessions, "__init__", spy)
     game, _ = games.kcbs()
     for lam in (3, 8, 16, 20):
-        cp.estimate_win_rate(game, "c-1", cp.feasible_inconsistent_prover(game), 300,
+        cp.estimate_win_rate(game, "c-1", cp.feasible_inconsistent_prover(game), 4140,
                              np.random.default_rng(18), lam=lam)
-    assert sizes == [(lam, n) for lam in (3, 8, 16, 20) for n in (256, 44)]
+    assert sizes == [(lam, n) for lam in (3, 8, 16, 20) for n in (4096, 44)]
 
 
 def test_transcripts_change_no_draw(tmp_path, capsys):
@@ -542,13 +543,14 @@ BUILTIN_KINDS = [(name, kind) for name in sorted(cli.BUILTIN_GAMES)
 @pytest.mark.parametrize("name,kind", BUILTIN_KINDS, ids=[f"{g}-{k}" for g, k in BUILTIN_KINDS])
 def test_distinct_row_decode_and_decide_are_the_per_session_rule(name, kind, backend,
                                                                  monkeypatch):
+    monkeypatch.setattr(tcf, "CHUNK_SIZE", 128)
     game, strategy = cli.BUILTIN_GAMES[name]()
     chunks = spied_chunks(monkeypatch)
     for prover in builtin_provers(game, strategy, kind):
         cp.estimate_win_rate(game, kind, prover, 300, np.random.default_rng(22), lam=LAM,
                              fhe_backend=backend)
-    # 300 sessions run as a chunk of 256 and one of 44
-    assert len(chunks) == 2 * len(builtin_provers(game, strategy, kind))
+    # 300 sessions run as two chunks of 128 and one of 44
+    assert len(chunks) == 3 * len(builtin_provers(game, strategy, kind))
     assert_per_session_rule(chunks)
 
 

@@ -191,17 +191,19 @@ def test_compile_runs_at_the_largest_lambda(capsys):
     assert {r["trials"] for r in report["rows"]} == {5}
 
 
-def test_a_lambda_20_compile_row_holds_nothing_of_size_2_to_the_lambda(capsys):
-    # three chunks of sessions; a 2^20-entry int64 table alone would take 8 MiB
+@pytest.mark.parametrize("trials", [600, tcf.CHUNK_SIZE])
+def test_a_lambda_20_compile_row_holds_nothing_of_size_2_to_the_lambda(trials, capsys):
+    # each row runs as one chunk, a full one at tcf.CHUNK_SIZE trials; a 2^20-entry
+    # int64 table alone would take 8 MiB
     tracemalloc.start()
     try:
         code = cli.main(["compile", "--game", "kcbs", "--compiler", "1-1", "--prover", "honest",
-                         "--lambda", "20", "--trials", "600", "--seed", "1"])
+                         "--lambda", "20", "--trials", str(trials), "--seed", "1"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["rows"][0]["trials"] == 600
+    assert json.loads(capsys.readouterr().out)["rows"][0]["trials"] == trials
     assert peak < 16 << 20
 
 
@@ -219,12 +221,16 @@ def test_writing_transcripts_draws_nothing(argv, lines, tmp_path, capsys):
     assert len((tmp_path / "t.jsonl").read_text().splitlines()) == lines
 
 
-def test_compile_config_errors(capsys, monkeypatch):
-    # every case is refused before any key exists
+def test_compile_config_errors(tmp_path, capsys, monkeypatch):
+    # every case is refused before any key exists or any row runs
     def no_keys(*args, **kwargs):
         raise AssertionError("a key was generated")
     monkeypatch.setattr(qfhe, "gen", no_keys)
     monkeypatch.setattr(opad, "gen", no_keys)
+    monkeypatch.setattr(tcf, "gen", no_keys)
+    monkeypatch.setattr(tcf, "gen_many", no_keys)
+    monkeypatch.setattr(cli, "nc_value", no_keys)
+    missing = str(tmp_path / "missing" / "out.json")
     cases = [
         (["compile", "--game", "magic-square", "--compiler", "1-1",
           "--trials", "5", "--seed", "1"], "uniform context size"),
@@ -235,6 +241,17 @@ def test_compile_config_errors(capsys, monkeypatch):
         (["compile", "--game", "kcbs", "--compiler", "c-1",
           "--trials", "5"], "--seed"),
         (["values", "--game", "kcbs", "--bogus"], "unrecognized"),
+        (["compile", "--game", "kcbs", "--compiler", "c-1",
+          "--trials", "5", "--seed", "-1"], "--seed must be 0 or more"),
+        (["poq", "--trials", "10", "--seed", "-1"], "--seed must be 0 or more"),
+        (["values", "--game", "kcbs", "--out", missing], "--out: no directory"),
+        (["poq", "--trials", "5", "--seed", "1", "--out", missing], "--out: no directory"),
+        (["poq", "--trials", "5", "--seed", "1", "--transcripts", missing],
+         "--transcripts: no directory"),
+        (["compile", "--game", "kcbs", "--compiler", "c-1", "--trials", "5", "--seed", "1",
+          "--out", missing], "--out: no directory"),
+        (["compile", "--game", "kcbs", "--compiler", "c-1", "--trials", "5", "--seed", "1",
+          "--transcripts", missing], "--transcripts: no directory"),
     ]
     for argv, fragment in cases:
         code, _, err = run_cli(capsys, argv)

@@ -54,13 +54,13 @@ def test_circuit_path_outcomes_are_pinned():
 
 
 def test_batched_transcripts_are_pinned():
-    # two chunks at lambda 8 (256 sessions each)
+    # one chunk at lambda 8 (tcf.CHUNK_SIZE is 4096)
     game, _ = games.kcbs()
     log = []
     compilers.estimate_win_rate(game, "c-1", compilers.feasible_inconsistent_prover(game), 300,
                                 np.random.default_rng(2026), lam=8, transcript_log=log)
     assert sha256("\n".join(t.to_json() for t in log)) == \
-        "296ac5780b6ddfb9f2dae2a9d969badd04749981a2cd2a81bff45ff2167a4a9b"
+        "716029b7fe263013ffbbe7c60ab2e16be90186781741def0a6f7dd7f264f2dc9"
 
 
 def test_scalar_zoo_draws_are_pinned():

@@ -212,9 +212,10 @@ def test_zoo_commitments_follow_their_scalar_rules():
 
 
 @pytest.mark.parametrize("extra", [0, 1])
-def test_trial_counts_across_chunk_edges(extra):
-    size = tcf.CHUNK_SIZE
-    for trials in {1, size + extra}:
+def test_trial_counts_across_chunk_edges(extra, monkeypatch):
+    size = 7
+    monkeypatch.setattr(tcf, "CHUNK_SIZE", size)
+    for trials in {1, 3 * size + extra}:
         log = batched_log("honest", trials, seed=150)
         assert {t.lam for t in log} == {LAM}
         assert 0 <= poq.estimate_rewind("preimage", trials, np.random.default_rng(151),
