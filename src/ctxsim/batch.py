@@ -1,9 +1,9 @@
 """Batched four-message sessions: the engine behind estimate_win_rate.
 
-compilers.estimate_win_rate runs its trials here when the qfhe backend is
-stub or leaky and the prover is a TruthTableProver (the feasible prover
-included) or an HonestQuantumProver on the collapsed pad path.  Every other
-case runs the scalar state machines of compilers, which stay the protocol
+compilers.estimate_win_rate runs its trials here when the prover is a
+TruthTableProver (the feasible prover included) or an HonestQuantumProver
+on the collapsed pad path, under either qfhe backend.  Every other prover
+runs the scalar state machines of compilers, which stay the protocol
 reference.
 
 Sessions run in chunks of tcf.CHUNK_SIZE = 4096 at every lambda, so a
@@ -20,10 +20,11 @@ per-session qfhe key ids, claw-free keys and oracle seeds of qfhe.key_ids,
 tcf.gen_many and opad.hash_seeds, stub encryptions by qfhe.stub_encrypt,
 the multiplexer through qfhe.stub_wires, and the pad bits of the
 verifier's Dec and of the honest prover's collapsed rounds from
-opad.pad_bits on the key chunk and an opad.PhaseOracleChunk.  Two rules
-whose one-row form would slow the scalar path stay twins of their qsim
+opad.pad_bits on the key chunk and an opad.PhaseOracleChunk.  Three rules
+whose one-row form would slow the scalar path stay twins of their
 originals: the Born draw of measure_observable (_born_pick), which never
-draws a branch below qsim.BORN_FLOOR, and the Pauli pad (_pauli).
+draws a branch below qsim.BORN_FLOOR, the Pauli pad (_pauli), and the
+output-token assembly of qfhe._StubBackend.ceval (_Table.round1).
 
 Rules with a handful of outcomes run once per distinct row of a chunk, not
 once per session (_per_row): the verifier decodes each distinct (input,
@@ -44,10 +45,9 @@ from .qfhe import StubCipher
 from .qsim import BORN_FLOOR, PauliKey, check_norms
 
 
-def runs(prover, fhe_backend: str) -> bool:
-    """Whether estimate_win_rate batches the sessions of this prover and backend."""
-    if fhe_backend not in ("stub", "leaky"):
-        return False
+def runs(prover) -> bool:
+    """Whether estimate_win_rate batches the sessions of this prover; every
+    qfhe backend (stub, leaky) runs batched."""
     if type(prover) is compilers.HonestQuantumProver:
         return prover.opad_path == "collapsed"
     return type(prover) in (compilers.TruthTableProver, compilers.FeasibleInconsistentProver)
@@ -295,6 +295,9 @@ class _Table:
         sources = self.circuit.token_sources
         self.fresh = [w for w in dict.fromkeys(self.circuit.outputs) if sources[w] is None]
 
+    # stays a twin of qfhe._StubBackend.ceval's token assembly: a one-row
+    # StubCipher form gives the same outputs, but on the magic-square cm1-1
+    # circuit the scalar ceval would take 57-75 us a call instead of 30-36 us
     def round1(self, plan: _Plan, s: _Sessions, rng: np.random.Generator):
         n, size, circuit = s.n, 1 << plan.lam, self.circuit
         q = s.question_cipher

@@ -309,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=8, help=LAMBDA_HELP)
-    p.add_argument("--fhe", default="stub", choices=("stub", "leaky", "lwe"))
+    p.add_argument("--fhe", default="stub", choices=("stub", "leaky"),
+                   help="classical encryption under the qfhe (default stub); leaky "
+                        "exposes the pad bits on purpose, for security-game checks")
     p.add_argument("--out")
     p.add_argument("--assert", dest="assert_bounds", action="store_true")
     p.add_argument("--transcripts")
@@ -325,11 +327,22 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
                           f"not {fields['lam']}")
     if fields["seed"] is not None and fields["seed"] < 0:
         raise ConfigError(f"--seed must be 0 or more, not {fields['seed']}")
-    outputs = {"--out": fields["out"], "--transcripts": getattr(args, "transcripts", None)}
+    out = fields["out"] and Path(fields["out"])
+    outputs = {"--out": out, "--out's CSV": out and _csv_path(out),
+               "--transcripts": getattr(args, "transcripts", None)}
     for flag, path in outputs.items():
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"{flag}: no directory {str(Path(path).parent)!r}")
+        if Path(path).is_dir():
+            raise ConfigError(f"{flag}: {str(path)!r} is a directory")
     return RunConfig(**fields)
+
+
+def _csv_path(out: Path) -> Path:
+    """The CSV written alongside the JSON report at out."""
+    return out.with_suffix(".csv") if out.suffix == ".json" else Path(str(out) + ".csv")
 
 
 def _flat(value) -> str:
@@ -347,8 +360,7 @@ def _write_outputs(report: dict, config: RunConfig, lines: list,
     if config.out:
         out = Path(config.out)
         out.write_text(text)
-        csv_path = out.with_suffix(".csv") if out.suffix == ".json" \
-            else Path(str(out) + ".csv")
+        csv_path = _csv_path(out)
         columns = list(report["config"])
         for row in report["rows"]:
             columns += [k for k in row if k not in columns]

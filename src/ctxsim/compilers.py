@@ -31,12 +31,12 @@ rounds cover the context.
 
 The state machines below (CompiledVerifier, the provers, run_session) are
 the protocol reference.  estimate_win_rate runs its sessions through them
-for the lwe backend, the circuit pad path and any prover class but the
-three named next; stub- and leaky-backend sessions of a TruthTableProver,
-a FeasibleInconsistentProver or an HonestQuantumProver on the collapsed
-pad path run in chunks through the batched engine of ctxsim.batch, which
-reads the same spec, branches, answer decoding and accept rule, and runs
-the chunk forms of opad.pad_bits and qfhe.stub_encrypt.
+for the circuit pad path and any prover class but the three named next;
+sessions of a TruthTableProver, a FeasibleInconsistentProver or an
+HonestQuantumProver on the collapsed pad path run in chunks through the
+batched engine of ctxsim.batch, which reads the same spec, branches,
+answer decoding and accept rule, and runs the chunk forms of
+opad.pad_bits and qfhe.stub_encrypt.
 """
 from __future__ import annotations
 
@@ -715,9 +715,9 @@ def estimate_win_rate(game: ContextualityGame, kind, prover, trials: int,
                       fhe_backend: str = "stub", transcript_log: list = None):
     """Monte Carlo win rate over fresh-key sessions; returns (rate, stderr).
 
-    Stub and leaky sessions of a table prover, or of an honest prover on the
-    collapsed pad path, run in chunks through the batched engine (ctxsim.batch);
-    the rest run one run_session each.  Either way transcript_log, when
+    Sessions of a table prover, or of an honest prover on the collapsed pad
+    path, run in chunks through the batched engine (ctxsim.batch); the rest
+    run one run_session each.  Either way transcript_log, when
     given, receives one CompiledTranscript per session and changes no draw.
     """
     if trials <= 0:
@@ -725,7 +725,7 @@ def estimate_win_rate(game: ContextualityGame, kind, prover, trials: int,
     # imported on first use: a process that only runs single sessions never
     # loads the engine
     from . import batch
-    if batch.runs(prover, fhe_backend):
+    if batch.runs(prover):
         wins = batch.win_count(game, kind, prover, trials, rng, lam, fhe_backend,
                                transcript_log)
     else:

@@ -7,23 +7,20 @@ trusted executor: it has plaintext access inside the simulation and its
 contract is the interface plus the output distributions of a homomorphic
 scheme, not cryptographic security.
 
-Three pluggable classical backends:
+One classical encryption family, in two variants:
   stub   one-time pad with tracked keys; insecure, exact, the default.
   leaky  like stub but the pad bits are publicly readable, used to check
          that security games and reductions detect a broken scheme.
-  lwe    toy Regev bit encryption (additive xor, plaintext-assisted and).
 
-The stub and leaky backends encrypt and evaluate on plain bits.
-stub_encrypt makes one draw of a 63-bit integer per payload bit: bit 62
-is the pad and bits 0-61 the token's nonce.  It encrypts one payload or
-a chunk's (sessions, bits) array into int arrays (StubCipher), which a
-stub backend's cipher method turns into (masked, token) pairs; key_ids
-draws one key id or a chunk's.  ceval runs the gates on (mask, pad) int
-pairs, draws the fresh pad bits of all and/const gates in one call, and
-builds tokens only for the output wires, with their nonces drawn in one
-more call; an output that is an input wire or a chain of nots of one
-keeps that input's token.  Backends without these fast paths (lwe)
-combine tokens gate by gate, drawing a nonce per token.
+Both encrypt and evaluate on plain bits.  stub_encrypt makes one draw of
+a 63-bit integer per payload bit: bit 62 is the pad and bits 0-61 the
+token's nonce.  It encrypts one payload or a chunk's (sessions, bits)
+array into int arrays (StubCipher), which a backend's cipher method turns
+into (masked, token) pairs; key_ids draws one key id or a chunk's.
+ceval runs the gates on (mask, pad) int pairs, draws the fresh pad bits
+of all and/const gates in one call, and builds tokens only for the output
+wires, with their nonces drawn in one more call; an output that is an
+input wire or a chain of nots of one keeps that input's token.
 
 Decrypting with the wrong key yields keyed pseudorandom garbage instead
 of an error, as a real scheme would.
@@ -41,10 +38,6 @@ import numpy as np
 
 from .qsim import PauliKey, StateVector, apply_pauli_pad, apply_unitary, measure_observable
 
-_LWE_Q = 257
-_LWE_DIM = 16
-_LWE_PK_ROWS = 48
-_LWE_SUBSET = 3
 _NONCE_BITS = 62
 _NONCE_MASK = (1 << _NONCE_BITS) - 1
 
@@ -95,14 +88,6 @@ class StubToken:
     _bit: int = field(repr=False)
 
 
-@dataclass(frozen=True)
-class LweToken:
-    key_id: str
-    nonce: int
-    a: tuple
-    b: int
-
-
 class _StubBackend:
     scheme = "stub"
 
@@ -112,21 +97,12 @@ class _StubBackend:
         if leaky:
             self.scheme = "leaky"
 
-    def enc_bit(self, bit: int, rng: np.random.Generator):
-        return StubToken(self.key_id, int(rng.integers(0, 2 ** 62)), int(bit))
-
     def peek(self, token) -> int:
         # Trusted-simulation access used by dec and the eval executor.
         return token._bit
 
     def leak(self, token):
         return token._bit if self.leaky else None
-
-    def xor(self, t0, t1, rng):
-        return StubToken(self.key_id, int(rng.integers(0, 2 ** 62)), t0._bit ^ t1._bit)
-
-    def and_(self, t0, t1, rng):
-        return StubToken(self.key_id, int(rng.integers(0, 2 ** 62)), t0._bit & t1._bit)
 
     def encrypt(self, bits, rng: np.random.Generator) -> "ClassicalCiphertext":
         """Ciphertext of checked payload bits: stub_encrypt on one row."""
@@ -159,43 +135,6 @@ class _StubBackend:
         if self.leaky:
             d["pad"] = token._bit
         return d
-
-
-class _LweBackend:
-    scheme = "lwe"
-
-    def __init__(self, key_id: str, rng: np.random.Generator):
-        self.key_id = key_id
-        self.s = rng.integers(0, _LWE_Q, size=_LWE_DIM)
-        a = rng.integers(0, _LWE_Q, size=(_LWE_PK_ROWS, _LWE_DIM))
-        e = rng.integers(-1, 2, size=_LWE_PK_ROWS)
-        b = (a @ self.s + e) % _LWE_Q
-        self.pk = (a, b)  # encryptions of zero; public
-
-    def enc_bit(self, bit: int, rng: np.random.Generator):
-        a_rows, b_rows = self.pk
-        picks = rng.choice(_LWE_PK_ROWS, size=_LWE_SUBSET, replace=False)
-        a = a_rows[picks].sum(axis=0) % _LWE_Q
-        b = (int(b_rows[picks].sum()) + int(bit) * (_LWE_Q // 2)) % _LWE_Q
-        return LweToken(self.key_id, int(rng.integers(0, 2 ** 62)), tuple(int(v) for v in a), b)
-
-    def peek(self, token) -> int:
-        val = (token.b - int(np.dot(token.a, self.s))) % _LWE_Q
-        return int(min(val, _LWE_Q - val) > _LWE_Q // 4)
-
-    def leak(self, token):
-        return None
-
-    def xor(self, t0, t1, rng):
-        a = tuple((u + v) % _LWE_Q for u, v in zip(t0.a, t1.a))
-        return LweToken(self.key_id, int(rng.integers(0, 2 ** 62)), a, (t0.b + t1.b) % _LWE_Q)
-
-    def and_(self, t0, t1, rng):
-        # Plaintext-assisted product; the toy scheme has no multiplication.
-        return self.enc_bit(self.peek(t0) & self.peek(t1), rng)
-
-    def token_json(self, token) -> dict:
-        return {"key_id": token.key_id, "nonce": token.nonce, "a": list(token.a), "b": token.b}
 
 
 @dataclass(frozen=True)
@@ -250,13 +189,10 @@ class QfheCiphertext:
 def gen(lam: int, backend: str = "stub", rng: np.random.Generator = None) -> QfheSecretKey:
     if rng is None:
         raise ValueError("an explicit rng is required")
-    key_id = key_ids(rng)
-    if backend in ("stub", "leaky"):
-        be = _StubBackend(key_id, leaky=(backend == "leaky"))
-    elif backend == "lwe":
-        be = _LweBackend(key_id, rng)
-    else:
+    if backend not in ("stub", "leaky"):
         raise ValueError(f"unsupported backend {backend!r}")
+    key_id = key_ids(rng)
+    be = _StubBackend(key_id, leaky=(backend == "leaky"))
     return QfheSecretKey(be.scheme, key_id, lam, be)
 
 
@@ -282,15 +218,7 @@ def _checked_bits(bits) -> tuple:
 
 def enc_classical(key, bits, rng: np.random.Generator) -> ClassicalCiphertext:
     """Encrypt a bit string; works with a secret key or a public handle."""
-    be = _backend_of(key)
-    bits = _checked_bits(bits)
-    if hasattr(be, "encrypt"):
-        return be.encrypt(bits, rng)
-    out = []
-    for b in bits:
-        pad = int(rng.integers(0, 2))
-        out.append((b ^ pad, be.enc_bit(pad, rng)))
-    return ClassicalCiphertext(tuple(out), be)
+    return _backend_of(key).encrypt(_checked_bits(bits), rng)
 
 
 def dec_classical(sk: QfheSecretKey, c: ClassicalCiphertext) -> tuple:
@@ -444,10 +372,10 @@ class ClassicalCircuit:
 def stub_wires(circuit: ClassicalCircuit, masks, pads, r) -> tuple:
     """(masks, pads) of every wire of circuit on plain input bits.
 
-    r holds the fresh pad bit of each and/const gate, in gate order.  The
-    formulas are those of the token-by-token ceval loop: xor and not act on
-    masks and pads directly, an and outputs mask m0*m1 ^ r and pad
-    k0*k1 ^ k0*m1 ^ k1*m0 ^ r, and a const c outputs mask c ^ r, pad r.
+    r holds the fresh pad bit of each and/const gate, in gate order.  xor
+    and not act on masks and pads directly, an and outputs mask m0*m1 ^ r
+    and pad k0*k1 ^ k0*m1 ^ k1*m0 ^ r, and a const c outputs mask c ^ r,
+    pad r: the pads a gate-by-gate homomorphic evaluation would encrypt.
     """
     masks = list(masks)
     pads = list(pads)
@@ -479,43 +407,12 @@ def ceval(circuit: ClassicalCircuit, c: ClassicalCiphertext, rng: np.random.Gene
 
     xor combines masks and pad encryptions directly; and re-randomizes with
     a fresh uniform pad, so the output distribution matches a fresh
-    encryption of the gate output.  Backends with a ceval method (stub,
-    leaky) evaluate there; the loop below combines tokens gate by gate.
+    encryption of the gate output.
     """
     if len(c.bits) != circuit.n_inputs:
         raise ValueError("ciphertext width does not match circuit inputs")
     be = c.backend
-    if hasattr(be, "ceval"):
-        return ClassicalCiphertext(be.ceval(circuit, c.bits, rng), be)
-    wires = list(c.bits)
-    for g in circuit.gates:
-        op = g[0]
-        if op == "xor":
-            (m0, t0), (m1, t1) = wires[g[1]], wires[g[2]]
-            wires.append((m0 ^ m1, be.xor(t0, t1, rng)))
-        elif op == "and":
-            (m0, t0), (m1, t1) = wires[g[1]], wires[g[2]]
-            r = int(rng.integers(0, 2))
-            # pad_out = k0*m1 ^ k1*m0 ^ k0*k1 ^ r, assembled homomorphically
-            parts = [be.and_(t0, t1, rng)]
-            if m1:
-                parts.append(t0)
-            if m0:
-                parts.append(t1)
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = be.xor(acc, p, rng)
-            acc = be.xor(acc, be.enc_bit(r, rng), rng)
-            wires.append(((m0 & m1) ^ r, acc))
-        elif op == "not":
-            m, t = wires[g[1]]
-            wires.append((m ^ 1, t))
-        elif op == "const":
-            r = int(rng.integers(0, 2))
-            wires.append((int(g[1]) ^ r, be.enc_bit(r, rng)))
-        else:
-            raise ValueError(f"unsupported gate {op!r}")
-    return ClassicalCiphertext(tuple(wires[i] for i in circuit.outputs), be)
+    return ClassicalCiphertext(be.ceval(circuit, c.bits, rng), be)
 
 
 def twoind_game(distinguisher, x0, x1, trials: int, rng: np.random.Generator,

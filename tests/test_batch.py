@@ -299,11 +299,9 @@ def test_only_batchable_sessions_skip_run_session(monkeypatch):
     class OtherProver(cp.TruthTableProver):
         pass
 
-    for prover, backend in ((cp.truthtable_prover(table), "lwe"),
-                            (cp.honest_quantum_prover(strategy, opad_path="circuit"), "stub"),
-                            (OtherProver(table), "stub")):
+    for prover in (cp.honest_quantum_prover(strategy, opad_path="circuit"), OtherProver(table)):
         calls.clear()
-        cp.estimate_win_rate(game, "1-1", prover, 2, rng, lam=4, fhe_backend=backend)
+        cp.estimate_win_rate(game, "1-1", prover, 2, rng, lam=4)
         assert calls == [type(prover).__name__] * 2
 
 
@@ -473,8 +471,6 @@ def test_one_question_contexts_run_under_cm1_1(opad_path):
     rate, _ = cp.estimate_win_rate(game, "cm1-1", prover, 40, rng, lam=4, transcript_log=log)
     assert rate == 1.0
     assert {len(t.message2.answer_cipher) for t in log} == {0}
-    rate, _ = cp.estimate_win_rate(game, "cm1-1", prover, 3, rng, lam=4, fhe_backend="lwe")
-    assert rate == 1.0
 
 
 def test_one_question_contexts_run_from_the_cli(tmp_path, capsys):

@@ -231,6 +231,10 @@ def test_compile_config_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tcf, "gen_many", no_keys)
     monkeypatch.setattr(cli, "nc_value", no_keys)
     missing = str(tmp_path / "missing" / "out.json")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (tmp_path / "x.csv").mkdir()
+    sibling = str(tmp_path / "x.json")
     cases = [
         (["compile", "--game", "magic-square", "--compiler", "1-1",
           "--trials", "5", "--seed", "1"], "uniform context size"),
@@ -252,6 +256,14 @@ def test_compile_config_errors(tmp_path, capsys, monkeypatch):
           "--out", missing], "--out: no directory"),
         (["compile", "--game", "kcbs", "--compiler", "c-1", "--trials", "5", "--seed", "1",
           "--transcripts", missing], "--transcripts: no directory"),
+        (["poq", "--trials", "200", "--seed", "1", "--out", str(folder)],
+         f"--out: {str(folder)!r} is a directory"),
+        (["poq", "--trials", "200", "--seed", "1", "--transcripts", str(folder)],
+         f"--transcripts: {str(folder)!r} is a directory"),
+        (["values", "--game", "kcbs", "--out", sibling],
+         f"--out's CSV: {str(tmp_path / 'x.csv')!r} is a directory"),
+        (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "5", "--seed", "1",
+          "--fhe", "lwe"], "invalid choice"),
     ]
     for argv, fragment in cases:
         code, _, err = run_cli(capsys, argv)

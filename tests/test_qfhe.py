@@ -258,32 +258,38 @@ class ScriptedRng:
         return out[0] if size is None else np.array(out, dtype=np.int64)
 
 
-class TokenLoop:
-    """A backend seen through the token-by-token interface only, so that
-    ceval runs its reference loop on it."""
+def gate_by_gate_ceval(circuit, pairs, key_id, rng):
+    """The homomorphic evaluation that ceval ran before stub_wires, on plain
+    bits: gate by gate, the output of each xor, and or const gate gets a
+    token of its own with its own nonce, and a not keeps its input's token.
+    Kept as the reference for stub_wires and for the tokens that
+    _StubBackend.ceval shares."""
+    def token(pad):
+        return qfhe.StubToken(key_id, int(rng.integers(0, 2 ** 62)), pad)
 
-    def __init__(self, inner):
-        self._inner = inner
-        self.scheme = inner.scheme
-        self.key_id = inner.key_id
-
-    def enc_bit(self, bit, rng):
-        return self._inner.enc_bit(bit, rng)
-
-    def peek(self, token):
-        return self._inner.peek(token)
-
-    def leak(self, token):
-        return self._inner.leak(token)
-
-    def xor(self, t0, t1, rng):
-        return self._inner.xor(t0, t1, rng)
-
-    def and_(self, t0, t1, rng):
-        return self._inner.and_(t0, t1, rng)
-
-    def token_json(self, token):
-        return self._inner.token_json(token)
+    wires = list(pairs)
+    for g in circuit.gates:
+        op = g[0]
+        if op == "xor":
+            (m0, t0), (m1, t1) = wires[g[1]], wires[g[2]]
+            wires.append((m0 ^ m1, token(t0._bit ^ t1._bit)))
+        elif op == "and":
+            (m0, t0), (m1, t1) = wires[g[1]], wires[g[2]]
+            r = int(rng.integers(0, 2))
+            # pad_out = k0*k1 ^ k0*m1 ^ k1*m0 ^ r, one term at a time
+            pad = t0._bit & t1._bit
+            if m1:
+                pad ^= t0._bit
+            if m0:
+                pad ^= t1._bit
+            wires.append(((m0 & m1) ^ r, token(pad ^ r)))
+        elif op == "not":
+            m, t = wires[g[1]]
+            wires.append((m ^ 1, t))
+        else:
+            r = int(rng.integers(0, 2))
+            wires.append((int(g[1]) ^ r, token(r)))
+    return tuple(wires[w] for w in circuit.outputs)
 
 
 def random_circuits(rng, count, max_random_gates=6):
@@ -330,14 +336,14 @@ def test_stub_ceval_matches_the_token_loop_for_every_pad_draw(backend):
                        for i, (m, k) in enumerate(zip(masks, pads)))
         for r in itertools.product((0, 1), repeat=circ.random_gates):
             loop_rng, fast_rng = ScriptedRng(r), ScriptedRng(r)
-            loop = qfhe.ceval(circ, qfhe.ClassicalCiphertext(inputs, TokenLoop(be)), loop_rng)
+            loop = gate_by_gate_ceval(circ, inputs, be.key_id, loop_rng)
             fast = qfhe.ceval(circ, qfhe.ClassicalCiphertext(inputs, be), fast_rng)
             assert not loop_rng.r and not fast_rng.r
             wire_masks, wire_pads = qfhe.stub_wires(circ, masks, pads, r)
             expected = [(wire_masks[w], wire_pads[w]) for w in circ.outputs]
-            assert [(m, be.peek(t)) for m, t in loop.bits] == expected
+            assert [(m, be.peek(t)) for m, t in loop] == expected
             assert [(m, be.peek(t)) for m, t in fast.bits] == expected
-            assert token_pattern(fast.bits, inputs) == token_pattern(loop.bits, inputs)
+            assert token_pattern(fast.bits, inputs) == token_pattern(loop, inputs)
             assert all(t.key_id == be.key_id for _, t in fast.bits)
             assert fast.backend is be
 
@@ -398,7 +404,7 @@ def test_stub_encryption_pad_is_uniform_and_independent_of_the_nonce():
     assert len(set(nonces.tolist())) == n
 
 
-@pytest.mark.parametrize("backend", ["stub", "leaky", "lwe"])
+@pytest.mark.parametrize("backend", ["stub", "leaky"])
 def test_enc_classical_accepts_only_integer_bits(backend):
     sk, rng = fresh(backend, seed=34)
     for payload in ((0.5, 1.9, "1"), (0.0,), (1.0,), ("1",), (2,), (-1,), (None,)):
@@ -448,18 +454,7 @@ def test_quantum_cipher_json_logs_digest_only():
     assert len(blob["state_digest"]) == 64
 
 
-def test_lwe_backend_roundtrips():
-    sk, rng = fresh("lwe", seed=23)
-    for _ in range(50):
-        m = tuple(int(b) for b in rng.integers(0, 2, 6))
-        assert qfhe.dec_classical(sk, qfhe.enc_classical(sk, m, rng)) == m
-    c = qfhe.enc_classical(sk, (1, 1), rng)
-    assert qfhe.dec_classical(sk, qfhe.ceval(xor_circuit(), c, rng)) == (0,)
-    assert qfhe.dec_classical(sk, qfhe.ceval(and_circuit(), c, rng)) == (1,)
-    psi = apply_unitary(StateVector((2,), [1, 0]), H, [0])
-    assert equal_up_to_global_phase(qfhe.dec_quantum(sk, qfhe.enc_quantum(sk, psi, rng)), psi, 1e-10)
-
-
 def test_gen_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        qfhe.gen(8, "paillier", np.random.default_rng(0))
+    for backend in ("paillier", "lwe"):
+        with pytest.raises(ValueError, match="unsupported backend"):
+            qfhe.gen(8, backend, np.random.default_rng(0))
