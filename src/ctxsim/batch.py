@@ -13,25 +13,26 @@ nothing in a chunk grows with 2^lambda.  Each protocol step makes one rng
 call per chunk.  No layer is skipped.  This module keeps
 the session bookkeeping: the plan of a kind on a game, and each chunk's
 contexts, inputs, questions and transcripts.  The rules are the scalar
-engine's, in chunk form: the kind's CompilerSpec, the honest branches of
-HonestQuantumProver._branches_for, compilers._decode_answers and
-compilers._decision, the context draw ContextualityGame.contexts_at, the
-per-session qfhe key ids, claw-free keys and oracle seeds of qfhe.key_ids,
-tcf.gen_many and opad.hash_seeds, stub encryptions by qfhe.stub_encrypt,
-the multiplexer through qfhe.stub_wires, and the pad bits of the
-verifier's Dec and of the honest prover's collapsed rounds from
-opad.pad_bits on the key chunk and an opad.PhaseOracleChunk.  Three rules
-whose one-row form would slow the scalar path stay twins of their
-originals: the Born draw of measure_observable (_born_pick), which never
-draws a branch below qsim.BORN_FLOOR, the Pauli pad (_pauli), and the
-output-token assembly of qfhe._StubBackend.ceval (_Table.round1).
+engine's, in chunk form: the kind's CompilerSpec, the honest programs of
+HonestQuantumProver._programs_for and its answer rule (answer_for),
+compilers._decode_answers and compilers._decision, the context draw
+ContextualityGame.contexts_at, the per-session qfhe key ids, claw-free
+keys and oracle seeds of qfhe.key_ids, tcf.gen_many and opad.hash_seeds,
+stub encryptions by qfhe.stub_encrypt, the multiplexer through
+qfhe.stub_wires, and the pad bits of the verifier's Dec and of the honest
+prover's collapsed rounds from opad.pad_bits on the key chunk and an
+opad.PhaseOracleChunk.  Three rules whose one-row form would slow the
+scalar path stay twins of their originals: the Born draw of
+measure_observable (_born_pick), which never draws a branch below
+qsim.BORN_FLOOR, the Pauli pad (_pauli), and the output-token assembly of
+qfhe._StubBackend.ceval (_Table.round1).
 
 Rules with a handful of outcomes run once per distinct row of a chunk, not
 once per session (_per_row): the verifier decodes each distinct (input,
 answer-bits) row and decides each distinct (context, reply, question,
-answer) row, the honest prover matches each drawn eigenvalue once per
-distinct (branch, observable, cluster), and both provers look each round-2
-answer up once per distinct question or (observable, cluster).
+answer) row, the honest prover answers each drawn eigenvalue of either
+round once per distinct (observable, cluster), and the table provers look
+each round-2 answer up once per distinct question.
 
 A chunk draws step by step, not session by session, so a seed gives other
 sessions than the scalar engine would, from the same distribution.
@@ -187,11 +188,11 @@ class _Honest:
     def __init__(self, prover, plan: _Plan):
         game = plan.game
         emb = prover._embed_for(game)
-        branches = prover._branches_for(game, plan.kind)
-        self.game, self.emb = game, emb
+        programs = prover._programs_for(game, plan.kind)
+        self.prover, self.game, self.emb = prover, game, emb
         self.m = emb.psi.num_registers
         self.psi = emb.psi.amps
-        # observables are indexed like game.questions; the branch steps measure them too
+        # observables are indexed like game.questions; the programs measure them too
         observables = [emb.observables[q] for q in game.questions]
         where = {id(obs): i for i, obs in enumerate(observables)}
         self.observables = observables
@@ -203,15 +204,13 @@ class _Honest:
             for v, (_, proj) in enumerate(obs.eigensystem):
                 self.proj[i, v] = proj
         self.select = np.full(1 << plan.payloads.shape[1], -1)
-        most = max(len(steps) for steps in branches.values())
-        self.steps = np.zeros((len(branches), most), dtype=np.int64)
-        self.nsteps = np.zeros(len(branches), dtype=np.int64)
-        self.outcomes = []
-        for b, (code, steps) in enumerate(branches.items()):
-            self.select[code] = b
-            self.nsteps[b] = len(steps)
-            self.steps[b, :len(steps)] = [where[id(obs)] for obs, _, _ in steps]
-            self.outcomes.append([outcomes for _, _, outcomes in steps])
+        most = max(len(program) for program in programs.values())
+        self.steps = np.zeros((len(programs), most), dtype=np.int64)
+        self.nsteps = np.zeros(len(programs), dtype=np.int64)
+        for p, (code, program) in enumerate(programs.items()):
+            self.select[code] = p
+            self.nsteps[p] = len(program)
+            self.steps[p, :len(program)] = [where[id(obs)] for obs in program]
         self.held = None
 
     def _measure(self, states: np.ndarray, obs: np.ndarray, r: np.ndarray):
@@ -226,15 +225,10 @@ class _Honest:
         check_norms(post)
         return pick, post
 
-    def _answer_bits(self, branch, step: int, obs, pick, width: int) -> np.ndarray:
-        """qfhe._match_outcome of each drawn eigenvalue, once per distinct
-        (branch, observable, cluster) row."""
-        def match(b, o, v):
-            value = self.observables[o].eigensystem[v][0]
-            return qfhe._match_outcome(self.outcomes[b][step], value)
-
-        bits, where = _per_row(match, branch, obs, pick)
-        return np.array(bits, dtype=np.int64).reshape(-1, width)[where]
+    def _answers(self, rule, obs, pick) -> tuple:
+        """rule(eigenvalue) of each drawn eigenvalue, once per distinct
+        (observable, cluster) row, as _per_row's (values, where)."""
+        return _per_row(lambda o, v: rule(self.observables[o].eigensystem[v][0]), obs, pick)
 
     def round1(self, plan: _Plan, s: _Sessions, rng: np.random.Generator):
         n, m, size = s.n, self.m, 1 << plan.lam
@@ -246,19 +240,20 @@ class _Honest:
         seen = pad_hat.bits()
         states = _pauli(states, seen[:, :m], seen[:, m:])
         code = s.question_cipher.bits() @ _msb_weights(plan.payloads.shape[1])
-        branch = self.select[code]
-        if (branch < 0).any():
-            raise ValueError(f"encrypted selector {code[branch < 0][0]} has no circuit branch")
+        program = self.select[code]
+        if (program < 0).any():
+            raise ValueError(f"encrypted selector {code[program < 0][0]} has no program")
         steps = self.steps.shape[1]
         width = plan.answer_width
         r = rng.random((n, steps))
         answer_bits = np.zeros((n, steps * width), dtype=np.int64)
         for step in range(steps):
-            rows = np.flatnonzero(self.nsteps[branch] > step)
-            obs = self.steps[branch[rows], step]
+            rows = np.flatnonzero(self.nsteps[program] > step)
+            obs = self.steps[program[rows], step]
             pick, states[rows] = self._measure(states[rows], obs, r[rows, step])
-            answer_bits[rows, step * width:(step + 1) * width] = self._answer_bits(
-                branch[rows], step, obs, pick, width)
+            bits, where = self._answers(self.prover._answer_bits, obs, pick)
+            bits = np.array(bits, dtype=np.int64).reshape(-1, width)
+            answer_bits[rows, step * width:(step + 1) * width] = bits[where]
         k_out = rng.integers(0, 2, size=(n, 2 * m))
         states = _pauli(states, k_out[:, :m], k_out[:, m:])
         pad_cipher = qfhe.stub_encrypt(k_out, rng)
@@ -277,12 +272,8 @@ class _Honest:
         pick, post = self._measure(unpadded, obs, rng.random(s.n))
         self.held = _pauli(post, s.key_x, s.key_z)
         game = self.game
-
-        def answer(o, v):
-            value = self.observables[o].eigensystem[v][0]
-            return game.answers.index(self.emb.answer_for(game, value))
-
-        answers, where = _per_row(answer, obs, pick)
+        answers, where = self._answers(
+            lambda value: game.answers.index(self.emb.answer_for(game, value)), obs, pick)
         return np.array(answers, dtype=np.int64)[where]
 
 

@@ -34,8 +34,8 @@ the protocol reference.  estimate_win_rate runs its sessions through them
 for the circuit pad path and any prover class but the three named next;
 sessions of a TruthTableProver, a FeasibleInconsistentProver or an
 HonestQuantumProver on the collapsed pad path run in chunks through the
-batched engine of ctxsim.batch, which reads the same spec, branches,
-answer decoding and accept rule, and runs the chunk forms of
+batched engine of ctxsim.batch, which reads the same spec, programs,
+answer rule, answer decoding and accept rule, and runs the chunk forms of
 opad.pad_bits and qfhe.stub_encrypt.
 """
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .games import (
     nc_value,
     nc_value_with_table,
 )
-from .qsim import PauliKey, apply_pauli_pad, measure_observable
+from .qsim import PauliKey, apply_pauli_pad, bits_of, int_of, measure_observable
 
 
 class CompilerKind(enum.Enum):
@@ -75,23 +75,12 @@ def _index_width(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _bits_of(value: int, width: int) -> tuple:
-    return tuple((value >> (width - 1 - j)) & 1 for j in range(width))
-
-
-def _int_of(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
 def _answer_width(game: ContextualityGame) -> int:
     return _index_width(len(game.answers))
 
 
 def _encode_answer(game: ContextualityGame, answer) -> tuple:
-    return _bits_of(game.answers.index(answer), _answer_width(game))
+    return bits_of(game.answers.index(answer), _answer_width(game))
 
 
 def _decode_answers(game: ContextualityGame, bits, count: int) -> tuple:
@@ -100,7 +89,7 @@ def _decode_answers(game: ContextualityGame, bits, count: int) -> tuple:
         raise ValueError("answer ciphertext has the wrong width")
     out = []
     for i in range(count):
-        idx = _int_of(bits[i * width:(i + 1) * width])
+        idx = int_of(bits[i * width:(i + 1) * width])
         if idx >= len(game.answers):
             raise ValueError("answer code outside the label set")
         out.append(game.answers[idx])
@@ -139,11 +128,11 @@ def _needs_uniform_size(game: ContextualityGame) -> None:
 
 
 def _question_bits(game: ContextualityGame, q) -> tuple:
-    return _bits_of(game.questions.index(q), _index_width(len(game.questions)))
+    return bits_of(game.questions.index(q), _index_width(len(game.questions)))
 
 
 def _context_bits(game: ContextualityGame, ctx_index) -> tuple:
-    return _bits_of(int(ctx_index), _index_width(len(game.contexts)))
+    return bits_of(int(ctx_index), _index_width(len(game.contexts)))
 
 
 def _skip_width(game: ContextualityGame) -> int:
@@ -157,12 +146,12 @@ def _skip_questions(game: ContextualityGame, value) -> tuple:
 
 def _skip_encode(game: ContextualityGame, value) -> tuple:
     ctx_index, skip_pos = value
-    return _context_bits(game, ctx_index) + _bits_of(int(skip_pos), _skip_width(game))
+    return _context_bits(game, ctx_index) + bits_of(int(skip_pos), _skip_width(game))
 
 
 def _skip_decode(game: ContextualityGame, bits) -> tuple:
     swidth = _skip_width(game)
-    return _int_of(bits[:-swidth]), _int_of(bits[-swidth:])
+    return int_of(bits[:-swidth]), int_of(bits[-swidth:])
 
 
 def _skip_completeness(game: ContextualityGame, quantum_value: float) -> float:
@@ -206,7 +195,7 @@ SPECS = {spec.kind: spec for spec in (
         skip_pos=lambda q: None,
         questions=lambda game, q: (q,),
         encode=_question_bits,
-        decode=lambda game, bits: game.questions[_int_of(bits)],
+        decode=lambda game, bits: game.questions[int_of(bits)],
         completeness=lambda game, qv: (1 + qv) / 2,
         completeness_text="(1 + quantum_value) / 2",
         soundness=lambda game: (1 + nc_value(game)) / 2,
@@ -220,7 +209,7 @@ SPECS = {spec.kind: spec for spec in (
         skip_pos=lambda ci: None,
         questions=lambda game, ci: game.contexts[ci],
         encode=_context_bits,
-        decode=lambda game, bits: _int_of(bits),
+        decode=lambda game, bits: int_of(bits),
         completeness=lambda game, qv: float(qv),
         completeness_text="quantum_value",
         soundness=lambda game: 1 - min(w / len(c) for w, c in
@@ -350,17 +339,16 @@ class CompiledVerifier:
     def message1(self) -> Message1:
         return self._message1
 
-    def message3(self, message2: Message2, rng: np.random.Generator = None):
+    def message3(self, message2: Message2):
         """Decrypt the round-1 reply; returns the plaintext (q, k)."""
         if self._phase != "message2":
             raise RuntimeError("message 2 was already processed")
         if not isinstance(message2, Message2):
             raise ValueError("round-1 reply must be a Message2")
-        rng = self._rng if rng is None else rng
         self.answers1, self.key = _open_reply(self.game, message2, len(self.round1_questions),
                                               self.fhe_sk, self.opad_keys.sk, self.oracle)
         context = self.game.contexts[self.ctx_index]
-        self.question = context[int(rng.integers(len(context)))]
+        self.question = context[int(self._rng.integers(len(context)))]
         self._message2 = message2
         self._phase = "decide"
         return self.question, self.key
@@ -488,40 +476,39 @@ class HonestQuantumProver:
         self.held_state = None
         self._game = None
         self._embedded = None
-        self._branches = {}
+        self._codes = {}
+        self._programs = {}
 
     def _embed_for(self, game: ContextualityGame) -> QuantumStrategy:
         if self._game is not game:
             self._game = game
             self._embedded = embed_in_qubits(self.strategy, game.answers[0])
-            self._branches = {}
+            self._codes = {a: _encode_answer(game, a) for a in game.answers}
+            self._programs = {}
         return self._embedded
 
-    def _branches_for(self, game: ContextualityGame, kind: CompilerKind) -> dict:
-        if kind in self._branches:
-            return self._branches[kind]
+    def _answer_bits(self, eigenvalue: float) -> tuple:
+        """The encoded answer of a measured eigenvalue, by answer_for: the
+        one answer rule of both rounds and both engines."""
+        return self._codes[self._embedded.answer_for(self._game, eigenvalue)]
+
+    def _programs_for(self, game: ContextualityGame, kind: CompilerKind) -> dict:
+        """{payload code: the observables of the questions it asks, in order}."""
         emb = self._embed_for(game)
-        targets = tuple(range(emb.psi.num_registers))
-        outcomes = [(float(a), _encode_answer(game, a)) for a in game.answers]
-
-        def step(q):
-            return (emb.observables[q], targets, outcomes)
-
-        spec = spec_of(kind)
-        branches = {_int_of(spec.encode(game, value)):
-                    [step(q) for q in spec.questions(game, value)]
-                    for value in spec.inputs(game)}
-        self._branches[kind] = branches
-        return branches
+        if kind not in self._programs:
+            spec = spec_of(kind)
+            self._programs[kind] = {int_of(spec.encode(game, value)):
+                                    [emb.observables[q] for q in spec.questions(game, value)]
+                                    for value in spec.inputs(game)}
+        return self._programs[kind]
 
     def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:
-        game = message1.game
-        emb = self._embed_for(game)
+        emb = self._embed_for(message1.game)
         targets = list(range(emb.psi.num_registers))
         cipher = qfhe.enc_quantum(message1.fhe_handle, emb.psi, rng)
-        branches = self._branches_for(game, message1.kind)
-        answer_cipher, out = qfhe.eval(
-            [("select_measure", message1.question_cipher, branches)], cipher, rng)
+        answer_cipher, out = qfhe.eval(message1.question_cipher,
+                                       self._programs_for(message1.game, message1.kind),
+                                       self._answer_bits, cipher, rng)
         padded, s = opad.enc(message1.opad_pk, out.padded_state, targets,
                              message1.oracle, rng, path=self.opad_path)
         self.held_state = padded
@@ -574,7 +561,7 @@ def _selection_circuit(n_inputs: int, rows: dict, out_width: int) -> qfhe.Classi
         return prefixes[bits]
 
     live_rows = [idx for idx in sorted(rows) if any(rows[idx])]
-    indicators = {idx: indicator(_bits_of(idx, n_inputs)) for idx in live_rows}
+    indicators = {idx: indicator(bits_of(idx, n_inputs)) for idx in live_rows}
     outputs = []
     for pos in range(out_width):
         live = [indicators[idx] for idx in live_rows if rows[idx][pos]]
@@ -602,7 +589,7 @@ def _table_rows(game: ContextualityGame, spec: CompilerSpec, submit):
         bits = ()
         for a in submit(game, value, questions):
             bits += _encode_answer(game, a)
-        rows[_int_of(payload)] = bits
+        rows[int_of(payload)] = bits
     return len(payload), rows, counts.pop() * _answer_width(game)
 
 

@@ -193,7 +193,12 @@ class QuantumStrategy:
                     raise ValueError(f"observables {qa!r}, {qb!r} do not commute")
 
     def answer_for(self, game: ContextualityGame, eigenvalue: float):
-        return min(game.answers, key=lambda a: abs(eigenvalue - float(a)))
+        """The answer label nearest a measured eigenvalue; refuses one that
+        lies more than 1e-6 from every label."""
+        label = min(game.answers, key=lambda a: abs(eigenvalue - float(a)))
+        if abs(eigenvalue - float(label)) > 1e-6:
+            raise ValueError(f"measured value {eigenvalue} matches no declared outcome")
+        return label
 
     def to_json(self) -> str:
         def mat(m):

@@ -47,6 +47,7 @@ from .qsim import (
     apply_pauli_pad,
     apply_unitary,
     checked_int,
+    int_of,
     measure_registers,
     remove_registers,
 )
@@ -217,7 +218,7 @@ def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng
     # Condition the Hadamard measurement on d != 0 (Samp never emits 0).
     for _ in range(_MAX_NONZERO_RETRIES):
         digits, post = measure_registers(work, x_regs, basis="hadamard", rng=rng)
-        d = int("".join(str(b) for b in digits), 2)
+        d = int_of(digits)
         if d:
             break
     else:

@@ -45,7 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import tcf
-from .qsim import StateVector, check_norms, checked_int, measure_registers, remove_registers
+from .qsim import (StateVector, check_norms, checked_int, int_of, measure_registers,
+                   remove_registers)
 
 HONEST_RATE = math.cos(math.pi / 8) ** 2
 CLASSICAL_BOUND = 0.75
@@ -209,7 +210,7 @@ class HonestProver:
             digits, state = measure_registers(state, list(range(2, n + 1)),
                                               basis="hadamard", rng=rng)
             self.leftover = remove_registers(state, list(range(1, n + 1))).amps
-            return int(mu), int("".join(str(t) for t in digits), 2), int(y)
+            return int(mu), int_of(digits), int(y)
         y = rng.integers(0, 1 << n, size=count)
         d = rng.integers(0, 1 << (n - 1), size=count)
         branch = rng.integers(0, 2, size=count)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qsim import PauliKey, StateVector, apply_pauli_pad, apply_unitary, measure_observable
+from .qsim import PauliKey, StateVector, apply_pauli_pad, int_of, measure_observable
 
 _NONCE_BITS = 62
 _NONCE_MASK = (1 << _NONCE_BITS) - 1
@@ -181,10 +181,6 @@ class QfheCiphertext:
     def backend(self):
         return self.pad_hat.backend
 
-    def to_json(self) -> str:
-        digest = hashlib.sha256(np.ascontiguousarray(self.padded_state.amps).tobytes()).hexdigest()
-        return json.dumps({"pad_hat": json.loads(self.pad_hat.to_json()), "state_digest": digest})
-
 
 def gen(lam: int, backend: str = "stub", rng: np.random.Generator = None) -> QfheSecretKey:
     if rng is None:
@@ -270,59 +266,33 @@ def dec_quantum(sk: QfheSecretKey, cipher: QfheCiphertext) -> StateVector:
     return _unpad(cipher, dec_classical(sk, cipher.pad_hat))
 
 
-def _match_outcome(outcomes, value: float):
-    best = min(outcomes, key=lambda vb: abs(vb[0] - value))
-    if abs(best[0] - value) > 1e-6:
-        raise ValueError(f"measured value {value} matches no declared outcome")
-    return tuple(best[1])
+def eval(selector: ClassicalCiphertext, programs: dict, answer_bits, cipher: QfheCiphertext,
+         rng: np.random.Generator):
+    """Measure the program an encrypted index selects on an encrypted state;
+    returns (answer, new ciphertext).
 
-
-def eval(instructions, cipher: QfheCiphertext, rng: np.random.Generator, aux: StateVector = None):
-    """Run a circuit on an encrypted state; returns (answer, new ciphertext).
-
-    Instructions, executed in order on the decrypted state (trusted path):
-      ("unitary", u, targets)
-      ("measure", observable, targets, outcomes)   outcomes: [(eigenvalue, bits)]
-      ("select_measure", index ciphertext, {index: [measure steps]})
-    Measured answer bits are concatenated and returned encrypted (an empty
-    ciphertext when nothing was measured); the state is re-padded with a
-    fresh uniform key either way, so emitted pad keys are always uniform.
+    The trusted executor decrypts the state and the index that selector
+    encrypts, then measures each observable programs[index] lists, in
+    order, on every register.  answer_bits(eigenvalue) gives an outcome's
+    bits; they are concatenated and returned encrypted (an empty ciphertext
+    for an empty program).  The state is re-padded with a fresh uniform
+    key, so emitted pad keys are always uniform.
     """
     be = cipher.backend
     state = _unpad(cipher, _peek_bits(cipher.pad_hat))
-    if aux is not None:
-        state = state.tensor(aux)
-    answer_bits = []
-
-    def run_measure(step):
-        nonlocal state
-        _, obs, targets, outcomes = step
+    index = int_of(_peek_bits(selector))
+    if index not in programs:
+        raise ValueError(f"encrypted selector {index} has no program")
+    targets = range(state.num_registers)
+    answer = []
+    for obs in programs[index]:
         value, state = measure_observable(state, obs, targets, rng)
-        answer_bits.extend(_match_outcome(outcomes, value))
-
-    for step in instructions:
-        op = step[0]
-        if op == "unitary":
-            state = apply_unitary(state, step[1], step[2])
-        elif op == "measure":
-            run_measure(step)
-        elif op == "select_measure":
-            _, index_cipher, branches = step
-            bits = _peek_bits(index_cipher)
-            idx = int("".join(str(b) for b in bits), 2)
-            if idx not in branches:
-                raise ValueError(f"encrypted selector {idx} has no circuit branch")
-            for sub in branches[idx]:
-                run_measure(("measure",) + tuple(sub))
-        else:
-            raise ValueError(f"unsupported instruction {op!r}")
-
-    n = state.num_registers
-    k = PauliKey.uniform(n, rng)
-    repadded = apply_pauli_pad(state, k, range(n))
+        answer += answer_bits(value)
+    k = PauliKey.uniform(state.num_registers, rng)
+    repadded = apply_pauli_pad(state, k, targets)
     handle = QfhePublicHandle(be.scheme, be.key_id, be)
     out_cipher = QfheCiphertext(repadded, enc_classical(handle, k.bits(), rng))
-    return enc_classical(handle, answer_bits, rng), out_cipher
+    return enc_classical(handle, answer, rng), out_cipher
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,19 @@ def checked_int(value, message: str, bound: int | None = None) -> int:
     return value
 
 
+def bits_of(value: int, width: int) -> tuple:
+    """The width bits of value, most significant first."""
+    return tuple((value >> (width - 1 - j)) & 1 for j in range(width))
+
+
+def int_of(bits) -> int:
+    """The integer whose bits, most significant first, are bits."""
+    out = 0
+    for b in bits:
+        out = (out << 1) | int(b)
+    return out
+
+
 def _checked_dims(dims) -> tuple:
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):

@@ -28,7 +28,7 @@ import numpy as np
 from . import compilers, opad, qfhe
 from .compilers import CompilerKind, Message1, Message2
 from .games import Assignment, ContextualityGame
-from .qsim import PauliKey
+from .qsim import PauliKey, int_of
 
 
 def trials_for_precision(eps: float) -> int:
@@ -245,7 +245,7 @@ class CipherPeekingProver:
         return Assignment({q: self.game.answers[0] for q in self.game.questions})
 
     def exact_distribution(self, value) -> dict:
-        code = compilers._int_of(compilers.spec_of(self.kind).encode(self.game, value))
+        code = int_of(compilers.spec_of(self.kind).encode(self.game, value))
         dist = {}
         for key, p in ((self.table_for(code).key(), self.leak_prob),
                        (self.fallback_table().key(), 1 - self.leak_prob)):
@@ -270,7 +270,7 @@ class CipherPeekingProver:
     def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:
         cipher = message1.question_cipher
         payload = tuple(m ^ cipher.backend.peek(t) for m, t in cipher.bits)
-        self._code = compilers._int_of(payload)
+        self._code = int_of(payload)
         self._leaking = bool(rng.random() < float(self.leak_prob))
         fresh = PauliKey.uniform(1, rng)
         return Message2(

@@ -292,10 +292,14 @@ class TcfKeyPair:
 
     @classmethod
     def from_json(cls, text: str) -> "TcfKeyPair":
-        """Refuses a delta outside (0, 2^n) or off the hidden bit, and the
-        fixed points IdealKey refuses; the loaded key holds no generator."""
+        """Refuses a non-integer width or hidden bit, a delta outside (0, 2^n)
+        or off the hidden bit, and the fixed points IdealKey refuses; the
+        loaded key holds no generator."""
         d = json.loads(text)
-        n, hidden = d["domain_bits"], d["hidden_bit"]
+        n = checked_int(d["domain_bits"], "domain_bits must be an integer")
+        hidden = d["hidden_bit"]
+        if hidden is not None:
+            hidden = checked_int(hidden, "hidden bit must be 0 or 1", 2)
         check_domain_bits(n)
         delta = checked_int(d["delta"], "delta must lie in (0, 2^n)")
         if not 0 < delta < 1 << n:
@@ -408,7 +412,7 @@ def public_claw(pk: IdealKey, y: int):
     return claw(pk, y)
 
 
-def coherent_samp(pk, state: StateVector, control: int, out, rng: np.random.Generator = None) -> StateVector:
+def coherent_samp(pk, state: StateVector, control: int, out) -> StateVector:
     """Branch-controlled coherent evaluation into fresh registers.
 
     Maps (sum_b alpha_b |b>)|0...0>|0> on (control, out) to

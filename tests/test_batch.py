@@ -560,6 +560,31 @@ def test_distinct_row_decode_and_decide_on_one_question_contexts(monkeypatch):
     assert_per_session_rule(chunks)
 
 
+def test_both_engines_answer_both_rounds_through_answer_for(monkeypatch):
+    # a rule that answers every eigenvalue with the first label: every
+    # answer of every round is that label only if both engines ask the rule
+    game, strategy = games.magic_square()
+    label = game.answers[0]
+    asked = []
+
+    def first_label(self, game, eigenvalue):
+        asked.append(eigenvalue)
+        return label
+
+    monkeypatch.setattr(games.QuantumStrategy, "answer_for", first_label)
+    prover = cp.honest_quantum_prover(strategy)
+    rng = np.random.default_rng(30)
+    states = [cp.run_session(game, "c-1", prover, rng, lam=4)[1] for _ in range(20)]
+    assert {a for s in states for a in s.answers1 + (s.answer2,)} == {label}
+    assert len(asked) == 20 * 4
+    chunks = spied_chunks(monkeypatch)
+    cp.estimate_win_rate(game, "c-1", prover, 200, rng, lam=4)
+    (_, s, answers, _), = chunks
+    assert {a for _, given in s.replies for a in given} == {label}
+    assert set(answers.tolist()) == {game.answers.index(label)}
+    assert len(asked) > 20 * 4
+
+
 def test_distinct_row_decode_refuses_codes_outside_the_label_set(monkeypatch):
     # three labels take two bits, so code 3 names no label
     game = games.ContextualityGame(("a", "b"), (0, 1, 2), (("a", "b"),), ("1",),

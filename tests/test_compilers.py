@@ -23,8 +23,10 @@ from ctxsim.qsim import (
     X,
     Z,
     apply_pauli_pad,
+    bits_of,
     branch_measure,
     equal_up_to_global_phase,
+    int_of,
     measure_observable,
 )
 
@@ -148,9 +150,9 @@ def test_round2_question_always_in_the_context():
 
 @given(st.integers(min_value=0, max_value=255), st.integers(min_value=8, max_value=12))
 def test_index_bit_codec_roundtrip(value, width):
-    bits = cp._bits_of(value, width)
+    bits = bits_of(value, width)
     assert len(bits) == width
-    assert cp._int_of(bits) == value
+    assert int_of(bits) == value
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,7 +166,7 @@ def test_selection_circuit_multiplexes(data):
             for k in keys}
     circuit = cp._selection_circuit(n_inputs, rows, out_width)
     for k, bits in rows.items():
-        assert circuit.run_plain(cp._bits_of(k, n_inputs)) == bits
+        assert circuit.run_plain(bits_of(k, n_inputs)) == bits
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,7 +178,7 @@ def test_selection_circuit_ands_are_live_prefixes(data):
     rows = {k: tuple(data.draw(st.integers(0, 1)) for _ in range(out_width))
             for k in keys}
     circuit = cp._selection_circuit(n_inputs, rows, out_width)
-    live = [cp._bits_of(k, n_inputs) for k, bits in rows.items() if any(bits)]
+    live = [bits_of(k, n_inputs) for k, bits in rows.items() if any(bits)]
     prefixes = {bits[:n] for bits in live for n in range(2, n_inputs + 1)}
     assert sum(g[0] == "and" for g in circuit.gates) <= len(prefixes)
     zero_columns = sum(not any(bits[pos] for bits in rows.values()) for pos in range(out_width))

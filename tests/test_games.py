@@ -161,6 +161,16 @@ def test_quantum_value_rejects_bad_spectrum():
         quantum_value_of(game, strat)
 
 
+def test_answer_for_takes_a_label_within_1e_6_and_refuses_the_rest():
+    for game, strat in (kcbs(), magic_square()):
+        for a in game.answers:
+            for eps in (1e-7, -1e-7):
+                assert strat.answer_for(game, float(a) + eps) == a
+            for eps in (1e-5, -1e-5):
+                with pytest.raises(ValueError, match="matches no declared outcome"):
+                    strat.answer_for(game, float(a) + eps)
+
+
 def test_quantum_value_rejects_noncommuting_context():
     game = ContextualityGame(
         questions=(0, 1), answers=(1, -1), contexts=((0, 1),),

@@ -91,12 +91,19 @@ def test_known_pad_gives_known_padded_state():
     assert equal_up_to_global_phase(qfhe.dec_quantum(sk, cipher), psi)
 
 
+def sign_bit(value):
+    """The answer bits of a +1/-1 eigenvalue: (0,) for +1, (1,) for -1."""
+    return (0,) if value > 0 else (1,)
+
+
 def test_eval_identity_preserves_state():
+    # an empty program measures nothing; the state comes back under a fresh pad
     sk, rng = fresh(seed=9)
     psi = apply_unitary(StateVector((2, 2), [1, 0, 0, 0]), np.kron(H, H), [0, 1])
     cipher = qfhe.enc_quantum(sk, psi, rng)
-    answer, out = qfhe.eval([("unitary", np.eye(4), [0, 1])], cipher, rng)
+    answer, out = qfhe.eval(qfhe.enc_classical(sk, (0,), rng), {0: []}, sign_bit, cipher, rng)
     assert len(answer) == 0
+    assert len(out.pad_hat) == 4 and out.pad_hat != cipher.pad_hat
     assert equal_up_to_global_phase(qfhe.dec_quantum(sk, out), psi, 1e-10)
 
 
@@ -105,14 +112,14 @@ def test_eval_measurement_matches_born_rule():
     _, strat = magic_square()
     obs = strat.observables["11"]  # I(x)X on |00>: +1/-1 each with prob 1/2
     psi = StateVector((2, 2), [1, 0, 0, 0])
-    outcomes = [(1.0, (0,)), (-1.0, (1,))]
 
-    analytic = {(0,) if v > 0 else (1,): p for v, p, _ in branch_measure(psi, obs, [0, 1])}
+    analytic = {sign_bit(v): p for v, p, _ in branch_measure(psi, obs, [0, 1])}
     counts = {(0,): 0, (1,): 0}
     trials = 4000
     for _ in range(trials):
         cipher = qfhe.enc_quantum(sk, psi, rng)
-        answer, _ = qfhe.eval([("measure", obs, [0, 1], outcomes)], cipher, rng)
+        index = qfhe.enc_classical(sk, (0,), rng)
+        answer, _ = qfhe.eval(index, {0: [obs]}, sign_bit, cipher, rng)
         counts[qfhe.dec_classical(sk, answer)] += 1
     for bits, p in analytic.items():
         assert abs(counts[bits] / trials - p) < 0.03
@@ -125,35 +132,34 @@ def test_eval_output_keeps_padded_form():
     _, strat = magic_square()
     obs = strat.observables["11"]
     psi = StateVector((2, 2), [1, 0, 0, 0])
-    outcomes = [(1.0, (0,)), (-1.0, (1,))]
-    posts = {(0,) if v > 0 else (1,): post for v, p, post in branch_measure(psi, obs, [0, 1])}
+    posts = {sign_bit(v): post for v, p, post in branch_measure(psi, obs, [0, 1])}
     for _ in range(20):
         cipher = qfhe.enc_quantum(sk, psi, rng)
-        answer, out = qfhe.eval([("measure", obs, [0, 1], outcomes)], cipher, rng)
+        index = qfhe.enc_classical(sk, (0,), rng)
+        answer, out = qfhe.eval(index, {0: [obs]}, sign_bit, cipher, rng)
         bits = qfhe.dec_classical(sk, answer)
         assert equal_up_to_global_phase(qfhe.dec_quantum(sk, out), posts[bits], 1e-9)
 
 
-def test_eval_select_measure_picks_encrypted_branch():
+def test_eval_encrypted_index_picks_its_program():
+    # Z and -Z are deterministic on |0>: +1 gives bit 0, -1 bit 1
     sk, rng = fresh(seed=12)
-    psi = StateVector((2,), [1, 0])
-    branches = {
-        0: [(Observable(Z), [0], [(1.0, (0,)), (-1.0, (1,))])],
-        1: [(Observable(X), [0], [(1.0, (0,)), (-1.0, (1,))])],
-    }
-    idx = qfhe.enc_classical(sk, (0,), rng)
-    answer, _ = qfhe.eval([("select_measure", idx, branches)], qfhe.enc_quantum(sk, psi, rng), rng)
-    assert qfhe.dec_classical(sk, answer) == (0,)  # Z on |0> is deterministic
+    z, minus_z = Observable(Z), Observable(-Z)
+    programs = {0: [z], 1: [minus_z], 2: [z, minus_z, z], 3: []}
+    expected = {0: (0,), 1: (1,), 2: (0, 1, 0), 3: ()}
+    for index, bits in expected.items():
+        selector = qfhe.enc_classical(sk, ((index >> 1) & 1, index & 1), rng)
+        cipher = qfhe.enc_quantum(sk, StateVector((2,), [1, 0]), rng)
+        answer, _ = qfhe.eval(selector, programs, sign_bit, cipher, rng)
+        assert qfhe.dec_classical(sk, answer) == bits
 
 
-def test_eval_rejects_unknown_instruction_and_branch():
+def test_eval_rejects_a_missing_program_index():
     sk, rng = fresh(seed=13)
     cipher = qfhe.enc_quantum(sk, StateVector((2,), [1, 0]), rng)
-    with pytest.raises(ValueError):
-        qfhe.eval([("teleport",)], cipher, rng)
-    idx = qfhe.enc_classical(sk, (1,), rng)
-    with pytest.raises(ValueError):
-        qfhe.eval([("select_measure", idx, {0: []})], cipher, rng)
+    index = qfhe.enc_classical(sk, (1,), rng)
+    with pytest.raises(ValueError, match="encrypted selector 1 has no program"):
+        qfhe.eval(index, {0: []}, sign_bit, cipher, rng)
 
 
 def xor_circuit():
@@ -444,14 +450,6 @@ def test_stub_json_hides_pads_leaky_json_exposes_them():
     blob2 = json.loads(c2.to_json())
     assert all("pad" in b for b in blob2["bits"])
     assert qfhe.leak_bits(c2) == (1, 0)
-
-
-def test_quantum_cipher_json_logs_digest_only():
-    sk, rng = fresh(seed=22)
-    cipher = qfhe.enc_quantum(sk, StateVector((2,), [1, 0]), rng)
-    blob = json.loads(cipher.to_json())
-    assert set(blob) == {"pad_hat", "state_digest"}
-    assert len(blob["state_digest"]) == 64
 
 
 def test_gen_rejects_unknown_backend():

@@ -354,6 +354,19 @@ def test_from_json_refuses_a_delta_off_the_hidden_bit():
         tcf.TcfKeyPair.from_json(lazy_key_json(edit))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("domain_bits", 5.0, "domain_bits must be an integer"),
+    ("domain_bits", "5", "domain_bits must be an integer"),
+    ("hidden_bit", 2, "hidden bit must be 0 or 1"),
+    ("hidden_bit", 0.0, "hidden bit must be 0 or 1"),
+])
+def test_from_json_refuses_a_non_integer_width_or_hidden_bit(field, value, message):
+    def edit(body):
+        body[field] = value
+    with pytest.raises(ValueError, match=message):
+        tcf.TcfKeyPair.from_json(lazy_key_json(edit))
+
+
 def test_key_json_holds_delta_and_the_fixed_points_and_draws_nothing():
     rng = np.random.default_rng(25)
     kp = tcf.gen(12, hidden=1, rng=rng)
