@@ -324,11 +324,10 @@ class _Table:
 
 
 def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: StubCipher,
-                 pad_cipher: StubCipher, d, y, answers, accepts) -> list:
-    """The CompiledTranscript of each session of a chunk, built from its arrays."""
+                 pad_cipher: StubCipher, d, y, answers, accepts):
+    """The CompiledTranscript of each session of a chunk, in session order."""
     game, kind = plan.game, plan.kind
     answer_bits = plan.asked_count[s.inp] * plan.answer_width
-    out = []
     for i, key_id in enumerate(s.key_ids):
         backend = qfhe._StubBackend(key_id, fhe_backend == "leaky")
         message1 = compilers.Message1(
@@ -340,36 +339,37 @@ def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: Stu
             backend.cipher(answer_cipher.row(i, int(answer_bits[i]))),
             backend.cipher(pad_cipher.row(i)),
             opad.OpadString(tuple(zip(d[i].tolist(), y[i].tolist())), "pauli"))
-        out.append(compilers.CompiledTranscript(
+        yield compilers.CompiledTranscript(
             kind=kind.value, ctx_index=int(s.ctx[i]),
             skip_pos=plan.spec.skip_pos(plan.inputs[s.inp[i]]),
             message1=message1, message2=message2,
             question=game.questions[s.question[i]],
             key=PauliKey(tuple(s.key_x[i].tolist()), tuple(s.key_z[i].tolist())),
-            answer=game.answers[answers[i]], accept=accepts[i]))
-    return out
+            answer=game.answers[answers[i]], accept=accepts[i])
 
 
 def _chunk_wins(plan: _Plan, run, n: int, rng: np.random.Generator, fhe_backend: str,
-                transcript_log: list) -> int:
+                on_transcript) -> int:
     """Accepted sessions among n, run as one chunk; its arrays die on return."""
     s = _Sessions(plan, n, rng)
     answer_cipher, pad_cipher, d, y = run.round1(plan, s, rng)
     s.message3(plan, answer_cipher, pad_cipher, d, y, rng)
     answers = run.round2(plan, s, rng)
     accepts = s.decide(plan, answers)
-    if transcript_log is not None:
-        transcript_log += _transcripts(plan, s, fhe_backend, answer_cipher, pad_cipher,
-                                       d, y, answers, accepts)
+    if on_transcript is not None:
+        for t in _transcripts(plan, s, fhe_backend, answer_cipher, pad_cipher,
+                              d, y, answers, accepts):
+            on_transcript(t)
     return sum(accepts)
 
 
 def win_count(game, kind, prover, trials: int, rng: np.random.Generator, lam: int,
-              fhe_backend: str, transcript_log: list = None) -> int:
-    """Accepted sessions among trials fresh-key sessions, run in chunks."""
+              fhe_backend: str, on_transcript=None) -> int:
+    """Accepted sessions among trials fresh-key sessions, run in chunks; on_transcript,
+    when given, gets each session's CompiledTranscript as its chunk finishes."""
     plan = _Plan(game, kind, lam)
     run = (_Honest if type(prover) is compilers.HonestQuantumProver else _Table)(prover, plan)
     size = tcf.CHUNK_SIZE
     return sum(_chunk_wins(plan, run, min(size, trials - start), rng, fhe_backend,
-                           transcript_log)
+                           on_transcript)
                for start in range(0, trials, size))

@@ -12,9 +12,10 @@ Three subcommands:
 
 Every row embeds the formula and bound it is judged against.  Reports go
 to stdout as JSON ("schema": 2); --out additionally writes the JSON file
-plus a CSV mirroring the flat fields, and --transcripts dumps one JSON
-line per protocol run.  Identical configuration and seed give byte
-identical files.
+plus a CSV mirroring the flat fields, and --transcripts writes one JSON
+line per protocol run, each as its row runs, so a fault in a later row
+leaves the earlier rows' lines on disk.  Identical configuration and seed
+give byte identical files.
 
 Exit codes: 0 ok, 2 a bound was violated under --assert, 3 bad
 configuration and nothing else: every argument, game file, strategy and
@@ -24,6 +25,7 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -123,7 +125,7 @@ def _stderr(rate: float, trials: int) -> float:
     return math.sqrt(rate * (1 - rate) / trials)
 
 
-def cmd_values(config: RunConfig, want_transcripts: bool):
+def cmd_values(config: RunConfig, _transcripts):
     game, strategy = load_game(config.game)
     _precondition(check_nc_search, game)
     value = nc_value(game)
@@ -135,7 +137,20 @@ def cmd_values(config: RunConfig, want_transcripts: bool):
         "method": "exhaustive tables / exact Born rule",
     }
     return {"schema": SCHEMA, "config": config.as_dict(), "rows": [row],
-            "bounds_ok": True}, []
+            "bounds_ok": True}
+
+
+def _transcripts_file(transcripts: str | None):
+    """The --transcripts file, opened once every pre-row check has passed."""
+    return open(transcripts, "w") if transcripts else contextlib.nullcontext()
+
+
+def _line_writer(fh, row: str):
+    """The on_transcript that writes each of row's transcripts to fh as one
+    JSON line; None without a file."""
+    if fh is None:
+        return None
+    return lambda t: fh.write(json.dumps({"row": row, **t.as_dict()}) + "\n")
 
 
 def _poq_row_names(selector: str) -> list:
@@ -151,46 +166,42 @@ def _poq_row_names(selector: str) -> list:
     return [selector, "rewind-" + selector]
 
 
-def cmd_poq(config: RunConfig, want_transcripts: bool):
+def cmd_poq(config: RunConfig, transcripts: str | None):
     seeds = np.random.SeedSequence(config.seed)
-    rows, lines = [], []
+    rows = []
     base_rates = {}
-    for name in _poq_row_names(config.prover):
-        rng = np.random.default_rng(seeds.spawn(1)[0])
-        if name.startswith("rewind-"):
-            kind = name[len("rewind-"):]
-            rate = poq.estimate_rewind(kind, config.trials, rng, lam=config.lam)
-            bound = 2 * base_rates[kind] - 1
-            rows.append({
-                "row": name, "prover": kind, "trials": config.trials,
-                "rate": rate, "stderr": _stderr(rate, config.trials),
-                "formula": "2*rate - 1", "bound": bound, "comparison": ">=",
-                "within": rate >= bound - _rewind_tol(base_rates[kind], config.trials),
-            })
-            continue
-        transcripts = [] if want_transcripts else None
-        rate = poq.estimate_rate(name, config.trials, rng, lam=config.lam,
-                                 transcript_log=transcripts)
-        row = {"row": name, "prover": name, "trials": config.trials,
-               "rate": rate, "stderr": _stderr(rate, config.trials)}
-        if name == "honest":
-            bound = poq.HONEST_RATE
-            row.update(formula="cos^2(pi/8)", bound=bound, comparison="~=",
-                       within=abs(rate - bound) <= _tol(bound, config.trials))
-        else:
-            base_rates[name] = rate
-            analytic = poq.CLASSICAL_CLASSES[name].analytic_rate
-            bound = poq.CLASSICAL_BOUND
-            row.update(analytic=float(analytic), analytic_exact=str(analytic),
-                       formula="3/4", bound=bound, comparison="<=",
-                       within=rate <= bound + _tol(bound, config.trials))
-        rows.append(row)
-        if want_transcripts:
-            lines += [json.dumps({"row": name, **json.loads(t.to_json())})
-                      for t in transcripts]
-    report = {"schema": SCHEMA, "config": config.as_dict(), "rows": rows,
-              "bounds_ok": all(r["within"] for r in rows)}
-    return report, lines
+    with _transcripts_file(transcripts) as fh:
+        for name in _poq_row_names(config.prover):
+            rng = np.random.default_rng(seeds.spawn(1)[0])
+            if name.startswith("rewind-"):
+                kind = name[len("rewind-"):]
+                rate = poq.estimate_rewind(kind, config.trials, rng, lam=config.lam)
+                bound = 2 * base_rates[kind] - 1
+                rows.append({
+                    "row": name, "prover": kind, "trials": config.trials,
+                    "rate": rate, "stderr": _stderr(rate, config.trials),
+                    "formula": "2*rate - 1", "bound": bound, "comparison": ">=",
+                    "within": rate >= bound - _rewind_tol(base_rates[kind], config.trials),
+                })
+                continue
+            rate = poq.estimate_rate(name, config.trials, rng, lam=config.lam,
+                                     on_transcript=_line_writer(fh, name))
+            row = {"row": name, "prover": name, "trials": config.trials,
+                   "rate": rate, "stderr": _stderr(rate, config.trials)}
+            if name == "honest":
+                bound = poq.HONEST_RATE
+                row.update(formula="cos^2(pi/8)", bound=bound, comparison="~=",
+                           within=abs(rate - bound) <= _tol(bound, config.trials))
+            else:
+                base_rates[name] = rate
+                analytic = poq.CLASSICAL_CLASSES[name].analytic_rate
+                bound = poq.CLASSICAL_BOUND
+                row.update(analytic=float(analytic), analytic_exact=str(analytic),
+                           formula="3/4", bound=bound, comparison="<=",
+                           within=rate <= bound + _tol(bound, config.trials))
+            rows.append(row)
+    return {"schema": SCHEMA, "config": config.as_dict(), "rows": rows,
+            "bounds_ok": all(r["within"] for r in rows)}
 
 
 def _compile_row_names(selector: str, kind, strategy) -> list:
@@ -225,7 +236,7 @@ def _make_prover(name: str, game, kind, strategy):
     return prover
 
 
-def cmd_compile(config: RunConfig, want_transcripts: bool):
+def cmd_compile(config: RunConfig, transcripts: str | None):
     game, strategy = load_game(config.game)
     kind = compilers.CompilerKind(config.compiler)
     # every precondition and prover is checked before any row runs
@@ -238,35 +249,31 @@ def cmd_compile(config: RunConfig, want_transcripts: bool):
         else quantum_value_of(game, strategy))
 
     seeds = np.random.SeedSequence(config.seed)
-    rows, lines = [], []
-    for name, prover in provers.items():
-        rng = np.random.default_rng(seeds.spawn(1)[0])
-        log = [] if want_transcripts else None
-        rate, stderr = compilers.estimate_win_rate(
-            game, kind, prover, config.trials, rng, lam=config.lam,
-            fhe_backend=config.fhe, transcript_log=log)
-        row = {"row": name, "prover": name, "compiler": kind.value,
-               "trials": config.trials, "rate": rate, "stderr": stderr}
-        if name == "honest":
-            bound = bounds["completeness_bound"]
-            row.update(formula=bounds["completeness_formula"], bound=bound,
-                       comparison="~=",
-                       within=abs(rate - bound) <= _tol(bound, config.trials))
-        else:
-            bound = bounds["soundness_bound"]
-            row.update(formula=bounds["soundness_formula"], bound=bound,
-                       comparison="<=",
-                       within=rate <= bound + _tol(bound, config.trials))
-        if name == "feasible":
-            row["analytic"] = float(prover.analytic_rate)
-            row["analytic_exact"] = str(prover.analytic_rate)
-        rows.append(row)
-        if want_transcripts:
-            lines += [json.dumps({"row": name, **json.loads(t.to_json())})
-                      for t in log]
-    report = {"schema": SCHEMA, "config": config.as_dict(), "rows": rows,
-              "bounds_ok": all(r["within"] for r in rows)}
-    return report, lines
+    rows = []
+    with _transcripts_file(transcripts) as fh:
+        for name, prover in provers.items():
+            rng = np.random.default_rng(seeds.spawn(1)[0])
+            rate, stderr = compilers.estimate_win_rate(
+                game, kind, prover, config.trials, rng, lam=config.lam,
+                fhe_backend=config.fhe, on_transcript=_line_writer(fh, name))
+            row = {"row": name, "prover": name, "compiler": kind.value,
+                   "trials": config.trials, "rate": rate, "stderr": stderr}
+            if name == "honest":
+                bound = bounds["completeness_bound"]
+                row.update(formula=bounds["completeness_formula"], bound=bound,
+                           comparison="~=",
+                           within=abs(rate - bound) <= _tol(bound, config.trials))
+            else:
+                bound = bounds["soundness_bound"]
+                row.update(formula=bounds["soundness_formula"], bound=bound,
+                           comparison="<=",
+                           within=rate <= bound + _tol(bound, config.trials))
+            if name == "feasible":
+                row["analytic"] = float(prover.analytic_rate)
+                row["analytic_exact"] = str(prover.analytic_rate)
+            rows.append(row)
+    return {"schema": SCHEMA, "config": config.as_dict(), "rows": rows,
+            "bounds_ok": all(r["within"] for r in rows)}
 
 
 COMMANDS = {"values": cmd_values, "poq": cmd_poq, "compile": cmd_compile}
@@ -337,6 +344,10 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{flag}: no directory {str(Path(path).parent)!r}")
         if Path(path).is_dir():
             raise ConfigError(f"{flag}: {str(path)!r} is a directory")
+    transcripts = outputs.pop("--transcripts")
+    for flag, path in outputs.items():
+        if transcripts and path and Path(transcripts).resolve() == path.resolve():
+            raise ConfigError(f"--transcripts {transcripts!r} is the same file as {flag}")
     return RunConfig(**fields)
 
 
@@ -353,8 +364,7 @@ def _flat(value) -> str:
     return str(value)
 
 
-def _write_outputs(report: dict, config: RunConfig, lines: list,
-                   transcripts_path: str | None) -> None:
+def _write_outputs(report: dict, config: RunConfig) -> None:
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
     if config.out:
@@ -370,9 +380,6 @@ def _write_outputs(report: dict, config: RunConfig, lines: list,
             for row in report["rows"]:
                 merged = {**report["config"], **row}
                 writer.writerow([_flat(merged.get(c)) for c in columns])
-    if transcripts_path is not None:
-        Path(transcripts_path).write_text(
-            "".join(line + "\n" for line in lines))
 
 
 def main(argv=None) -> int:
@@ -380,13 +387,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from(args)
-        transcripts_path = getattr(args, "transcripts", None)
-        report, lines = COMMANDS[config.command](
-            config, transcripts_path is not None)
+        report = COMMANDS[config.command](config, getattr(args, "transcripts", None))
     except ConfigError as exc:
         print(f"ctxsim: {exc}", file=sys.stderr)
         return 3
-    _write_outputs(report, config, lines, transcripts_path)
+    _write_outputs(report, config)
     if getattr(args, "assert_bounds", False) and not report["bounds_ok"]:
         return 2
     return 0

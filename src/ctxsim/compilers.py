@@ -395,38 +395,26 @@ class CompiledTranscript:
     accept: bool
     seed: int | None = None
 
-    def slots(self) -> dict:
-        return {
-            "t1_question_cipher": self.message1.question_cipher,
-            "t2_opad_pk": self.message1.opad_pk,
-            "t3_answer_cipher": self.message2.answer_cipher,
-            "t4_pad_cipher": self.message2.pad_cipher,
-            "t5_pad_string": self.message2.pad_string,
-            "t6_question": self.question,
-            "t7_key": self.key,
-            "t8_answer": self.answer,
-        }
-
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         # delta and the points of P the session fixed: writing draws nothing
         pk = self.message1.opad_pk
         key_text = json.dumps([pk.delta, pk.pairs()])
         digest = hashlib.sha256(key_text.encode()).hexdigest()[:16]
-        return json.dumps({
+        return {
             "kind": self.kind,
             "ctx_index": self.ctx_index,
             "skip_pos": self.skip_pos,
-            "t1_question_cipher": json.loads(self.message1.question_cipher.to_json()),
+            "t1_question_cipher": self.message1.question_cipher.as_dict(),
             "t2_opad_pk": {"domain_bits": pk.n, "table_digest": digest},
-            "t3_answer_cipher": json.loads(self.message2.answer_cipher.to_json()),
-            "t4_pad_cipher": json.loads(self.message2.pad_cipher.to_json()),
-            "t5_pad_string": json.loads(self.message2.pad_string.to_json()),
+            "t3_answer_cipher": self.message2.answer_cipher.as_dict(),
+            "t4_pad_cipher": self.message2.pad_cipher.as_dict(),
+            "t5_pad_string": self.message2.pad_string.as_dict(),
             "t6_question": self.question,
             "t7_key": {"x": list(self.key.x), "z": list(self.key.z)},
             "t8_answer": self.answer,
             "accept": self.accept,
             "seed": self.seed,
-        })
+        }
 
 
 def recompute_decision(game: ContextualityGame, transcript: CompiledTranscript,
@@ -699,13 +687,14 @@ def run_session(game: ContextualityGame, kind, prover, rng: np.random.Generator,
 
 def estimate_win_rate(game: ContextualityGame, kind, prover, trials: int,
                       rng: np.random.Generator, lam: int = 8,
-                      fhe_backend: str = "stub", transcript_log: list = None):
+                      fhe_backend: str = "stub", on_transcript=None):
     """Monte Carlo win rate over fresh-key sessions; returns (rate, stderr).
 
     Sessions of a table prover, or of an honest prover on the collapsed pad
     path, run in chunks through the batched engine (ctxsim.batch); the rest
-    run one run_session each.  Either way transcript_log, when
-    given, receives one CompiledTranscript per session and changes no draw.
+    run one run_session each.  Either way on_transcript, when given, gets each
+    session's CompiledTranscript in session order as its session (or chunk)
+    finishes, and changes no draw; nothing here keeps them.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -714,14 +703,14 @@ def estimate_win_rate(game: ContextualityGame, kind, prover, trials: int,
     from . import batch
     if batch.runs(prover):
         wins = batch.win_count(game, kind, prover, trials, rng, lam, fhe_backend,
-                               transcript_log)
+                               on_transcript)
     else:
         wins = 0
         for _ in range(trials):
             accept, state = run_session(game, kind, prover, rng, lam, fhe_backend)
             wins += int(accept)
-            if transcript_log is not None:
-                transcript_log.append(state.transcript())
+            if on_transcript is not None:
+                on_transcript(state.transcript())
     rate = wins / trials
     return rate, math.sqrt(rate * (1 - rate) / trials)
 

@@ -31,7 +31,10 @@ def _as_weight(w) -> Fraction:
     if isinstance(w, Fraction):
         return w
     if isinstance(w, str):
-        return Fraction(w)
+        try:
+            return Fraction(w)
+        except ZeroDivisionError:
+            raise ValueError(f"context weight {w!r} has a zero denominator") from None
     if isinstance(w, int):
         return Fraction(w)
     # through the shortest decimal repr, so a JSON 0.2 means 1/5
@@ -75,6 +78,10 @@ class ContextualityGame:
                 raise ValueError("contexts must be nonempty")
             if len(set(c)) != len(c) or not set(c) <= qset:
                 raise ValueError(f"context {c} is not a subset of the question set")
+        strays = sorted(map(str, set(self.accepts) - set(range(len(contexts)))))
+        if strays:
+            raise ValueError(f"predicate keys {strays} name no context; "
+                             f"the contexts are 0 to {len(contexts) - 1}")
         accepts = {}
         aset = set(answers)
         for i, c in enumerate(contexts):

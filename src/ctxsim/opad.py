@@ -172,11 +172,11 @@ class OpadString:
             raise ValueError("d must be nonzero")
         object.__setattr__(self, "slots", slots)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "slots": [{"d": format(d, "x"), "y": format(y, "x")} for d, y in self.slots],
-        })
+        }
 
     @classmethod
     def from_json(cls, text: str) -> "OpadString":

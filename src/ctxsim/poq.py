@@ -113,12 +113,10 @@ class PoqTranscript:
     b: int
     accepted: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "lam": self.lam, "s": self.s,
-            "y": self.y, "mu": self.mu, "d": self.d,
-            "c": self.c, "b": self.b, "accepted": self.accepted,
-        })
+    def as_dict(self) -> dict:
+        # the instance dict holds the eight fields in declaration order;
+        # dataclasses.asdict would deep-copy each int at about 20x the cost
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, text: str) -> "PoqTranscript":
@@ -434,10 +432,10 @@ def _chunks(trials: int, lam: int, rng: np.random.Generator):
 
 
 def estimate_rate(name: str, trials: int, rng: np.random.Generator, lam: int = 8,
-                  transcript_log: list = None) -> float:
+                  on_transcript=None) -> float:
     """Acceptance rate of trials instances of the collapsed honest prover
-    ("honest") or a classical zoo prover, run in chunks; given a list,
-    transcript_log receives each instance's PoqTranscript."""
+    ("honest") or a classical zoo prover, run in chunks; on_transcript, when
+    given, gets each instance's PoqTranscript in order as its chunk finishes."""
     if name != "honest" and name not in CLASSICAL_CLASSES:
         raise ValueError(f"unknown prover {name!r}")
     cls = HonestProver if name == "honest" else CLASSICAL_CLASSES[name]
@@ -449,9 +447,9 @@ def estimate_rate(name: str, trials: int, rng: np.random.Generator, lam: int = 8
         b = _checked(prover.round2(c), 2, "b must be a bit")
         accepted = _accepts(s, mu, d, c, b, *keys.claw(y), lam)
         wins += int(accepted.sum())
-        if transcript_log is not None:
-            transcript_log += [PoqTranscript(lam, *row) for row in zip(
-                *(a.tolist() for a in (s, y, mu, d, c, b, accepted)))]
+        if on_transcript is not None:
+            for row in zip(*(a.tolist() for a in (s, y, mu, d, c, b, accepted))):
+                on_transcript(PoqTranscript(lam, *row))
     return wins / trials
 
 

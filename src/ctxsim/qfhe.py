@@ -28,7 +28,6 @@ of an error, as a real scheme would.
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -165,11 +164,11 @@ class ClassicalCiphertext:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        return {
             "scheme": self.backend.scheme,
             "bits": [{"masked": m, **self.backend.token_json(t)} for m, t in self.bits],
-        })
+        }
 
 
 @dataclass(frozen=True)

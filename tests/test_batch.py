@@ -118,7 +118,7 @@ def sessions_of(game, kind, prover, trials, seed, lam=LAM):
     decrypted round-1 input, round-2 question)."""
     log = []
     rate, _ = cp.estimate_win_rate(game, kind, prover, trials, np.random.default_rng(seed),
-                                   lam=lam, transcript_log=log)
+                                   lam=lam, on_transcript=log.append)
     spec = cp.spec_of(kind)
     cells = []
     for t in log:
@@ -244,7 +244,7 @@ def test_trial_counts_across_chunk_edges(extra, monkeypatch):
     for trials in {1, 3 * size + extra}:
         log = []
         rate, _ = cp.estimate_win_rate(game, "c-1", prover, trials, np.random.default_rng(14),
-                                       lam=LAM, transcript_log=log)
+                                       lam=LAM, on_transcript=log.append)
         assert len(log) == trials
         assert rate == sum(t.accept for t in log) / trials
         assert len({t.message1.fhe_handle.key_id for t in log}) == trials
@@ -468,7 +468,7 @@ def test_one_question_contexts_run_under_cm1_1(opad_path):
     assert accept
     assert len(state.transcript().message2.answer_cipher) == 0
     log = []
-    rate, _ = cp.estimate_win_rate(game, "cm1-1", prover, 40, rng, lam=4, transcript_log=log)
+    rate, _ = cp.estimate_win_rate(game, "cm1-1", prover, 40, rng, lam=4, on_transcript=log.append)
     assert rate == 1.0
     assert {len(t.message2.answer_cipher) for t in log} == {0}
 

@@ -235,6 +235,8 @@ def test_compile_config_errors(tmp_path, capsys, monkeypatch):
     folder.mkdir()
     (tmp_path / "x.csv").mkdir()
     sibling = str(tmp_path / "x.json")
+    same = ["poq", "--trials", "50", "--seed", "1", "--out", str(tmp_path / "same.json"),
+            "--transcripts"]
     cases = [
         (["compile", "--game", "magic-square", "--compiler", "1-1",
           "--trials", "5", "--seed", "1"], "uniform context size"),
@@ -264,11 +266,31 @@ def test_compile_config_errors(tmp_path, capsys, monkeypatch):
          f"--out's CSV: {str(tmp_path / 'x.csv')!r} is a directory"),
         (["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "5", "--seed", "1",
           "--fhe", "lwe"], "invalid choice"),
+        (same + [str(tmp_path / "same.csv")], "is the same file as --out's CSV"),
+        (same + [str(folder / ".." / "same.json")], "is the same file as --out"),
     ]
     for argv, fragment in cases:
         code, _, err = run_cli(capsys, argv)
         assert code == 3, argv
         assert fragment in err
+    assert not any((tmp_path / name).exists() for name in ("same.json", "same.csv"))
+
+
+def test_values_refuses_a_zero_denominator_and_a_stray_predicate_key(tmp_path, capsys):
+    game, _ = games.kcbs()
+    data = json.loads(game.to_json())
+    bodies = {
+        "zero-denominator.json": dict(data, context_weights=["1/0"] + data["context_weights"][1:]),
+        "stray-predicate.json": dict(data, predicate={**data["predicate"],
+                                                      "7": data["predicate"]["0"]}),
+    }
+    for name, body in bodies.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(body))
+        code, report, err = run_cli(capsys, ["values", "--game", str(path)])
+        assert code == 3, name
+        assert report is None
+        assert name in err
 
 
 def test_compile_honest_needs_a_strategy(tmp_path, capsys):
@@ -346,6 +368,59 @@ def test_transcript_logs_are_json_lines(tmp_path, capsys):
     entry = json.loads(lines[0])
     assert entry["row"] == "random-answer"
     assert {"s", "c", "b", "accepted"} <= set(entry)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--game", "no-such-game", "--compiler", "1-1"],
+    ["compile", "--game", "magic-square", "--compiler", "1-1"]], ids=["unknown-game", "1-1"])
+def test_a_configuration_error_leaves_the_transcripts_file_untouched(argv, tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"row": "earlier run"}\n')
+    code, _, _ = run_cli(capsys, argv + ["--trials", "5", "--seed", "1",
+                                         "--transcripts", str(path)])
+    assert code == 3
+    assert path.read_bytes() == b'{"row": "earlier run"}\n'
+
+
+def test_a_fault_in_a_later_row_leaves_the_earlier_rows_lines(tmp_path, monkeypatch):
+    real = compilers.estimate_win_rate
+
+    def truthtable_fails(game, kind, prover, *args, **kwargs):
+        if type(prover) is compilers.TruthTableProver:
+            raise ValueError("simulated internal fault")
+        return real(game, kind, prover, *args, **kwargs)
+
+    monkeypatch.setattr(compilers, "estimate_win_rate", truthtable_fails)
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match="simulated internal fault"):
+        cli.main(["compile", "--game", "kcbs", "--compiler", "1-1", "--trials", "30",
+                  "--seed", "1", "--transcripts", str(path)])
+    assert [json.loads(line)["row"] for line in path.read_text().splitlines()] == \
+        ["honest"] * 30
+
+
+def test_transcripts_stream_in_bounded_memory(tmp_path, capsys, monkeypatch):
+    # each chunk's lines are written and dropped before the next chunk runs, so
+    # two more chunks add less than the bytes of one chunk's lines; chunks of
+    # 512 keep the traced run short
+    monkeypatch.setattr(tcf, "CHUNK_SIZE", 512)
+    path = tmp_path / "t.jsonl"
+    peaks = []
+    for trials in (1, tcf.CHUNK_SIZE, 3 * tcf.CHUNK_SIZE):  # the first run loads and caches
+        tracemalloc.start()
+        try:
+            code = cli.main(["compile", "--game", "kcbs", "--compiler", "1-1",
+                             "--prover", "honest", "--trials", str(trials), "--seed", "1",
+                             "--transcripts", str(path)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+        if trials == tcf.CHUNK_SIZE:
+            chunk_bytes = path.stat().st_size
+    assert len(path.read_text().splitlines()) == 3 * tcf.CHUNK_SIZE
+    assert peaks[2] - peaks[1] < chunk_bytes
 
 
 def test_internal_errors_are_not_configuration_errors(monkeypatch):

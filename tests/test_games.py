@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -201,6 +202,26 @@ def test_weights_must_sum_to_one():
         context_weights=("1/3",) * 3, accepts={i: {(0,)} for i in range(3)},
     )
     assert nc_value(thirds) == 1
+
+
+def test_a_zero_denominator_weight_is_a_value_error():
+    with pytest.raises(ValueError, match="'1/0'"):
+        ContextualityGame(
+            questions=(0, 1), answers=(0,), contexts=((0,), (1,)),
+            context_weights=("1/0", 1), accepts={},
+        )
+
+
+@pytest.mark.parametrize("key", [5, 7, -1])
+def test_a_predicate_for_a_missing_context_is_refused(key):
+    game, _ = games.kcbs()
+    with pytest.raises(ValueError, match="name no context"):
+        ContextualityGame(game.questions, game.answers, game.contexts, game.context_weights,
+                          {**game.accepts, key: game.accepts[0]})
+    data = json.loads(game.to_json())
+    data["predicate"][str(key)] = data["predicate"]["0"]
+    with pytest.raises(ValueError, match="name no context"):
+        ContextualityGame.from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize("answers", [(0, 1, 0), ()])

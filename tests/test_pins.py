@@ -5,6 +5,7 @@ pin on purpose (for example, by drawing random numbers in another order)
 updates it here and says why in CHANGES.md.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -41,15 +42,15 @@ def test_cli_outputs_are_pinned(argv, report_sha, transcripts_sha, tmp_path, cap
 def test_circuit_path_outcomes_are_pinned():
     _, log = poq.run_protocol(poq.honest("circuit"), 200, np.random.default_rng(2024),
                               lam=5, keep_transcripts=True)
-    assert sha256("\n".join(t.to_json() for t in log)) == \
+    assert sha256("\n".join(json.dumps(t.as_dict()) for t in log)) == \
         "6fb7d99c9f6bf13a2131a33891844ca5587a88b95fa7db7262ba1acfb0a536e9"
 
     game, strategy = games.kcbs()
     log = []
     compilers.estimate_win_rate(game, "1-1",
                                 compilers.honest_quantum_prover(strategy, opad_path="circuit"),
-                                100, np.random.default_rng(2025), lam=5, transcript_log=log)
-    assert sha256("\n".join(t.to_json() for t in log)) == \
+                                100, np.random.default_rng(2025), lam=5, on_transcript=log.append)
+    assert sha256("\n".join(json.dumps(t.as_dict()) for t in log)) == \
         "7826984afd28605c15a987c1da2e189faa76618ba695af66f72b8b148d2ee0d8"
 
 
@@ -58,8 +59,8 @@ def test_batched_transcripts_are_pinned():
     game, _ = games.kcbs()
     log = []
     compilers.estimate_win_rate(game, "c-1", compilers.feasible_inconsistent_prover(game), 300,
-                                np.random.default_rng(2026), lam=8, transcript_log=log)
-    assert sha256("\n".join(t.to_json() for t in log)) == \
+                                np.random.default_rng(2026), lam=8, on_transcript=log.append)
+    assert sha256("\n".join(json.dumps(t.as_dict()) for t in log)) == \
         "716029b7fe263013ffbbe7c60ab2e16be90186781741def0a6f7dd7f264f2dc9"
 
 
@@ -69,7 +70,7 @@ def test_scalar_zoo_draws_are_pinned():
     for kind in poq.CLASSICAL_KINDS:
         _, log = poq.run_protocol(poq.classical(kind), 100, np.random.default_rng(2027),
                                   lam=5, keep_transcripts=True)
-        lines += [t.to_json() for t in log]
+        lines += [json.dumps(t.as_dict()) for t in log]
     lines += [repr(poq.rewind_experiment(poq.classical(kind), 100, np.random.default_rng(2027),
                                          lam=5))
               for kind in poq.CLASSICAL_KINDS]
@@ -112,7 +113,7 @@ def test_scalar_compiled_draws_are_pinned():
                        compilers.honest_quantum_prover(strategy)):
             for _ in range(10):
                 _, state = compilers.run_session(game, kind, prover, rng, lam=5)
-                lines.append(state.transcript().to_json())
+                lines.append(json.dumps(state.transcript().as_dict()))
     rng = np.random.default_rng(2031)
     for factory, trials, lam, j in (
             (opad.PadHolderProver, 300, 5, 1),

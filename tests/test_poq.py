@@ -1,4 +1,5 @@
 """Two-round quantumness test: honest rate, classical ceiling, rewinding."""
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -56,7 +57,7 @@ def test_transcript_roundtrip_and_gating():
     c = v.round2(1, 3, 9)
     v.decide(c)
     t = v.transcript()
-    assert poq.PoqTranscript.from_json(t.to_json()) == t
+    assert poq.PoqTranscript.from_json(json.dumps(t.as_dict())) == t
     assert t.s == v.hidden_bit
     assert t.lam == 4
 

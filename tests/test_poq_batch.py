@@ -60,7 +60,7 @@ def two_sample_ok(first: Counter, second: Counter) -> bool:
 def batched_log(name, trials, seed, lam=LAM):
     log = []
     rate = poq.estimate_rate(name, trials, np.random.default_rng(seed), lam=lam,
-                             transcript_log=log)
+                             on_transcript=log.append)
     assert len(log) == trials
     assert rate == sum(t.accepted for t in log) / trials
     return log
@@ -395,5 +395,5 @@ def test_the_verifier_takes_numpy_ints_and_0d_arrays(wrap):
         verifier.round1()
         c = verifier.round2(cast(1), cast(3), cast(5))
         verifier.decide(cast(c))
-        logs.append(verifier.transcript().to_json())
+        logs.append(json.dumps(verifier.transcript().as_dict()))
     assert logs[0] == logs[1]
