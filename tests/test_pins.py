@@ -25,11 +25,15 @@ CLI_PINS = [
      "c63257ef4a71d51ba23dd24403c46bf5ccc57a558835063a39fa18007a68f46f"),
     (["compile", "--game", "magic-square", "--compiler", "cm1-1", "--trials", "200", "--seed", "7"],
      "d81c4d1efebd75d06a4676b0d0b2fe35f760fb79e1dbf6132aff6ad880a46a45", None),
+    (["compile", "--game", "kcbs", "--compiler", "1-1", "--fhe", "leaky", "--trials", "200",
+      "--seed", "7"],
+     "a1343cdf35b81066d14d0841cbbb62d068876d876e4e1c8f51938530c72b493f",
+     "2f218788e678b9f9ebf6a4612aeaceaa984e171d48914c227cb05c1f71b4e465"),
 ]
 
 
 @pytest.mark.parametrize("argv,report_sha,transcripts_sha", CLI_PINS,
-                         ids=["poq", "kcbs-1-1", "magic-square-cm1-1"])
+                         ids=["poq", "kcbs-1-1", "magic-square-cm1-1", "kcbs-1-1-leaky"])
 def test_cli_outputs_are_pinned(argv, report_sha, transcripts_sha, tmp_path, capsys):
     path = tmp_path / "transcripts.jsonl"
     extra = ["--transcripts", str(path)] if transcripts_sha else []
@@ -124,3 +128,20 @@ def test_scalar_compiled_draws_are_pinned():
         lines.append(repr(rng.integers(2 ** 62)))
     assert sha256("\n".join(lines)) == \
         "d0194a72f39bb57a452ef395592c26ed57a7ca6fba71351fa11491960e7d87eb"
+
+
+def test_scalar_leaky_transcripts_are_pinned():
+    # run_session under the leaky backend, whose transcripts also carry the pads
+    lines = []
+    rng = np.random.default_rng(2032)
+    for name, kind in (("kcbs", "1-1"), ("magic-square", "cm1-1")):
+        game, strategy = cli.BUILTIN_GAMES[name]()
+        _, table = games.nc_value_with_table(game)
+        for prover in (compilers.truthtable_prover(table),
+                       compilers.honest_quantum_prover(strategy)):
+            for _ in range(10):
+                _, state = compilers.run_session(game, kind, prover, rng, lam=5,
+                                                 fhe_backend="leaky")
+                lines.append(json.dumps(state.transcript().as_dict()))
+    assert sha256("\n".join(lines)) == \
+        "05fefcef51970d9057619e991486bb1e5aec7e1b00e2b30fdb8f64248827021d"
