@@ -2,7 +2,7 @@
 
 compilers.estimate_win_rate runs its trials here when the prover is a
 TruthTableProver (the feasible prover included) or an HonestQuantumProver
-on the collapsed pad path, under either qfhe backend.  Every other prover
+on the collapsed pad path, under either qfhe scheme.  Every other prover
 runs the scalar state machines of compilers, which stay the protocol
 reference.
 
@@ -24,8 +24,10 @@ prover's collapsed rounds from opad.pad_bits on the key chunk and an
 opad.PhaseOracleChunk.  Three rules whose one-row form would slow the
 scalar path stay twins of their originals: the Born draw of
 measure_observable (_born_pick), which never draws a branch below
-qsim.BORN_FLOOR, the Pauli pad (_pauli), and the output-token assembly of
-qfhe._StubBackend.ceval (_Table.round1).
+qsim.BORN_FLOOR, the Pauli pad (_pauli), and the output assembly of
+qfhe.ceval (_Table.round1).  Transcripts turn a chunk's ciphertexts into
+qfhe.ClassicalCiphertext values through StubCipher.rows, the rule that
+qfhe.enc_classical uses for one payload.
 
 Rules with a handful of outcomes run once per distinct row of a chunk, not
 once per session (_per_row): the verifier decodes each distinct (input,
@@ -48,7 +50,7 @@ from .qsim import BORN_FLOOR, PauliKey, check_norms
 
 def runs(prover) -> bool:
     """Whether estimate_win_rate batches the sessions of this prover; every
-    qfhe backend (stub, leaky) runs batched."""
+    qfhe scheme (stub, leaky) runs batched."""
     if type(prover) is compilers.HonestQuantumProver:
         return prover.opad_path == "collapsed"
     return type(prover) in (compilers.TruthTableProver, compilers.FeasibleInconsistentProver)
@@ -283,12 +285,12 @@ class _Table:
     def __init__(self, prover, plan: _Plan):
         self.prover = prover
         self.circuit = prover._circuit_for(plan.game, plan.kind)
-        sources = self.circuit.token_sources
+        sources = self.circuit.nonce_sources
         self.fresh = [w for w in dict.fromkeys(self.circuit.outputs) if sources[w] is None]
 
-    # stays a twin of qfhe._StubBackend.ceval's token assembly: a one-row
-    # StubCipher form gives the same outputs, but on the magic-square cm1-1
-    # circuit the scalar ceval would take 57-75 us a call instead of 30-36 us
+    # stays a twin of qfhe.ceval's output assembly (masks, pads, and fresh or
+    # carried nonces): a one-row StubCipher form would give the same outputs,
+    # but slow the scalar ceval that every white-box prover runs
     def round1(self, plan: _Plan, s: _Sessions, rng: np.random.Generator):
         n, size, circuit = s.n, 1 << plan.lam, self.circuit
         q = s.question_cipher
@@ -298,7 +300,7 @@ class _Table:
         masks, pads = qfhe.stub_wires(circuit, q.masked.T, q.pad.T, r)
         nonces = dict(zip(self.fresh, rng.integers(0, 2 ** qfhe._NONCE_BITS,
                                                    size=(len(self.fresh), n))))
-        sources, outputs = circuit.token_sources, list(circuit.outputs)
+        sources, outputs = circuit.nonce_sources, list(circuit.outputs)
         # (n, outputs) arrays; a round can carry no bits
         nonce = [nonces[w] if sources[w] is None else q.nonce[:, sources[w]] for w in outputs]
         answer_cipher = StubCipher(np.array(masks)[outputs].T, np.array(pads)[outputs].T,
@@ -327,18 +329,16 @@ def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: Stu
                  pad_cipher: StubCipher, d, y, answers, accepts):
     """The CompiledTranscript of each session of a chunk, in session order."""
     game, kind = plan.game, plan.kind
-    answer_bits = plan.asked_count[s.inp] * plan.answer_width
-    for i, key_id in enumerate(s.key_ids):
-        backend = qfhe._StubBackend(key_id, fhe_backend == "leaky")
+    questions = s.question_cipher.rows(s.key_ids, fhe_backend)
+    replies = answer_cipher.rows(s.key_ids, fhe_backend,
+                                 (plan.asked_count[s.inp] * plan.answer_width).tolist())
+    pads = pad_cipher.rows(s.key_ids, fhe_backend)
+    for i, (key_id, question, reply, pad) in enumerate(zip(s.key_ids, questions, replies, pads)):
         message1 = compilers.Message1(
-            backend.cipher(s.question_cipher.row(i)),
-            qfhe.QfhePublicHandle(backend.scheme, key_id, backend),
-            s.keys.row(i),
+            question, qfhe.QfhePublicHandle(fhe_backend, key_id), s.keys.row(i),
             opad.PhaseOracle("hash", seed=s.oracles.seeds[i]), game, kind)
         message2 = compilers.Message2(
-            backend.cipher(answer_cipher.row(i, int(answer_bits[i]))),
-            backend.cipher(pad_cipher.row(i)),
-            opad.OpadString(tuple(zip(d[i].tolist(), y[i].tolist())), "pauli"))
+            reply, pad, opad.OpadString(tuple(zip(d[i].tolist(), y[i].tolist())), "pauli"))
         yield compilers.CompiledTranscript(
             kind=kind.value, ctx_index=int(s.ctx[i]),
             skip_pos=plan.spec.skip_pos(plan.inputs[s.inp[i]]),

@@ -280,9 +280,8 @@ COMMANDS = {"values": cmd_values, "poq": cmd_poq, "compile": cmd_compile}
 
 
 LAMBDA_HELP = (f"claw-free domain bits, 3 to {tcf.MAX_DOMAIN_BITS} (default 8); "
-               f"every trial draws a fresh key, sampled lazily, so its cost does not "
-               f"grow with lambda: 20000 honest kcbs 1-1 trials take about 0.55 s "
-               f"at 16 against 0.37 s at 8")
+               "every trial draws a fresh key, sampled lazily, so its cost does not "
+               "grow with 2^lambda")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,6 +343,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{flag}: no directory {str(Path(path).parent)!r}")
         if Path(path).is_dir():
             raise ConfigError(f"{flag}: {str(path)!r} is a directory")
+    game = fields["game"]
+    if game is not None and game not in BUILTIN_GAMES:
+        for flag, path in outputs.items():
+            if path and Path(path).resolve() == Path(game).resolve():
+                raise ConfigError(f"{flag} {str(path)!r} is the --game file {game!r}")
     transcripts = outputs.pop("--transcripts")
     for flag, path in outputs.items():
         if transcripts and path and Path(transcripts).resolve() == path.resolve():

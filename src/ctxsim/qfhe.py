@@ -2,25 +2,28 @@
 
 Quantum ciphertexts carry a Pauli-padded state together with a classical
 encryption of the pad key; classical ciphertexts store every payload bit
-as a (masked bit, encrypted pad bit) pair.  Homomorphic evaluation is a
-trusted executor: it has plaintext access inside the simulation and its
-contract is the interface plus the output distributions of a homomorphic
-scheme, not cryptographic security.
+masked by a pad bit.  Homomorphic evaluation is a trusted executor: it
+has plaintext access inside the simulation and its contract is the
+interface plus the output distributions of a homomorphic scheme, not
+cryptographic security.
 
 One classical encryption family, in two variants:
   stub   one-time pad with tracked keys; insecure, exact, the default.
   leaky  like stub but the pad bits are publicly readable, used to check
          that security games and reductions detect a broken scheme.
 
-Both encrypt and evaluate on plain bits.  stub_encrypt makes one draw of
-a 63-bit integer per payload bit: bit 62 is the pad and bits 0-61 the
-token's nonce.  It encrypts one payload or a chunk's (sessions, bits)
-array into int arrays (StubCipher), which a backend's cipher method turns
-into (masked, token) pairs; key_ids draws one key id or a chunk's.
-ceval runs the gates on (mask, pad) int pairs, draws the fresh pad bits
-of all and/const gates in one call, and builds tokens only for the output
-wires, with their nonces drawn in one more call; an output that is an
-input wire or a chain of nots of one keeps that input's token.
+A payload's ciphertext (ClassicalCiphertext) is one frozen value: the
+masked bits, pad bits and nonces as int tuples, with the key id and
+scheme of the key that made it.  stub_encrypt makes one draw of a 63-bit
+integer per payload bit: bit 62 is the pad and bits 0-61 the nonce.  It
+encrypts one payload or a chunk's (sessions, bits) array into int arrays
+(StubCipher), whose rows method gives each row's ClassicalCiphertext;
+key_ids draws one key id or a chunk's.  ceval runs the gates on (mask,
+pad) int pairs, draws the fresh pad bits of all and/const gates in one
+call and fresh nonces for the output wires in one more; an output that
+is an input wire or a chain of nots of one keeps that input's nonce.
+peek_bits is the one pad read that skips the secret key: the trusted
+executor of eval and the white-box provers of reductions use it.
 
 Decrypting with the wrong key yields keyed pseudorandom garbage instead
 of an error, as a real scheme would.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -41,8 +44,8 @@ _NONCE_BITS = 62
 _NONCE_MASK = (1 << _NONCE_BITS) - 1
 
 
-def _garbage_bit(reader_key: str, token_key: str, nonce: int, position: int) -> int:
-    h = hashlib.sha256(f"{reader_key}|{token_key}|{nonce}|{position}".encode()).digest()
+def _garbage_bit(reader_key: str, cipher_key: str, nonce: int, position: int) -> int:
+    h = hashlib.sha256(f"{reader_key}|{cipher_key}|{nonce}|{position}".encode()).digest()
     return h[0] & 1
 
 
@@ -58,9 +61,12 @@ class StubCipher(NamedTuple):
         """The plaintext, read with the pads."""
         return self.masked ^ self.pad
 
-    def row(self, i: int, width: int = None) -> "StubCipher":
-        """Session i's ciphertext of a chunk, its first width bits."""
-        return StubCipher(*(a[i, :width] for a in self))
+    def rows(self, key_ids, scheme: str, widths=None):
+        """Each session's ClassicalCiphertext of a chunk, under its key id in
+        key_ids; widths, when given, keeps session i's first widths[i] bits."""
+        for i, key_id in enumerate(key_ids):
+            w = None if widths is None else widths[i]
+            yield ClassicalCiphertext(*(tuple(a[i, :w].tolist()) for a in self), key_id, scheme)
 
 
 def stub_encrypt(bits, rng: np.random.Generator) -> StubCipher:
@@ -81,70 +87,13 @@ def key_ids(rng: np.random.Generator, count: int = None):
 
 
 @dataclass(frozen=True)
-class StubToken:
-    key_id: str
-    nonce: int
-    _bit: int = field(repr=False)
-
-
-class _StubBackend:
-    scheme = "stub"
-
-    def __init__(self, key_id: str, leaky: bool):
-        self.key_id = key_id
-        self.leaky = leaky
-        if leaky:
-            self.scheme = "leaky"
-
-    def peek(self, token) -> int:
-        # Trusted-simulation access used by dec and the eval executor.
-        return token._bit
-
-    def leak(self, token):
-        return token._bit if self.leaky else None
-
-    def encrypt(self, bits, rng: np.random.Generator) -> "ClassicalCiphertext":
-        """Ciphertext of checked payload bits: stub_encrypt on one row."""
-        return self.cipher(stub_encrypt(bits, rng))
-
-    def cipher(self, c: StubCipher) -> "ClassicalCiphertext":
-        """One payload's stub arrays as (masked, token) pairs under this key."""
-        return ClassicalCiphertext(tuple(
-            (m, StubToken(self.key_id, nonce, pad))
-            for m, pad, nonce in zip(c.masked.tolist(), c.pad.tolist(), c.nonce.tolist())), self)
-
-    def ceval(self, circuit: "ClassicalCircuit", pairs, rng: np.random.Generator) -> tuple:
-        """Output (masked, token) pairs of circuit on input pairs.
-
-        The gates run on plain bits through stub_wires; only output wires
-        that are not an input's token (see ClassicalCircuit.token_sources)
-        get a new token.
-        """
-        r = rng.integers(0, 2, size=circuit.random_gates).tolist()
-        masks, pads = stub_wires(circuit, [m for m, _ in pairs], [t._bit for _, t in pairs], r)
-        sources = circuit.token_sources
-        fresh = [w for w in dict.fromkeys(circuit.outputs) if sources[w] is None]
-        nonces = rng.integers(0, 2 ** _NONCE_BITS, size=len(fresh)).tolist()
-        tokens = {w: StubToken(self.key_id, nonce, pads[w]) for w, nonce in zip(fresh, nonces)}
-        return tuple((masks[w], tokens[w] if sources[w] is None else pairs[sources[w]][1])
-                     for w in circuit.outputs)
-
-    def token_json(self, token) -> dict:
-        d = {"key_id": token.key_id, "nonce": token.nonce}
-        if self.leaky:
-            d["pad"] = token._bit
-        return d
-
-
-@dataclass(frozen=True)
 class QfheSecretKey:
     scheme: str
     key_id: str
     lam: int
-    backend: object = field(repr=False, compare=False)
 
     def handle(self) -> "QfhePublicHandle":
-        return QfhePublicHandle(self.scheme, self.key_id, self.backend)
+        return QfhePublicHandle(self.scheme, self.key_id)
 
 
 @dataclass(frozen=True)
@@ -153,22 +102,31 @@ class QfhePublicHandle:
 
     scheme: str
     key_id: str
-    backend: object = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class ClassicalCiphertext:
-    bits: tuple  # (masked bit, pad token) per payload bit
-    backend: object = field(repr=False, compare=False)
+    """One payload's ciphertext: per bit, the masked bit, the pad bit and a
+    nonce, under the key key_id of scheme "stub" or "leaky"."""
+
+    masked: tuple
+    pad: tuple
+    nonce: tuple
+    key_id: str
+    scheme: str
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.masked)
 
     def as_dict(self) -> dict:
-        return {
-            "scheme": self.backend.scheme,
-            "bits": [{"masked": m, **self.backend.token_json(t)} for m, t in self.bits],
-        }
+        key_id, leaky = self.key_id, self.scheme == "leaky"
+        bits = []
+        for m, pad, nonce in zip(self.masked, self.pad, self.nonce):
+            d = {"masked": m, "key_id": key_id, "nonce": nonce}
+            if leaky:
+                d["pad"] = pad
+            bits.append(d)
+        return {"scheme": self.scheme, "bits": bits}
 
 
 @dataclass(frozen=True)
@@ -176,25 +134,13 @@ class QfheCiphertext:
     padded_state: StateVector
     pad_hat: ClassicalCiphertext
 
-    @property
-    def backend(self):
-        return self.pad_hat.backend
-
 
 def gen(lam: int, backend: str = "stub", rng: np.random.Generator = None) -> QfheSecretKey:
     if rng is None:
         raise ValueError("an explicit rng is required")
     if backend not in ("stub", "leaky"):
         raise ValueError(f"unsupported backend {backend!r}")
-    key_id = key_ids(rng)
-    be = _StubBackend(key_id, leaky=(backend == "leaky"))
-    return QfheSecretKey(be.scheme, key_id, lam, be)
-
-
-def _backend_of(key) -> object:
-    if isinstance(key, (QfheSecretKey, QfhePublicHandle)):
-        return key.backend
-    raise TypeError("expected a secret key or public handle")
+    return QfheSecretKey(backend, key_ids(rng), lam)
 
 
 def _checked_bits(bits) -> tuple:
@@ -213,30 +159,33 @@ def _checked_bits(bits) -> tuple:
 
 def enc_classical(key, bits, rng: np.random.Generator) -> ClassicalCiphertext:
     """Encrypt a bit string; works with a secret key or a public handle."""
-    return _backend_of(key).encrypt(_checked_bits(bits), rng)
+    if not isinstance(key, (QfheSecretKey, QfhePublicHandle)):
+        raise TypeError("expected a secret key or public handle")
+    bits = _checked_bits(bits)
+    return next(stub_encrypt([bits], rng).rows((key.key_id,), key.scheme))
 
 
 def dec_classical(sk: QfheSecretKey, c: ClassicalCiphertext) -> tuple:
     if not isinstance(sk, QfheSecretKey):
         raise TypeError("decryption requires the secret key")
-    out = []
-    for i, (masked, token) in enumerate(c.bits):
-        if token.key_id == sk.key_id:
-            out.append(masked ^ sk.backend.peek(token))
-        else:
-            out.append(masked ^ _garbage_bit(sk.key_id, token.key_id, token.nonce, i))
-    return tuple(out)
+    if c.key_id == sk.key_id:
+        pads = c.pad
+    else:
+        pads = [_garbage_bit(sk.key_id, c.key_id, nonce, i) for i, nonce in enumerate(c.nonce)]
+    return tuple(map(operator.xor, c.masked, pads))
 
 
 def leak_bits(c: ClassicalCiphertext) -> tuple:
-    """Plaintext via the leaky backend's exposed pads; errors elsewhere."""
-    out = []
-    for masked, token in c.bits:
-        pad = c.backend.leak(token)
-        if pad is None:
-            raise ValueError("this backend does not leak pads")
-        out.append(masked ^ pad)
-    return tuple(out)
+    """Plaintext via the leaky scheme's exposed pads; errors elsewhere."""
+    if c.scheme != "leaky":
+        raise ValueError("this backend does not leak pads")
+    return peek_bits(c)
+
+
+def peek_bits(c: ClassicalCiphertext) -> tuple:
+    """Plaintext read from the pads without the secret key: trusted-simulation
+    access that no real scheme allows."""
+    return tuple(map(operator.xor, c.masked, c.pad))
 
 
 def enc_quantum(sk, psi: StateVector, rng: np.random.Generator) -> QfheCiphertext:
@@ -246,10 +195,6 @@ def enc_quantum(sk, psi: StateVector, rng: np.random.Generator) -> QfheCiphertex
     k = PauliKey.uniform(n, rng)
     padded = apply_pauli_pad(psi, k, range(n))
     return QfheCiphertext(padded, enc_classical(sk, k.bits(), rng))
-
-
-def _peek_bits(c: ClassicalCiphertext) -> tuple:
-    return tuple(masked ^ c.backend.peek(token) for masked, token in c.bits)
 
 
 def _unpad(cipher: QfheCiphertext, bits) -> StateVector:
@@ -277,9 +222,8 @@ def eval(selector: ClassicalCiphertext, programs: dict, answer_bits, cipher: Qfh
     for an empty program).  The state is re-padded with a fresh uniform
     key, so emitted pad keys are always uniform.
     """
-    be = cipher.backend
-    state = _unpad(cipher, _peek_bits(cipher.pad_hat))
-    index = int_of(_peek_bits(selector))
+    state = _unpad(cipher, peek_bits(cipher.pad_hat))
+    index = int_of(peek_bits(selector))
     if index not in programs:
         raise ValueError(f"encrypted selector {index} has no program")
     targets = range(state.num_registers)
@@ -289,7 +233,7 @@ def eval(selector: ClassicalCiphertext, programs: dict, answer_bits, cipher: Qfh
         answer += answer_bits(value)
     k = PauliKey.uniform(state.num_registers, rng)
     repadded = apply_pauli_pad(state, k, targets)
-    handle = QfhePublicHandle(be.scheme, be.key_id, be)
+    handle = QfhePublicHandle(cipher.pad_hat.scheme, cipher.pad_hat.key_id)
     out_cipher = QfheCiphertext(repadded, enc_classical(handle, k.bits(), rng))
     return enc_classical(handle, answer, rng), out_cipher
 
@@ -326,11 +270,11 @@ class ClassicalCircuit:
         return sum(g[0] in ("and", "const") for g in self.gates)
 
     @cached_property
-    def token_sources(self) -> tuple:
-        """Per wire, the input whose pad token it carries under ceval, or None.
+    def nonce_sources(self) -> tuple:
+        """Per wire, the input whose nonce it carries under ceval, or None.
 
-        Inputs and chains of nots of an input keep the input's token; every
-        other wire carries a token of its own.
+        Inputs and chains of nots of an input keep the input's nonce; every
+        other wire gets a fresh one.
         """
         sources = list(range(self.n_inputs))
         for g in self.gates:
@@ -378,10 +322,17 @@ def ceval(circuit: ClassicalCircuit, c: ClassicalCiphertext, rng: np.random.Gene
     a fresh uniform pad, so the output distribution matches a fresh
     encryption of the gate output.
     """
-    if len(c.bits) != circuit.n_inputs:
+    if len(c) != circuit.n_inputs:
         raise ValueError("ciphertext width does not match circuit inputs")
-    be = c.backend
-    return ClassicalCiphertext(be.ceval(circuit, c.bits, rng), be)
+    r = rng.integers(0, 2, size=circuit.random_gates).tolist()
+    masks, pads = stub_wires(circuit, c.masked, c.pad, r)
+    sources, outputs = circuit.nonce_sources, circuit.outputs
+    fresh = [w for w in dict.fromkeys(outputs) if sources[w] is None]
+    nonces = dict(zip(fresh, rng.integers(0, 2 ** _NONCE_BITS, size=len(fresh)).tolist()))
+    return ClassicalCiphertext(
+        tuple(masks[w] for w in outputs), tuple(pads[w] for w in outputs),
+        tuple(nonces[w] if sources[w] is None else c.nonce[sources[w]] for w in outputs),
+        c.key_id, c.scheme)
 
 
 def twoind_game(distinguisher, x0, x1, trials: int, rng: np.random.Generator,

@@ -11,10 +11,10 @@ where L1 is the distance between the two best conditional distributions.
 
 The reduction only ever handles public material: it encrypts challenges
 through a handle, generates its own pad keys, and supplies uniform pad
-keys in every rewind.  The built-in white-box provers deliberately peek
-inside stub ciphertext tokens (which no real scheme would allow) so that
-an input dependence exists to be found, with closed-form distributions
-to compare against.
+keys in every rewind.  The built-in white-box provers deliberately read
+the pad bits inside stub ciphertexts (qfhe.peek_bits, which no real
+scheme would allow) so that an input dependence exists to be found, with
+closed-form distributions to compare against.
 """
 from __future__ import annotations
 
@@ -217,7 +217,7 @@ class CipherPeekingProver:
     """Classical prover whose table depends on the encrypted round-1 input.
 
     It decodes the payload by reading the pad bits inside the ciphertext
-    tokens, something the simulation permits and a real scheme forbids;
+    (qfhe.peek_bits), something the simulation permits and a real scheme forbids;
     that dependence is exactly what the reduction is built to detect.
     With probability leak_prob a session answers from a table derived from
     the decoded input, otherwise from a fixed fallback table, so every
@@ -268,8 +268,7 @@ class CipherPeekingProver:
         return bits
 
     def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:
-        cipher = message1.question_cipher
-        payload = tuple(m ^ cipher.backend.peek(t) for m, t in cipher.bits)
+        payload = qfhe.peek_bits(message1.question_cipher)
         self._code = int_of(payload)
         self._leaking = bool(rng.random() < float(self.leak_prob))
         fresh = PauliKey.uniform(1, rng)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import insort
 from dataclasses import dataclass
 
@@ -115,14 +116,25 @@ class IdealKey:
         else:
             self.delta = int(delta)
             self.count = None
-            self._fwd, self._inv = {}, {}
-            self._xs, self._ys = [], []
-            message = "a fixed point lies outside the domain"
-            for x, y in pairs or ():
-                x, y = checked_int(x, message, 1 << n), checked_int(y, message, 1 << n)
-                if x in self._fwd or y in self._inv:
-                    raise ValueError("a fixed x or y repeats")
-                self._assign(x, y)
+            self._fix(pairs or ())
+
+    def _fix(self, pairs) -> None:
+        """One key's fixed points from its [x, P(x)] pairs, checked and
+        stored at once: a point that is no integer or lies outside the
+        domain, and a repeated x or y, are refused."""
+        message = "a fixed point lies outside the domain"
+        try:
+            xs = [operator.index(x) for x, _ in pairs]
+            ys = [operator.index(y) for _, y in pairs]
+        except TypeError:
+            raise ValueError(message) from None
+        self._fwd, self._inv = dict(zip(xs, ys)), dict(zip(ys, xs))
+        self._xs, self._ys = sorted(self._fwd), sorted(self._inv)
+        if xs and (min(self._xs[0], self._ys[0]) < 0
+                   or max(self._xs[-1], self._ys[-1]) >= 1 << self.n):
+            raise ValueError(message)
+        if len(self._xs) < len(xs) or len(self._ys) < len(ys):
+            raise ValueError("a fixed x or y repeats")
 
     def __eq__(self, other):
         if not isinstance(other, IdealKey):
@@ -236,9 +248,8 @@ class IdealKey:
     def row(self, i: int) -> "IdealKey":
         """Key i of a chunk as one key holding its fixed points; it has no
         generator, so it answers only there and never forks the chunk's P."""
-        x, y = self._x[i], self._y[i]
-        return IdealKey(self.n, self.delta[i], None,
-                        np.column_stack([x, y])[x < _EMPTY].tolist())
+        pairs = [(x, y) for x, y in zip(self._x[i].tolist(), self._y[i].tolist()) if x < _EMPTY]
+        return IdealKey(self.n, self.delta[i], None, pairs)
 
     @property
     def tables(self) -> tuple:

@@ -24,7 +24,7 @@ SESSIONS = 4000
 def rebuilt_keys(t: cp.CompiledTranscript, lam: int):
     """The session's secret keys, from its qfhe handle and claw-free key."""
     handle = t.message1.fhe_handle
-    sk = qfhe.QfheSecretKey(handle.scheme, handle.key_id, lam, handle.backend)
+    sk = qfhe.QfheSecretKey(handle.scheme, handle.key_id, lam)
     pk = t.message1.opad_pk
     return sk, tcf.TcfKeyPair(pk, pk, pk.n, None), t.message1.oracle
 
@@ -409,12 +409,20 @@ def test_batched_verifier_runs_the_scalar_checks(tamper, message, name, monkeypa
 
 
 def test_a_one_row_stub_chunk_is_the_scalar_encryption():
-    be = qfhe._StubBackend("k" * 32, leaky=False)
-    for seed, bits in enumerate(((), (1,), (0, 1, 1, 0, 1), (1,) * 9)):
-        chunk = qfhe.stub_encrypt(np.array([bits], dtype=np.int64).reshape(1, -1),
-                                  np.random.default_rng(seed))
-        assert be.cipher(chunk.row(0)).bits == be.encrypt(bits, np.random.default_rng(seed)).bits
-        assert chunk.bits().tolist() == [list(bits)]
+    for scheme in ("stub", "leaky"):
+        sk = qfhe.QfheSecretKey(scheme, "k" * 32, LAM)
+        for seed, bits in enumerate(((), (1,), (0, 1, 1, 0, 1), (1,) * 9)):
+            chunk = qfhe.stub_encrypt(np.array([bits], dtype=np.int64).reshape(1, -1),
+                                      np.random.default_rng(seed))
+            (c,) = chunk.rows([sk.key_id], scheme)
+            assert c == qfhe.enc_classical(sk, bits, np.random.default_rng(seed))
+            assert chunk.bits().tolist() == [list(bits)]
+    # widths keep each session's prefix, under its own key id
+    chunk = qfhe.stub_encrypt(np.ones((2, 3), dtype=np.int64), np.random.default_rng(9))
+    short, full = chunk.rows(["a" * 32, "b" * 32], "stub", [1, 3])
+    assert (short.key_id, full.key_id) == ("a" * 32, "b" * 32)
+    assert (short.masked, short.pad, short.nonce) == tuple(tuple(a[0, :1].tolist()) for a in chunk)
+    assert (full.masked, full.pad, full.nonce) == tuple(tuple(a[1].tolist()) for a in chunk)
 
 
 @pytest.mark.parametrize("kind", ["1-1", "c-1", "cm1-1"])

@@ -237,6 +237,12 @@ def test_compile_config_errors(tmp_path, capsys, monkeypatch):
     sibling = str(tmp_path / "x.json")
     same = ["poq", "--trials", "50", "--seed", "1", "--out", str(tmp_path / "same.json"),
             "--transcripts"]
+    game_text = games.kcbs()[0].to_json().encode()
+    game_files = [tmp_path / "g.json", tmp_path / "g.csv"]
+    for path in game_files:
+        path.write_bytes(game_text)
+    own_game = ["compile", "--game", str(game_files[0]), "--compiler", "1-1",
+                "--prover", "truthtable", "--trials", "10", "--seed", "1"]
     cases = [
         (["compile", "--game", "magic-square", "--compiler", "1-1",
           "--trials", "5", "--seed", "1"], "uniform context size"),
@@ -268,12 +274,22 @@ def test_compile_config_errors(tmp_path, capsys, monkeypatch):
           "--fhe", "lwe"], "invalid choice"),
         (same + [str(tmp_path / "same.csv")], "is the same file as --out's CSV"),
         (same + [str(folder / ".." / "same.json")], "is the same file as --out"),
+        (own_game + ["--transcripts", str(game_files[0])], "is the --game file"),
+        (own_game + ["--transcripts", str(folder / ".." / "g.json")], "is the --game file"),
+        (own_game + ["--out", str(game_files[0])],
+         f"--out {str(game_files[0])!r} is the --game file"),
+        (["compile", "--game", str(game_files[1]), "--compiler", "1-1", "--trials", "10",
+          "--seed", "1", "--out", str(game_files[0])],
+         f"--out's CSV {str(game_files[1])!r} is the --game file"),
+        (["values", "--game", str(game_files[0]), "--out", str(game_files[0])],
+         "is the --game file"),
     ]
     for argv, fragment in cases:
         code, _, err = run_cli(capsys, argv)
         assert code == 3, argv
         assert fragment in err
     assert not any((tmp_path / name).exists() for name in ("same.json", "same.csv"))
+    assert all(path.read_bytes() == game_text for path in game_files)
 
 
 def test_values_refuses_a_zero_denominator_and_a_stray_predicate_key(tmp_path, capsys):

@@ -208,10 +208,10 @@ def test_ceval_and_output_pad_is_uniform():
     for _ in range(trials):
         c = qfhe.enc_classical(sk, (1, 0), rng)
         out = qfhe.ceval(and_circuit(), c, rng)
-        masked, token = out.bits[0]
+        masked, pad = out.masked[0], out.pad[0]
         masked_ones += masked
-        pad_ones += sk.backend.peek(token)
-        assert masked ^ sk.backend.peek(token) == 0
+        pad_ones += pad
+        assert masked ^ pad == 0
     assert abs(masked_ones / trials - 0.5) < 0.02
     assert abs(pad_ones / trials - 0.5) < 0.02
 
@@ -233,11 +233,9 @@ def test_ceval_output_distribution_equals_fresh_encryption():
     for _ in range(trials):
         c = qfhe.enc_classical(sk, (1, 1), rng)
         out = qfhe.ceval(and_circuit(), c, rng)
-        masked, token = out.bits[0]
-        via_ceval.append((masked, sk.backend.peek(token)))
+        via_ceval.append((out.masked[0], out.pad[0]))
         fresh_c = qfhe.enc_classical(sk, (1,), rng)
-        fm, ft = fresh_c.bits[0]
-        via_fresh.append((fm, sk.backend.peek(ft)))
+        via_fresh.append((fresh_c.masked[0], fresh_c.pad[0]))
     fa, fb = pair_freq(via_ceval), pair_freq(via_fresh)
     tv = 0.5 * sum(abs(fa.get(k, 0.0) - fb.get(k, 0.0)) for k in set(fa) | set(fb))
     assert tv < 0.05
@@ -264,37 +262,36 @@ class ScriptedRng:
         return out[0] if size is None else np.array(out, dtype=np.int64)
 
 
-def gate_by_gate_ceval(circuit, pairs, key_id, rng):
-    """The homomorphic evaluation that ceval ran before stub_wires, on plain
-    bits: gate by gate, the output of each xor, and or const gate gets a
-    token of its own with its own nonce, and a not keeps its input's token.
-    Kept as the reference for stub_wires and for the tokens that
-    _StubBackend.ceval shares."""
-    def token(pad):
-        return qfhe.StubToken(key_id, int(rng.integers(0, 2 ** 62)), pad)
+def gate_by_gate_ceval(circuit, wires, rng):
+    """The homomorphic evaluation that ceval ran before stub_wires, on
+    (mask, pad, nonce) triples: gate by gate, the output of each xor, and
+    or const gate gets a nonce of its own, and a not keeps its input's.
+    Kept as the reference for stub_wires and for the nonces ceval carries."""
+    def nonce():
+        return int(rng.integers(0, 2 ** 62))
 
-    wires = list(pairs)
+    wires = list(wires)
     for g in circuit.gates:
         op = g[0]
         if op == "xor":
-            (m0, t0), (m1, t1) = wires[g[1]], wires[g[2]]
-            wires.append((m0 ^ m1, token(t0._bit ^ t1._bit)))
+            (m0, k0, _), (m1, k1, _) = wires[g[1]], wires[g[2]]
+            wires.append((m0 ^ m1, k0 ^ k1, nonce()))
         elif op == "and":
-            (m0, t0), (m1, t1) = wires[g[1]], wires[g[2]]
+            (m0, k0, _), (m1, k1, _) = wires[g[1]], wires[g[2]]
             r = int(rng.integers(0, 2))
             # pad_out = k0*k1 ^ k0*m1 ^ k1*m0 ^ r, one term at a time
-            pad = t0._bit & t1._bit
+            pad = k0 & k1
             if m1:
-                pad ^= t0._bit
+                pad ^= k0
             if m0:
-                pad ^= t1._bit
-            wires.append(((m0 & m1) ^ r, token(pad ^ r)))
+                pad ^= k1
+            wires.append(((m0 & m1) ^ r, pad ^ r, nonce()))
         elif op == "not":
-            m, t = wires[g[1]]
-            wires.append((m ^ 1, t))
+            m, k, n = wires[g[1]]
+            wires.append((m ^ 1, k, n))
         else:
             r = int(rng.integers(0, 2))
-            wires.append((int(g[1]) ^ r, token(r)))
+            wires.append((int(g[1]) ^ r, r, nonce()))
     return tuple(wires[w] for w in circuit.outputs)
 
 
@@ -321,37 +318,36 @@ def random_circuits(rng, count, max_random_gates=6):
     return out
 
 
-def token_pattern(bits, inputs):
-    """Per output: the input whose token it carries, and the first output
-    holding the same token object."""
-    tokens = [t for _, t in bits]
-    return ([next((j for j, (_, t) in enumerate(inputs) if t is tok), None) for tok in tokens],
-            [next(i for i, other in enumerate(tokens) if other is tok) for tok in tokens])
+def nonce_pattern(nonces, inputs):
+    """Per output: the input whose nonce it carries, and the first output
+    holding the same nonce."""
+    return ([inputs.index(n) if n in inputs else None for n in nonces],
+            [nonces.index(n) for n in nonces])
 
 
 @pytest.mark.parametrize("backend", ["stub", "leaky"])
 def test_stub_ceval_matches_the_token_loop_for_every_pad_draw(backend):
     sk, rng = fresh(backend, seed=30)
-    be = sk.backend
     circuits = random_circuits(rng, 25)
     assert {g[0] for c in circuits for g in c.gates} == {"xor", "and", "not", "const"}
     for circ in circuits:
         masks = [int(b) for b in rng.integers(0, 2, circ.n_inputs)]
         pads = [int(b) for b in rng.integers(0, 2, circ.n_inputs)]
-        inputs = tuple((m, qfhe.StubToken(be.key_id, 10 ** 6 + i, k))
-                       for i, (m, k) in enumerate(zip(masks, pads)))
+        nonces = [10 ** 6 + i for i in range(circ.n_inputs)]
+        c = qfhe.ClassicalCiphertext(tuple(masks), tuple(pads), tuple(nonces), sk.key_id,
+                                     sk.scheme)
         for r in itertools.product((0, 1), repeat=circ.random_gates):
             loop_rng, fast_rng = ScriptedRng(r), ScriptedRng(r)
-            loop = gate_by_gate_ceval(circ, inputs, be.key_id, loop_rng)
-            fast = qfhe.ceval(circ, qfhe.ClassicalCiphertext(inputs, be), fast_rng)
+            loop = gate_by_gate_ceval(circ, zip(masks, pads, nonces), loop_rng)
+            fast = qfhe.ceval(circ, c, fast_rng)
             assert not loop_rng.r and not fast_rng.r
             wire_masks, wire_pads = qfhe.stub_wires(circ, masks, pads, r)
             expected = [(wire_masks[w], wire_pads[w]) for w in circ.outputs]
-            assert [(m, be.peek(t)) for m, t in loop] == expected
-            assert [(m, be.peek(t)) for m, t in fast.bits] == expected
-            assert token_pattern(fast.bits, inputs) == token_pattern(loop, inputs)
-            assert all(t.key_id == be.key_id for _, t in fast.bits)
-            assert fast.backend is be
+            assert [(m, k) for m, k, _ in loop] == expected
+            assert list(zip(fast.masked, fast.pad)) == expected
+            assert nonce_pattern(list(fast.nonce), nonces) == \
+                nonce_pattern([n for _, _, n in loop], nonces)
+            assert (fast.key_id, fast.scheme) == (sk.key_id, backend)
 
 
 def test_stub_ceval_draws_pad_bits_then_output_nonces_in_two_calls():
@@ -365,13 +361,10 @@ def test_stub_ceval_draws_pad_bits_then_output_nonces_in_two_calls():
     r = twin.integers(0, 2, size=2).tolist()
     nonces = twin.integers(0, 2 ** 62, size=2).tolist()  # wires 5 and 2
     assert rng.bit_generator.state == twin.bit_generator.state
-    input_nonce = c.bits[0][1].nonce  # wires 4 and 0 carry input 0's token
-    assert [t.nonce for _, t in out.bits] == [nonces[0], input_nonce, nonces[1],
-                                             input_nonce, nonces[0]]
-    masks, pads = qfhe.stub_wires(circ, [m for m, _ in c.bits],
-                                  [sk.backend.peek(t) for _, t in c.bits], r)
-    assert [(m, sk.backend.peek(t)) for m, t in out.bits] == [
-        (masks[w], pads[w]) for w in circ.outputs]
+    input_nonce = c.nonce[0]  # wires 4 and 0 carry input 0's nonce
+    assert out.nonce == (nonces[0], input_nonce, nonces[1], input_nonce, nonces[0])
+    masks, pads = qfhe.stub_wires(circ, c.masked, c.pad, r)
+    assert list(zip(out.masked, out.pad)) == [(masks[w], pads[w]) for w in circ.outputs]
     assert qfhe.dec_classical(sk, out) == circ.run_plain((1, 1))
 
 
@@ -388,7 +381,7 @@ def test_stub_encryption_splits_one_63_bit_draw_into_pad_and_nonce():
     sk, _ = fresh(seed=32)
     draws = [0, 2 ** 62, 2 ** 62 - 1, 2 ** 63 - 1, 2 ** 62 | 12345]
     c = qfhe.enc_classical(sk, (1, 0, 1, 1, 0), FixedDraws(draws))
-    assert [(m, sk.backend.peek(t), t.nonce) for m, t in c.bits] == [
+    assert list(zip(c.masked, c.pad, c.nonce)) == [
         (1, 0, 0), (1, 1, 0), (1, 0, 2 ** 62 - 1), (0, 1, 2 ** 62 - 1), (1, 1, 12345)]
 
 
@@ -396,9 +389,9 @@ def test_stub_encryption_pad_is_uniform_and_independent_of_the_nonce():
     sk, rng = fresh(seed=33)
     n = 40_000
     c = qfhe.enc_classical(sk, (0,) * n, rng)
-    pads = np.array([sk.backend.peek(t) for _, t in c.bits])
-    nonces = np.array([t.nonce for _, t in c.bits], dtype=np.int64)
-    assert np.array_equal(pads, [m for m, _ in c.bits])
+    pads = np.array(c.pad)
+    nonces = np.array(c.nonce, dtype=np.int64)
+    assert np.array_equal(pads, c.masked)
     assert nonces.min() >= 0 and nonces.max() < 2 ** 62
     tol = 3 * math.sqrt(0.25 / n) + 0.002
     assert abs(pads.mean() - 0.5) < tol
@@ -418,7 +411,7 @@ def test_enc_classical_accepts_only_integer_bits(backend):
             qfhe.enc_classical(sk, payload, rng)
     c = qfhe.enc_classical(sk, (True, np.int64(1), np.uint8(0), False), rng)
     assert qfhe.dec_classical(sk, c) == (1, 1, 0, 0)
-    assert all(type(m) is int for m, _ in c.bits)
+    assert all(type(v) is int for v in c.masked + c.pad + c.nonce)
 
 
 def test_twoind_game_random_guess():

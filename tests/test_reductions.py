@@ -16,47 +16,24 @@ def three_sigma(p: float, n: int) -> float:
     return 3 * math.sqrt(p * (1 - p) / n) + 1e-12
 
 
-class RecordingBackend:
-    """Delegating stub backend that logs every method the caller touches;
-    the ciphertexts it makes stay under the recorder."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.scheme = inner.scheme
-        self.key_id = inner.key_id
-        self.calls = []
-
-    def encrypt(self, bits, rng):
-        self.calls.append("encrypt")
-        return qfhe.ClassicalCiphertext(self._inner.encrypt(bits, rng).bits, self)
-
-    def cipher(self, c):
-        self.calls.append("cipher")
-        return qfhe.ClassicalCiphertext(self._inner.cipher(c).bits, self)
-
-    def ceval(self, circuit, pairs, rng):
-        self.calls.append("ceval")
-        return self._inner.ceval(circuit, pairs, rng)
-
-    def peek(self, token):
-        self.calls.append("peek")
-        return self._inner.peek(token)
-
-    def leak(self, token):
-        self.calls.append("leak")
-        return self._inner.leak(token)
-
-    def token_json(self, token):
-        return self._inner.token_json(token)
+@pytest.fixture
+def qfhe_calls(monkeypatch):
+    """The names of the qfhe ciphertext readers and of ceval, logged at
+    each call."""
+    calls = []
+    for name in ("peek_bits", "leak_bits", "dec_classical", "ceval"):
+        def record(*args, _name=name, _inner=getattr(qfhe, name)):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(qfhe, name, record)
+    return calls
 
 
-def recorded_message1(game, kind, value, lam, rng):
+def fresh_message1(game, kind, value, lam, rng):
     sk = qfhe.gen(lam, rng=rng)
-    recorder = RecordingBackend(sk.backend)
-    handle = qfhe.QfhePublicHandle(recorder.scheme, recorder.key_id, recorder)
     keys = opad.gen(lam, rng)
     oracle = opad.PhaseOracle("hash", seed=11)
-    return recorder, cp.round1_message(game, kind, value, handle, keys.pk, oracle, rng)
+    return cp.round1_message(game, kind, value, sk.handle(), keys.pk, oracle, rng)
 
 
 def test_trials_for_precision_schedule():
@@ -112,23 +89,23 @@ def test_extracted_tables_differ_across_leaked_inputs():
     assert t0.key() != t1.key()
 
 
-def test_extraction_never_touches_decryption_interfaces():
+def test_extraction_never_touches_decryption_interfaces(qfhe_calls):
     rng = np.random.default_rng(74)
     game, _ = games.kcbs()
     _, table = nc_value_with_table(game)
-    recorder, m1 = recorded_message1(game, "1-1", game.questions[0], 5, rng)
+    m1 = fresh_message1(game, "1-1", game.questions[0], 5, rng)
     extracted = rd.extract_truthtable(cp.truthtable_prover(table), game, "1-1",
                                       game.questions[0], 5, rng, message1=m1)
     assert extracted.key() == table.key()
-    assert "peek" not in recorder.calls
-    assert "leak" not in recorder.calls
-    assert "ceval" in recorder.calls  # the homomorphic evaluation did run
+    assert "ceval" in qfhe_calls  # the homomorphic evaluation did run
+    assert not {"peek_bits", "leak_bits", "dec_classical"} & set(qfhe_calls)
 
     # positive control: the white-box prover does peek
-    recorder, m1 = recorded_message1(game, "1-1", game.questions[0], 5, rng)
+    qfhe_calls.clear()
+    m1 = fresh_message1(game, "1-1", game.questions[0], 5, rng)
     rd.extract_truthtable(rd.CipherPeekingProver(game, "1-1"), game, "1-1",
                           game.questions[0], 5, rng, message1=m1)
-    assert "peek" in recorder.calls
+    assert "peek_bits" in qfhe_calls
 
 
 def test_distributions_are_point_masses_for_table_provers():
