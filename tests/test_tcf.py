@@ -434,12 +434,11 @@ def test_claw_lookups_refuse_non_integers():
 
 
 def test_key_lookups_take_ints_and_arrays():
+    # one key reads ints; arrays go to a chunk
     kp = ideal_pair(5, seed=17)
-    points = np.arange(32)
-    assert np.array_equal(kp.pk.image(points), [tcf.eval(kp.pk, 0, x) for x in range(32)])
+    assert [kp.pk.image(x) for x in range(32)] == [tcf.eval(kp.pk, 0, x) for x in range(32)]
     assert kp.pk.image(7) == tcf.eval(kp.pk, 0, 7)
-    x0, x1 = kp.pk.claw(points)
-    assert list(zip(x0.tolist(), x1.tolist())) == [tcf.public_claw(kp.pk, y) for y in range(32)]
+    assert [kp.pk.claw(y) for y in range(32)] == [tcf.public_claw(kp.pk, y) for y in range(32)]
     assert tuple(map(int, kp.pk.claw(7))) == tcf.public_claw(kp.pk, 7)
     assert kp.pk.count is None and kp.pk.n == 5
 
@@ -453,9 +452,9 @@ def test_a_key_and_its_one_row_chunk_answer_alike():
         assert tuple(int(x[0]) for x in row.claw(np.array([7]))) == tcf.claw(key, 7)
         points = np.arange(32)
         assert np.array_equal(row.image(points[:1]), [key.image(0)])
-        assert np.array_equal(row.image(points[None]), key.image(points)[None])
-        for got, want in zip(row.claw(points[None]), key.claw(points)):
-            assert np.array_equal(got, want[None])
+        assert np.array_equal(row.image(points[None]), [[key.image(x) for x in range(32)]])
+        for got, want in zip(row.claw(points[None]), zip(*[key.claw(y) for y in range(32)])):
+            assert np.array_equal(got, [want])
         assert row.row(0) == key
 
 
@@ -470,10 +469,10 @@ def test_a_key_chunk_reads_each_row_with_its_own_key():
     for i in range(6):
         # row i holds the points the chunk fixed on its row, and reads them without a draw
         pk = chunk.row(i)
-        assert np.array_equal(images[i], pk.image(points[i]))
-        assert first[i] == images[i, 0] == pk.image(points[i, 0])
-        for got, want in zip(claws, pk.claw(points[i])):
-            assert np.array_equal(got[i], want)
+        assert images[i].tolist() == [pk.image(x) for x in points[i].tolist()]
+        assert first[i] == images[i, 0] == pk.image(int(points[i, 0]))
+        assert (list(zip(claws[0][i].tolist(), claws[1][i].tolist()))
+                == [pk.claw(y) for y in points[i].tolist()])
         assert tuple(int(x[i]) for x in first_claws) == tcf.public_claw(pk, int(points[i, 0]))
         # a row is detached: it cannot fix a point the chunk would not record
         free = next(x for x in range(32) if x not in dict(pk.pairs()))
@@ -481,6 +480,32 @@ def test_a_key_chunk_reads_each_row_with_its_own_key():
             pk.image(free)
     assert rng.bit_generator.state == before
     assert (np.sort(chunk.tables[0], axis=1) == np.arange(32)).all()
+
+
+@pytest.mark.parametrize("bits", [4, 5])
+def test_a_chunk_call_reads_its_columns_as_separate_calls_would(bits):
+    chunk = tcf.gen_many(bits, 5, np.random.default_rng(40 + bits))
+    # earlier lookups fix x = 1 by image and y = 2 by claw on every row
+    y1 = chunk.image(np.full(5, 1))
+    x2, _ = chunk.claw(np.full(5, 2))
+    for lookup, known, other in (("image", x2, 1), ("claw", y1, 2)):
+        # per row: a point fixed earlier, twice, then a fresh one; a fresh
+        # point thrice; three fresh points; a fixed point between fresh ones;
+        # only points fixed earlier
+        k = known.tolist()
+        points = np.array([[k[0], k[0], 3], [5, 5, 5], [5, 6, 7], [8, k[3], 9],
+                           [k[4], other, k[4]]])
+        ref = copy.deepcopy(chunk)
+        got = getattr(chunk, lookup)(points)
+        cols = [getattr(ref, lookup)(points[:, j]) for j in range(3)]
+        if lookup == "image":
+            assert np.array_equal(got, np.column_stack(cols))
+        else:
+            for side in (0, 1):
+                assert np.array_equal(got[side], np.column_stack([c[side] for c in cols]))
+        assert [chunk.row(i).pairs() for i in range(5)] == [ref.row(i).pairs() for i in range(5)]
+        assert chunk.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert chunk == ref
 
 
 def test_used_public_key_is_not_kept_alive():
