@@ -309,7 +309,6 @@ class CompiledVerifier:
         spec.check(game)
         self.game = game
         self.kind = kind
-        self.lam = lam
         self._rng = rng
         self.fhe_sk = qfhe.gen(lam, backend=fhe_backend, rng=rng)
         self.opad_keys = opad.gen(lam, rng)
@@ -370,14 +369,14 @@ class CompiledVerifier:
         self._phase = "done"
         return accept
 
-    def transcript(self, seed: int = None) -> "CompiledTranscript":
+    def transcript(self) -> "CompiledTranscript":
         if self._phase != "done":
             raise RuntimeError("transcript is available after the decision")
         return CompiledTranscript(
             kind=self.kind.value, ctx_index=self.ctx_index, skip_pos=self.skip_pos,
             message1=self._message1, message2=self._message2,
             question=self.question, key=self.key, answer=self.answer2,
-            accept=self.accepted, seed=seed)
+            accept=self.accepted)
 
 
 @dataclass(frozen=True)
@@ -393,7 +392,6 @@ class CompiledTranscript:
     key: PauliKey
     answer: object
     accept: bool
-    seed: int | None = None
 
     def as_dict(self) -> dict:
         # delta and the points of P the session fixed: writing draws nothing
@@ -413,7 +411,8 @@ class CompiledTranscript:
             "t7_key": {"x": list(self.key.x), "z": list(self.key.z)},
             "t8_answer": self.answer,
             "accept": self.accept,
-            "seed": self.seed,
+            # kept so the transcript format does not change
+            "seed": None,
         }
 
 

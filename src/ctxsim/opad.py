@@ -320,6 +320,8 @@ def security_game(prover_factory, trials: int, rng: np.random.Generator,
     answers with either the decoded key (b = 1) or a uniform key (b = 0),
     and the prover guesses b.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     wins = 0
     for _ in range(trials):
         keys = gen(lam, rng)

@@ -383,6 +383,8 @@ CLASSICAL_KINDS = tuple(CLASSICAL_CLASSES)
 def run_protocol(prover_factory, trials: int, rng: np.random.Generator,
                  lam: int = 8, keep_transcripts: bool = False):
     """Play full instances; returns (acceptance rate, transcripts or None)."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     wins = 0
     transcripts = [] if keep_transcripts else None
     for _ in range(trials):
@@ -407,6 +409,8 @@ def rewind_experiment(prover_factory, trials: int, rng: np.random.Generator,
     the frequency of s' = s; for a prover with acceptance rate r this is
     at least 2r - 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     hits = 0
     for _ in range(trials):
         verifier = PoqVerifier(lam, rng)

@@ -342,6 +342,8 @@ def twoind_game(distinguisher, x0, x1, trials: int, rng: np.random.Generator,
     The distinguisher is called as distinguisher(handle, ciphertext, rng)
     and must return a bit; a fresh key is generated every round.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     x0 = tuple(int(b) for b in x0)
     x1 = tuple(int(b) for b in x1)
     if len(x0) != len(x1):

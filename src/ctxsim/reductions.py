@@ -196,6 +196,8 @@ def dind_prime_game(distinguisher, messages, weights, trials: int,
     The challenger samples a message index from the prior, encrypts it
     under a fresh key, and the distinguisher must name the index.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     msgs = [tuple(int(b) for b in m) for m in messages]
     if len(msgs) < 2:
         raise ValueError("need at least two candidate messages")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +86,17 @@ class IdealKey:
     query: it draws r uniform in [0, 2^n - k), k the points already fixed,
     and takes the r-th free point, so the fixed points are distributed as
     the restriction of a uniform permutation and no draw is ever repeated.
-    image and claw take ints or arrays; on a chunk they take (count,) or
+    image and claw take ints on one key; on a chunk they take (count,) or
     (count, points) arrays, each row read with its own key, column by
     column.  Points outside [0, 2^n) raise ValueError.
 
-    One key keeps its fixed points in two dicts (P and P^-1) and two
-    sorted lists; a chunk in (count, k) arrays of fixed (x, y) pairs,
-    padded where a row has fewer than k.  pairs, when given,
-    are points of P fixed from the start: [x, P(x)] pairs on one key, a
-    list of them per row on a chunk; a repeated x or y and a point outside
-    the domain are refused.  tables completes P; it is for tests and small
-    n.  A key without a generator (rng=None) answers only at fixed points.
+    One key keeps its fixed points in two dicts, P and P^-1; a chunk in
+    (count, k) arrays of fixed (x, y) pairs, padded where a row has fewer
+    than k.  pairs, when given, are points of P fixed from the start:
+    [x, P(x)] pairs on one key, a list of them per row on a chunk; a
+    repeated x or y and a point outside the domain are refused.  tables
+    completes P; it is for tests and small n.  A key without a generator
+    (rng=None) answers only at fixed points.
     """
 
     def __init__(self, n: int, delta, rng: np.random.Generator = None, pairs=None):
@@ -108,8 +107,8 @@ class IdealKey:
             self.delta = _readonly(delta)
             self.count = len(self.delta)
             rows = [IdealKey(n, 0, pairs=row).pairs() for row in pairs or ()]
-            k = max(map(len, rows), default=0)
-            fixed = np.full((self.count, k, 2), _EMPTY, dtype=np.int64)
+            # at least one column, empty where no point is fixed yet
+            fixed = np.full((self.count, max([1, *map(len, rows)]), 2), _EMPTY, dtype=np.int64)
             for i, row in enumerate(rows):
                 fixed[i, :len(row)] = np.reshape(row, (-1, 2))
             self._x, self._y = fixed[..., 0], fixed[..., 1]
@@ -128,12 +127,11 @@ class IdealKey:
             ys = [operator.index(y) for _, y in pairs]
         except TypeError:
             raise ValueError(message) from None
-        self._fwd, self._inv = dict(zip(xs, ys)), dict(zip(ys, xs))
-        self._xs, self._ys = sorted(self._fwd), sorted(self._inv)
-        if xs and (min(self._xs[0], self._ys[0]) < 0
-                   or max(self._xs[-1], self._ys[-1]) >= 1 << self.n):
+        size = 1 << self.n
+        if not all(0 <= p < size for p in xs + ys):
             raise ValueError(message)
-        if len(self._xs) < len(xs) or len(self._ys) < len(ys):
+        self._fwd, self._inv = dict(zip(xs, ys)), dict(zip(ys, xs))
+        if len(self._fwd) < len(xs) or len(self._inv) < len(ys):
             raise ValueError("a fixed x or y repeats")
 
     def __eq__(self, other):
@@ -148,13 +146,7 @@ class IdealKey:
 
     def pairs(self) -> list:
         """The fixed points of P as [x, P(x)] pairs sorted by x; one key only."""
-        return [[x, self._fwd[x]] for x in self._xs]
-
-    def _assign(self, x: int, y: int) -> None:
-        self._fwd[x] = y
-        self._inv[y] = x
-        insort(self._xs, x)
-        insort(self._ys, y)
+        return [[x, self._fwd[x]] for x in sorted(self._fwd)]
 
     def _draw(self, high):
         """r uniform in [0, high), elementwise, each from whole 64-bit
@@ -169,50 +161,32 @@ class IdealKey:
         """P(p) (forward) or P^-1(p) on one key, fixed on first query."""
         size = 1 << self.n
         p = checked_int(p, _OUTSIDE[forward], size)
-        known = self._fwd if forward else self._inv
+        known, other = (self._fwd, self._inv) if forward else (self._inv, self._fwd)
         q = known.get(p)
         if q is None:
-            q = _nth_free(self._ys if forward else self._xs, int(self._draw(size - len(known))))
-            self._assign(*((p, q) if forward else (q, p)))
+            q = _nth_free(sorted(other), int(self._draw(size - len(known))))
+            known[p], other[q] = q, p
         return q
-
-    def _each(self, points: np.ndarray, forward: bool) -> np.ndarray:
-        """_one at an array of points on one key, in order, once all lie in the domain."""
-        if ((points < 0) | (points >= 1 << self.n)).any():
-            raise ValueError(_OUTSIDE[forward])
-        return np.array([self._one(p, forward) for p in points.flat],
-                        dtype=np.int64).reshape(points.shape)
 
     def _many(self, points: np.ndarray, forward: bool) -> np.ndarray:
         """P (forward) or P^-1 at a chunk's (count,) or (count, m) points.
 
-        Points already fixed are read in one pass; the rest are fixed
-        column by column, each row's draws in column order.
+        Each column is read against the points fixed so far, earlier
+        columns' included, and its misses are fixed with one draw, so each
+        row's draws come in column order.
         """
         size = 1 << self.n
         if points.shape[:1] != (self.count,) or ((points < 0) | (points >= size)).any():
             raise ValueError(_OUTSIDE[forward])
         cols = points.reshape(self.count, -1)
+        out = np.empty(cols.shape, dtype=np.int64)
         src, dst = (self._x, self._y) if forward else (self._y, self._x)
-        known = src.shape[1]
-        if known:
-            hit = src[:, None, :] == cols[:, :, None]
-            out = np.take_along_axis(dst, hit.argmax(axis=2), axis=1)
-            fresh = ~hit.any(axis=2)
-        else:
-            out = np.empty_like(cols)
-            fresh = np.ones(cols.shape, dtype=bool)
-        for j in np.flatnonzero(fresh.any(axis=0)).tolist():
-            rows = np.flatnonzero(fresh[:, j])
-            p = cols[rows, j]
-            if src.shape[1] > known:
-                # a point an earlier column of this call fixed on the same row
-                again = src[rows, known:] == p[:, None]
-                found = again.any(axis=1)
-                out[rows[found], j] = dst[rows[found], known + again[found].argmax(axis=1)]
-                rows, p = rows[~found], p[~found]
-                if not rows.size:
-                    continue
+        for j, p in enumerate(cols.T):
+            hit = src == p[:, None]
+            out[:, j] = dst[np.arange(self.count), hit.argmax(axis=1)]
+            rows = np.flatnonzero(~hit.any(axis=1))
+            if not rows.size:
+                continue
             # the r-th free point is r plus the fixed points a_i (sorted, i
             # counted from 0) with a_i - i <= r; empty slots sort last and
             # never count
@@ -221,29 +195,24 @@ class IdealKey:
             q = r + (taken - np.arange(taken.shape[1]) <= r[:, None]).sum(axis=1)
             out[rows, j] = q
             new_src, new_dst = np.full(self.count, _EMPTY), np.full(self.count, _EMPTY)
-            new_src[rows], new_dst[rows] = p, q
+            new_src[rows], new_dst[rows] = p[rows], q
             src, dst = np.column_stack([src, new_src]), np.column_stack([dst, new_dst])
             self._x, self._y = (src, dst) if forward else (dst, src)
         return out.reshape(points.shape)
 
     def image(self, x):
         """f_0(x) = P(x)."""
-        if self.count is not None:
-            return self._many(np.asarray(x), True)
-        if isinstance(x, np.ndarray) and x.ndim:
-            return self._each(x, True)
-        return self._one(x, True)
+        if self.count is None:
+            return self._one(x, True)
+        return self._many(np.asarray(x), True)
 
     def claw(self, y):
         """(x0, x1) = (P^-1(y), P^-1(y) xor delta), the claw of y."""
-        if self.count is not None:
-            x0 = self._many(np.asarray(y), False)
-            return x0, x0 ^ self.delta.reshape((-1,) + (1,) * (x0.ndim - 1))
-        if isinstance(y, np.ndarray) and y.ndim:
-            x0 = self._each(y, False)
-        else:
+        if self.count is None:
             x0 = self._one(y, False)
-        return x0, x0 ^ self.delta
+            return x0, x0 ^ self.delta
+        x0 = self._many(np.asarray(y), False)
+        return x0, x0 ^ self.delta.reshape((-1,) + (1,) * (x0.ndim - 1))
 
     def row(self, i: int) -> "IdealKey":
         """Key i of a chunk as one key holding its fixed points; it has no
@@ -282,7 +251,6 @@ class IdealKey:
             y = free_y.pop(r)
             self._fwd[x] = y
             self._inv[y] = x
-        self._xs, self._ys = list(range(size)), list(range(size))
 
 
 @dataclass(frozen=True)
@@ -409,8 +377,7 @@ def inv(sk: IdealKey, b: int, y):
 
 def claw(sk: IdealKey, y: int):
     """(x0, x1) with f_0(x0) = f_1(x1) = y, via the trapdoor."""
-    x0 = inv(sk, 0, y)
-    return x0, x0 ^ sk.delta
+    return sk.claw(y)
 
 
 def public_claw(pk: IdealKey, y: int):

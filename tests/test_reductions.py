@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctxsim import compilers as cp
-from ctxsim import games, opad, qfhe, reductions as rd
+from ctxsim import games, opad, poq, qfhe, reductions as rd
 from ctxsim.games import nc_value_with_table
 from ctxsim.qsim import PauliKey
 
@@ -242,6 +242,28 @@ def test_reduction_works_for_full_context_kinds():
     prover = rd.CipherPeekingProver(kcbs, "cm1-1", leak_prob=1.0)
     rate = rd.run_a2_reduction(prover, kcbs, "cm1-1", 1500, 6, rng, phase1_trials=60)
     assert rate == 1.0
+
+
+SCALAR_GAMES = {
+    "run_protocol": lambda trials, rng: poq.run_protocol(poq.honest(), trials, rng),
+    "rewind_experiment": lambda trials, rng: poq.rewind_experiment(
+        poq.classical("zero-echo"), trials, rng),
+    "security_game": lambda trials, rng: opad.security_game(opad.RandomGuessProver, trials, rng),
+    "twoind_game": lambda trials, rng: qfhe.twoind_game(
+        lambda h, c, r: 0, (0, 0), (1, 1), trials, rng),
+    "dind_prime_game": lambda trials, rng: rd.dind_prime_game(
+        lambda h, c, r: 0, [(0,), (1,)], (0.5, 0.5), trials, rng),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("name", sorted(SCALAR_GAMES))
+def test_scalar_games_refuse_a_non_positive_trial_count_before_any_draw(name, trials):
+    rng = np.random.default_rng(86)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="trials must be positive"):
+        SCALAR_GAMES[name](trials, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_dind_prime_game_rates():

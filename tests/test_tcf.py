@@ -441,6 +441,10 @@ def test_key_lookups_take_ints_and_arrays():
     assert [kp.pk.claw(y) for y in range(32)] == [tcf.public_claw(kp.pk, y) for y in range(32)]
     assert tuple(map(int, kp.pk.claw(7))) == tcf.public_claw(kp.pk, 7)
     assert kp.pk.count is None and kp.pk.n == 5
+    with pytest.raises(ValueError, match="outside the domain"):
+        kp.pk.image(np.arange(2))
+    with pytest.raises(ValueError, match="not in the image"):
+        kp.pk.claw(np.array([[1]]))
 
 
 def test_a_key_and_its_one_row_chunk_answer_alike():
