@@ -411,7 +411,7 @@ class CompiledTranscript:
             "t7_key": {"x": list(self.key.x), "z": list(self.key.z)},
             "t8_answer": self.answer,
             "accept": self.accept,
-            # kept so the transcript format does not change
+            # no session carries a seed; the key stays so the format does not change
             "seed": None,
         }
 
