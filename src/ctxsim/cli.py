@@ -30,6 +30,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -44,6 +45,8 @@ SCHEMA = 2
 SLACK = 0.005  # allowance on top of 3 binomial sigma in bound checks
 
 BUILTIN_GAMES = {"magic-square": magic_square, "kcbs": kcbs, "chsh": chsh}
+# Deepest [ / { nesting of a game file: parsing and freezing labels recurse per level.
+MAX_JSON_DEPTH = 64
 
 
 class ConfigError(Exception):
@@ -87,7 +90,11 @@ def load_game(spec: str):
             f"unknown game {spec!r}: not one of {sorted(BUILTIN_GAMES)} "
             "and not a readable file")
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text()
+        steps = [1 if b in "[{" else -1 for b in re.findall(r'"(?:[^"\\]|\\.)*"|([][{}])', text) if b]
+        if np.cumsum([0] + steps).max() > MAX_JSON_DEPTH:
+            raise ValueError(f"JSON nested deeper than MAX_JSON_DEPTH = {MAX_JSON_DEPTH}")
+        data = json.loads(text)
         if "game" not in data:
             return ContextualityGame.from_json(json.dumps(data)), None
         game = ContextualityGame.from_json(json.dumps(data["game"]))

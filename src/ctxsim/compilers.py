@@ -638,12 +638,11 @@ class FeasibleInconsistentProver(TruthTableProver):
             told = table.on_context(ctx)
             if game.predicate(i, told):
                 sub = told
-            else:
-                accepted = sorted(game.accepts[i])
-                if not accepted:
-                    raise ValueError("context has no satisfying answer tuple")
-                sub = min(accepted,
-                          key=lambda t: (sum(x != y for x, y in zip(t, told)), t))
+            elif not game.accepts[i]:
+                raise ValueError("context has no satisfying answer tuple")
+            else:  # nearest accepted tuple, ties broken by label repr as in Assignment.key
+                sub = min(game.accepts[i], key=lambda t: (sum(x != y for x, y in zip(t, told)),
+                                                          tuple(map(repr, t))))
             self._submissions[i] = sub
             hamming = sum(x != y for x, y in zip(sub, told))
             mismatch += game.context_weights[i] * Fraction(hamming, len(ctx))

@@ -48,8 +48,8 @@ from .qsim import (
     apply_unitary,
     checked_int,
     int_of,
+    measure_and_remove,
     measure_registers,
-    remove_registers,
 )
 
 _MAX_NONZERO_RETRIES = 64
@@ -217,14 +217,13 @@ def _circuit_round(pk, state: StateVector, target: int, oracle: PhaseOracle, rng
 
     # Condition the Hadamard measurement on d != 0 (Samp never emits 0).
     for _ in range(_MAX_NONZERO_RETRIES):
-        digits, post = measure_registers(work, x_regs, basis="hadamard", rng=rng)
+        digits, rest = measure_and_remove(work, x_regs, basis="hadamard", rng=rng)
         d = int_of(digits)
         if d:
             break
     else:
         raise RuntimeError("d = 0 persisted across retries")
-    work = remove_registers(post, x_regs)
-    return work, (d, y), pad_bits(pk, d, y, oracle)
+    return rest, (d, y), pad_bits(pk, d, y, oracle)
 
 
 def _collapsed_round(pk, oracle: PhaseOracle, rng):
@@ -439,8 +438,7 @@ def general_u_enc(pk, state: StateVector, family: UnitaryFamily, oracle: PhaseOr
         work = apply_unitary(work, H, [aux])
         work, slot, _bit = _circuit_round(pk, work, aux, oracle, rng)
         work = apply_unitary(work, H, [aux])
-        (kj,), work = measure_registers(work, [aux], rng=rng)
-        state = remove_registers(work, [aux])
+        (kj,), state = measure_and_remove(work, [aux], rng=rng)
         slots.append(slot)
         bits.append(int(kj))
     state = family.apply(state, bits)

@@ -45,8 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import tcf
-from .qsim import (StateVector, check_norms, checked_int, int_of, measure_registers,
-                   remove_registers)
+from .qsim import StateVector, check_norms, checked_int, int_of, measure_and_remove
 
 HONEST_RATE = math.cos(math.pi / 8) ** 2
 CLASSICAL_BOUND = 0.75
@@ -204,10 +203,9 @@ class HonestProver:
         if self.path == "circuit":
             plus = StateVector((2,), np.array([1.0, 1.0]) / np.sqrt(2))
             y, _, _, state = tcf.measure_claw(self.pk, plus, 0, rng)
-            (mu,), state = measure_registers(state, [1], rng=rng)
-            digits, state = measure_registers(state, list(range(2, n + 1)),
-                                              basis="hadamard", rng=rng)
-            self.leftover = remove_registers(state, list(range(1, n + 1))).amps
+            (mu,), state = measure_and_remove(state, [1], rng=rng)
+            digits, state = measure_and_remove(state, range(1, n), basis="hadamard", rng=rng)
+            self.leftover = state.amps
             return int(mu), int_of(digits), int(y)
         y = rng.integers(0, 1 << n, size=count)
         d = rng.integers(0, 1 << (n - 1), size=count)

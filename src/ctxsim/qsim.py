@@ -11,6 +11,7 @@ through :func:`equal_up_to_global_phase`).
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -371,9 +372,19 @@ def register_distribution(state: StateVector, targets, basis: str = "standard"):
     return {_digits_of(i, tdims): float(p) for i, p in enumerate(probs)}
 
 
-# Amplitudes per step of the Hadamard butterfly: its temporaries hold at most
-# two such blocks (512 KiB), whatever the state's size.
-_ROTATE_BLOCK = 2 ** 14
+# Floats per matmul step of the Hadamard rotation: a step's product is at most
+# 64 KiB, whatever the state's size.  At 2^14 OpenBLAS ran the steps on two threads,
+# and a lambda-20 pad round beside a busy process took 2-5 s, not 2 s (2-vCPU Xeon VM).
+_ROTATE_BLOCK = 2 ** 13
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester(m: int) -> np.ndarray:
+    """2^(m/2) H^(x)m as a real matrix: entry (i, j) is (-1)^popcount(i & j)."""
+    i = np.arange(1 << m)
+    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+    h.setflags(write=False)  # cached: every caller shares it
+    return h
 
 
 def _rotated_amps(state: StateVector, targets, basis: str) -> np.ndarray:
@@ -386,24 +397,26 @@ def _rotated_amps(state: StateVector, targets, basis: str) -> np.ndarray:
         return state.amps
     if basis != "hadamard":
         raise ValueError(f"unknown basis {basis!r}")
-    for t in targets:
-        if state.dims[t] != 2:
-            raise ValueError("hadamard basis requires qubit registers")
-    # H per qubit as the sum and the difference of the |0> and |1> halves of
-    # one working copy, in blocks of rows so the saved half stays small; the
-    # 1/sqrt(2) factors are applied once at the end.
+    targets = sorted(int(t) for t in targets)
+    if any(not 0 <= t < len(state.dims) or state.dims[t] != 2 for t in targets):
+        raise ValueError("hadamard basis requires qubit registers")
+    # H on each run of up to 6 consecutive targets as one real matmul by the
+    # Sylvester matrix on the (left, 2^m, right) float view of one working copy,
+    # in blocks of rows and columns; the 1/sqrt(2) factors are applied at the end.
     work = state.amps.copy()
-    for t in targets:
-        pair = work.reshape(math.prod(state.dims[:t]), 2, -1)
-        right = pair.shape[2]
-        rows = max(1, _ROTATE_BLOCK // right)
-        for i in range(0, pair.shape[0], rows):
-            for j in range(0, right, _ROTATE_BLOCK):
-                zero = pair[i:i + rows, 0, j:j + _ROTATE_BLOCK]
-                one = pair[i:i + rows, 1, j:j + _ROTATE_BLOCK]
-                half = zero.copy()
-                zero += one
-                np.subtract(half, one, out=one)
+    rest = targets
+    while rest:
+        m = 1
+        while m < min(len(rest), 6) and rest[m] == rest[0] + m:
+            m += 1
+        f = work.view(np.float64).reshape(math.prod(state.dims[:rest[0]]), 1 << m, -1)
+        cols = min(f.shape[2], max(2, _ROTATE_BLOCK >> m))
+        rows = max(1, _ROTATE_BLOCK // (cols << m))
+        for i in range(0, f.shape[0], rows):
+            for j in range(0, f.shape[2], cols):
+                block = f[i:i + rows, :, j:j + cols]
+                block[...] = np.matmul(_sylvester(m), block)
+        rest = rest[m:]
     work *= 2.0 ** (-len(targets) / 2)
     return work
 
@@ -415,6 +428,15 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
 
 
+def _draw(state: StateVector, targets, basis: str, rng):
+    """(block array, perm, Born weights, drawn index) of state rotated into basis."""
+    if rng is None:
+        raise ValueError("an explicit rng is required")
+    arr, perm = _blocks(_rotated_amps(state, targets, basis), state.dims, targets)
+    probs = _born_weights(arr)
+    return arr, perm, probs, _sample_index(probs, rng)
+
+
 def measure_registers(state: StateVector, targets, basis: str = "standard", rng: np.random.Generator = None):
     """Measure registers jointly; returns (digit tuple, post-measurement state).
 
@@ -424,12 +446,8 @@ def measure_registers(state: StateVector, targets, basis: str = "standard", rng:
     A rotated copy is private, so the collapse happens inside it; the
     standard basis reads the frozen input and collapses into a new array.
     """
-    if rng is None:
-        raise ValueError("an explicit rng is required")
     targets = list(targets)
-    arr, perm = _blocks(_rotated_amps(state, targets, basis), state.dims, targets)
-    probs = _born_weights(arr)
-    idx = _sample_index(probs, rng)
+    arr, perm, probs, idx = _draw(state, targets, basis, rng)
     if arr.flags.writeable:
         arr[:, :idx] = 0
         arr[:, idx + 1:] = 0
@@ -456,6 +474,16 @@ def remove_registers(state: StateVector, targets) -> StateVector:
         raise ValueError("registers to remove are still entangled or in superposition")
     rest_dims = tuple(d for i, d in enumerate(state.dims) if i not in targets)
     return StateVector._own(rest_dims, arr[:, idx] / np.sqrt(weights[idx]))
+
+
+def measure_and_remove(state: StateVector, targets, basis: str = "standard", rng: np.random.Generator = None):
+    """measure_registers then remove_registers in one step, with the same draw;
+    returns (digit tuple, state over the other registers)."""
+    targets = list(targets)
+    arr, _, probs, idx = _draw(state, targets, basis, rng)
+    rest_dims = tuple(d for i, d in enumerate(state.dims) if i not in targets)
+    return (_digits_of(idx, [state.dims[t] for t in targets]),
+            StateVector._own(rest_dims, arr[:, idx] / np.sqrt(probs[idx])))
 
 
 def apply_pauli_pad(state: StateVector, key: PauliKey, targets) -> StateVector:

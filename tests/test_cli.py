@@ -100,6 +100,62 @@ def test_values_rejects_a_game_past_the_search_bound(tmp_path, capsys):
     assert "exceed the brute-force bound" in err
 
 
+def test_values_refuses_brackets_nested_past_the_depth_bound(tmp_path, capsys):
+    path = tmp_path / "brackets.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, report, err = run_cli(capsys, ["values", "--game", str(path)])
+    assert code == 3
+    assert report is None
+    assert "brackets.json" in err and "MAX_JSON_DEPTH" in err
+
+
+def kcbs_with_label(label) -> str:
+    """kcbs as a game file with its last question renamed to label."""
+    data = json.loads(games.kcbs()[0].to_json())
+    last = data["questions"][-1]
+    data["questions"][-1] = label
+    data["contexts"] = [[label if q == last else q for q in c] for c in data["contexts"]]
+    return json.dumps(data)
+
+
+def nested(depth):
+    label = "q"
+    for _ in range(depth):
+        label = [label]
+    return label
+
+
+def test_values_refuses_a_label_nested_past_the_depth_bound(tmp_path, capsys):
+    path = tmp_path / "deep-label.json"
+    path.write_text(kcbs_with_label(nested(900)))
+    code, report, err = run_cli(capsys, ["values", "--game", str(path)])
+    assert code == 3
+    assert report is None
+    assert "deep-label.json" in err and "MAX_JSON_DEPTH" in err
+    # nesting within the bound, and brackets inside strings, are read as before
+    for label in (nested(cli.MAX_JSON_DEPTH - 4), "[" * 1000 + "{"):
+        path.write_text(kcbs_with_label(label))
+        code, report, _ = run_cli(capsys, ["values", "--game", str(path)])
+        assert code == 0
+        assert report["rows"][0]["nc_value_exact"] == "4/5"
+
+
+def test_c1_compile_runs_on_mixed_type_answer_labels(tmp_path, capsys):
+    # the feasible prover's nearest accepted tuple is chosen without
+    # comparing a float label with a string one
+    path = tmp_path / "mixed-labels.json"
+    path.write_text(json.dumps({
+        "questions": ["a", "b", "c"], "answers": [0.5, "x"],
+        "contexts": [["a", "b"], ["b", "c"], ["c", "a"]],
+        "context_weights": ["1/3"] * 3,
+        "predicate": {str(i): [[0.5, "x"], ["x", 0.5]] for i in range(3)},
+    }))
+    code, report, err = run_cli(capsys, ["compile", "--game", str(path), "--compiler", "c-1",
+                                         "--trials", "200", "--seed", "1"])
+    assert code == 0, err
+    assert [r["row"] for r in report["rows"]] == ["truthtable", "feasible"]
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(games.__file__).resolve().parents[1])
     env = {**os.environ,

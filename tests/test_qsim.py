@@ -19,6 +19,7 @@ from ctxsim.qsim import (
     apply_unitary,
     branch_measure,
     equal_up_to_global_phase,
+    measure_and_remove,
     measure_observable,
     measure_registers,
     register_distribution,
@@ -532,9 +533,70 @@ def test_hadamard_measurement_past_one_rotation_block(targets):
 def test_hadamard_measurement_collapses_in_place():
     rng = np.random.default_rng(17)
     s = random_state((2,) * 20, rng)
-    for targets in (range(12, 20), range(0, 8)):
-        tracemalloc.start()
-        measure_registers(s, targets, "hadamard", rng)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak <= 1.25 * s.amps.nbytes
+    for measure in (measure_registers, measure_and_remove):
+        for targets in (range(12, 20), range(0, 8)):
+            tracemalloc.start()
+            measure(s, targets, "hadamard", rng)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 1.25 * s.amps.nbytes, measure.__name__
+
+
+# Mixed qubit/qutrit layouts of one to five registers.
+MIXED_LAYOUTS = [(2,), (3,), (2, 3), (3, 2, 2), (2, 2, 3, 2), (2, 3, 2, 2, 3)]
+
+
+@pytest.mark.parametrize("dims", MIXED_LAYOUTS)
+def test_measure_and_remove_equals_measure_then_remove(dims):
+    rng = np.random.default_rng(18)
+    for trial in range(3):
+        s = random_state(dims, rng)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(len(dims)), k) for k in range(len(dims) + 1))
+        for subset in subsets:
+            for targets, basis in itertools.product((list(subset), list(subset)[::-1]),
+                                                    ("standard", "hadamard")):
+                if basis == "hadamard" and any(dims[t] != 2 for t in targets):
+                    continue
+                ref_rng, rng_under_test = np.random.default_rng(trial), np.random.default_rng(trial)
+                digits, post = measure_registers(s, targets, basis, ref_rng)
+                kept = remove_registers(post, targets)
+                got_digits, got = measure_and_remove(s, targets, basis, rng_under_test)
+                assert got_digits == digits, (targets, basis)
+                assert rng_under_test.bit_generator.state == ref_rng.bit_generator.state
+                assert got.dims == kept.dims
+                assert np.allclose(got.amps, kept.amps, rtol=0, atol=1e-12), (targets, basis)
+
+
+def test_measure_and_remove_refuses_what_measure_registers_refuses():
+    rng = np.random.default_rng(19)
+    s = random_state((2, 3), rng)
+    for targets, basis, r in (([1], "hadamard", rng), ([0], "diagonal", rng), ([0, 0], "standard", rng),
+                              ([2], "standard", rng), ([0], "standard", None)):
+        for measure in (measure_registers, measure_and_remove):
+            with pytest.raises(ValueError):
+                measure(s, targets, basis, r)
+
+
+def kron_hadamard(k):
+    out = np.eye(1)
+    for _ in range(k):
+        out = np.kron(out, H)
+    return out
+
+
+# Unsorted and non-consecutive targets, and runs longer than one 64 x 64 block.
+ROTATION_LAYOUTS = [((2,) * 12, [7, 2, 11]), ((2,) * 12, list(range(1, 10))),
+                    ((2,) * 10, [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]),
+                    ((2, 3) + (2,) * 9, [10, 2, 3, 4, 5, 6, 7, 8, 9, 0]),
+                    ((3,) + (2,) * 10 + (3,), [10, 1, 2, 3, 4, 5, 6, 7, 9])]
+
+
+@pytest.mark.parametrize("block", [qsim._ROTATE_BLOCK, 2 ** 7])
+@pytest.mark.parametrize("dims,targets", ROTATION_LAYOUTS)
+def test_hadamard_rotation_equals_kron_of_h(dims, targets, block, monkeypatch):
+    # the smaller block splits every matmul into many row and column blocks
+    monkeypatch.setattr(qsim, "_ROTATE_BLOCK", block)
+    s = random_state(dims, np.random.default_rng(20))
+    expected = ref_apply(s, kron_hadamard(len(targets)), targets)
+    assert np.allclose(qsim._rotated_amps(s, targets, "hadamard"), expected, rtol=0, atol=1e-12)
