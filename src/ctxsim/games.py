@@ -4,15 +4,16 @@ A game is a tuple (questions, answers, contexts, context weights, predicate).
 The predicate is stored as an explicit accept-set table per context so games
 serialize to JSON and stay language-agnostic.  Values are computed exactly:
 the non-contextual value by exhaustive search over deterministic assignment
-tables, scored blockwise with numpy in integer units of the weights' common
-denominator; the quantum value of a supplied strategy analytically from
-sequential commuting projectors.
+tables, scored as broadcast sums of per-context accept tensors in integer
+units of the weights' common denominator; the quantum value of a supplied
+strategy analytically from sequential commuting projectors.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -22,9 +23,9 @@ import numpy as np
 from .qsim import ATOL_EIG, I2, Observable, StateVector, X, Z, branch_measure
 
 # A search at the bound (24 binary questions, 24 contexts of 2-3 questions)
-# takes about 5 s on one core of a 2-vCPU Xeon VM, CPython 3.11, numpy 2.4.
+# takes about 0.5 s on one core of a 2-vCPU Xeon VM, CPython 3.11, numpy 2.4.
 NC_SEARCH_BOUND = 2 ** 24
-_NC_BLOCK = 2 ** 12  # assignments scored per numpy pass
+_NC_BLOCK = 2 ** 12  # most assignments scored per block
 
 
 def _as_weight(w) -> Fraction:
@@ -66,9 +67,10 @@ class ContextualityGame:
             raise ValueError("answers must be distinct labels, at least one")
         if len(weights) != len(contexts):
             raise ValueError("one weight per context required")
-        if any(w < 0 for w in weights):
+        den, units = _units(weights)
+        if any(u < 0 for u in units):
             raise ValueError("context weights must be nonnegative")
-        if sum(weights) != 1:
+        if sum(units) != den:
             raise ValueError(
                 f"context weights must sum to exactly 1, not {sum(weights)}; "
                 'write thirds and the like as fraction strings such as "1/3"')
@@ -133,6 +135,12 @@ class ContextualityGame:
     @classmethod
     def from_json(cls, text: str) -> "ContextualityGame":
         data = json.loads(text)
+        for key in data["predicate"]:
+            # int() alone reads "01", " 1" and "+1" as 1, so two keys could
+            # name one context and one table would be dropped
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+                raise ValueError(f"predicate key {key!r} is not a context index "
+                                 'written as to_json writes it, such as "1"')
         return cls(
             questions=tuple(_freeze(q) for q in data["questions"]),
             answers=tuple(_freeze(a) for a in data["answers"]),
@@ -231,11 +239,16 @@ class QuantumStrategy:
         return cls(dim=dim, psi=StateVector((dim,), amps), observables=by_name)
 
 
+def _units(weights):
+    """(common denominator, each Fraction weight as an integer over it)."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return den, [w.numerator * (den // w.denominator) for w in weights]
+
+
 def _weight_units(game: ContextualityGame):
     """(common denominator, integer weight units, indices of scored contexts);
     a context scores when it has weight and some accepted tuple."""
-    den = math.lcm(*(w.denominator for w in game.context_weights))
-    units = [w.numerator * (den // w.denominator) for w in game.context_weights]
+    den, units = _units(game.context_weights)
     return den, units, [i for i, u in enumerate(units) if u and game.accepts[i]]
 
 
@@ -261,50 +274,55 @@ def nc_value_with_table(game: ContextualityGame):
 
     Assignments are enumerated in lexicographic order over the question
     tuple, answers cycling fastest on the last question: table index t
-    holds answer (t // k^(q-1-j)) % k for question j.  Blocks of indices
-    are scored at once: a context's weight, as an integer over the common
-    denominator, sits in a lookup array at each accepted answer code, and a
-    table's score is the sum of its contexts' lookups.
+    holds answer (t // k^(q-1-j)) % k for question j, so the scores form
+    a tensor with one axis of length k per question in C order.  A context's
+    weight, as an integer over the common denominator, sits in a lookup
+    tensor at each accepted answer, with length-1 axes for the questions it
+    does not ask.  Each block of the trailing questions sums the lookups,
+    indexed at the block's leading answers, in one broadcast add per context.
     """
     den, units, scored = _weight_units(game)
     _check_search_size(game, scored)
     questions, answers = game.questions, game.answers
     k, q = len(answers), len(questions)
-    n_tables = k ** q
     total = sum(units[i] for i in scored)
     # Python ints once a score could overflow int64
     dtype = np.int64 if total < 2 ** 63 else object
-    stride = {question: k ** (q - 1 - j) for j, question in enumerate(questions)}
+    # a block is the last tail questions, at most _NC_BLOCK tables
+    tail = max(t for t in range(q + 1) if k ** t <= _NC_BLOCK)
+    lead = q - tail
+    axis = {question: j for j, question in enumerate(questions)}
     answer_code = {a: i for i, a in enumerate(answers)}
-    scorers = []
+    base, lookups = np.zeros((k,) * tail, dtype=dtype), []
     for i in scored:
-        lookup = np.zeros(k ** len(game.contexts[i]), dtype=dtype)
+        axes = [axis[question] for question in game.contexts[i]]
+        # codes in sorted axis order, so the reshape below is a view
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        lookup = np.zeros(k ** len(axes), dtype=dtype)
         for t in game.accepts[i]:
             code = 0
-            for a in t:
-                code = code * k + answer_code[a]
+            for p in order:
+                code = code * k + answer_code[t[p]]
             lookup[code] = units[i]
-        scorers.append(([stride[question] for question in game.contexts[i]], lookup))
+        lookup = lookup.reshape([k if j in axes else 1 for j in range(q)])
+        if min(axes) >= lead:  # trailing questions only: the same in every block
+            base += lookup[(0,) * lead]
+        else:  # leading axes stretched to k, so any leading answers index it
+            lookups.append(np.broadcast_to(lookup, (k,) * lead + lookup.shape[lead:]))
 
     best, best_index = -1, 0
-    for start in range(0, n_tables, _NC_BLOCK):
-        index = np.arange(start, min(start + _NC_BLOCK, n_tables), dtype=np.int64)
-        score = np.zeros(len(index), dtype=dtype)
-        digits = {}
-        for strides, lookup in scorers:
-            code = 0
-            for s in strides:
-                if s not in digits:
-                    digits[s] = index // s % k
-                code = code * k + digits[s]
-            score += lookup.take(code)
+    for block, digits in enumerate(itertools.product(range(k), repeat=lead)):
+        score = base.copy()
+        for lookup in lookups:
+            score += lookup[digits]
         i = int(score.argmax())
         # strictly greater: the first arg-max in index order wins
-        if score[i] > best:
-            best, best_index = int(score[i]), start + i
+        if score.flat[i] > best:
+            best, best_index = int(score.flat[i]), block * k ** tail + i
             if best == total:  # no later table can score higher
                 break
-    table = {question: answers[best_index // stride[question] % k] for question in questions}
+    table = {question: answers[best_index // k ** (q - 1 - j) % k]
+             for j, question in enumerate(questions)}
     return Fraction(best, den), Assignment(table)
 
 

@@ -365,6 +365,30 @@ def test_values_refuses_a_zero_denominator_and_a_stray_predicate_key(tmp_path, c
         assert name in err
 
 
+def test_values_refuses_predicate_keys_that_are_not_context_indices(tmp_path, capsys):
+    # int() reads each of these as context 1 (or 10), so one of two tables
+    # for one context would be dropped without a word
+    data = {"questions": ["q0", "q1", "q2"], "answers": [0, 1],
+            "contexts": [["q0", "q1"], ["q1", "q2"]], "context_weights": ["1/2", "1/2"],
+            "predicate": {"0": [[0, 1]], "1": [[1, 0]]}}
+    for n, key in enumerate(["01", " 1", "+1", "1_0", "1.0"]):
+        path = tmp_path / f"key{n}.json"
+        path.write_text(json.dumps(dict(data, predicate={**data["predicate"], key: [[0, 0]]})))
+        code, report, err = run_cli(capsys, ["values", "--game", str(path)])
+        assert code == 3, key
+        assert report is None
+        assert path.name in err and repr(key) in err
+    # to_json's keys still load, two-digit ones too
+    twelve = games.ContextualityGame(
+        questions=tuple(range(12)), answers=(0, 1),
+        contexts=tuple((i, (i + 1) % 12) for i in range(12)),
+        context_weights=("1/12",) * 12, accepts={i: {(0, 1), (1, 0)} for i in range(12)})
+    for game in [twelve] + [build()[0] for build in cli.BUILTIN_GAMES.values()]:
+        path = tmp_path / "roundtrip.json"
+        path.write_text(game.to_json())
+        assert cli.load_game(str(path))[0] == game
+
+
 def test_compile_honest_needs_a_strategy(tmp_path, capsys):
     game, _ = games.kcbs()
     bare = tmp_path / "bare.json"

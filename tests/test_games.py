@@ -358,6 +358,39 @@ def test_nc_search_matches_reference_on_random_games(game):
     assert_matches_reference(game)
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_games())
+def test_nc_search_matches_reference_with_leading_axes(game):
+    # blocks of 1 to 8 tables split the questions into leading axes, indexed
+    # one answer tuple per block, and trailing axes scored within a block
+    for block in (1, 2, 3, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(games, "_NC_BLOCK", block)
+            assert_matches_reference(game)
+
+
+def test_nc_search_blocks_of_powers_of_three():
+    # 3^8 tables: blocks of 3^7 on the trailing seven questions.  An 8-cycle
+    # of differing answers, one edge also asked to agree, q0 asked to be c,
+    # and q3, q5, q7 asked to agree: 15/16, with q0 = c in the last block.
+    questions = tuple(f"q{i}" for i in range(8))
+    answers = ("a", "b", "c")
+    differ = {(x, y) for x in answers for y in answers if x != y}
+    contexts = tuple((questions[i], questions[(i + 1) % 8]) for i in range(8)) + (
+        ("q0",), ("q7", "q3", "q5"), ("q2", "q1"))
+    game = ContextualityGame(
+        questions=questions, answers=answers, contexts=contexts,
+        context_weights=(Fraction(1, 16),) * 8 + (Fraction(3, 16),) * 2 + (Fraction(1, 8),),
+        accepts={**{i: differ for i in range(8)}, 8: {("c",)},
+                 9: {(x,) * 3 for x in answers}, 10: {(x, x) for x in answers}},
+    )
+    assert 3 ** 7 <= games._NC_BLOCK < 3 ** 8
+    value, table = nc_value_with_table(game)
+    assert value == Fraction(15, 16)
+    assert table.table["q0"] == "c"
+    assert_matches_reference(game)
+
+
 def test_nc_search_ties_take_the_first_table():
     # (b, a) and (a, b) both win; with answers ordered (b, a) the first is
     # x=b, y=a
@@ -402,6 +435,26 @@ def test_nc_search_exact_past_int64():
     value, _ = nc_value_with_table(game)
     assert value == 1 - Fraction(1, p)
     assert_matches_reference(game)
+
+
+def test_nc_search_exact_past_int64_across_blocks(monkeypatch):
+    # object scores indexed along leading axes: a 4-cycle of differing
+    # answers plus one diagonal, whose weights' denominator p * r passes int64
+    p, r = 2 ** 61 - 1, 2 ** 31 - 1
+    game = ContextualityGame(
+        questions=(0, 1, 2, 3), answers=(0, 1),
+        contexts=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)),
+        context_weights=(Fraction(1, 4) - Fraction(1, p), Fraction(1, 4), Fraction(1, 4),
+                         Fraction(1, 4) - Fraction(1, r), Fraction(1, p) + Fraction(1, r)),
+        accepts={i: {(0, 1), (1, 0)} for i in range(5)},
+    )
+    # the diagonal closes two odd triangles; giving it up (1/p + 1/r) costs
+    # less than giving up an edge of each
+    for block in (1, 2, 4):
+        monkeypatch.setattr(games, "_NC_BLOCK", block)
+        value, _ = nc_value_with_table(game)
+        assert value == 1 - Fraction(1, p) - Fraction(1, r)
+        assert_matches_reference(game)
 
 
 def test_nc_search_rejects_oversized_games_before_allocating(monkeypatch):
