@@ -96,12 +96,11 @@ def load_game(spec: str):
             raise ValueError(f"JSON nested deeper than MAX_JSON_DEPTH = {MAX_JSON_DEPTH}")
         data = json.loads(text)
         if "game" not in data:
-            return ContextualityGame.from_json(json.dumps(data)), None
-        game = ContextualityGame.from_json(json.dumps(data["game"]))
+            return ContextualityGame.from_dict(data), None
+        game = ContextualityGame.from_dict(data["game"])
         strategy = None
         if data.get("strategy") is not None:
-            strategy = QuantumStrategy.from_json(json.dumps(data["strategy"]),
-                                                 questions=game.questions)
+            strategy = QuantumStrategy.from_dict(data["strategy"], questions=game.questions)
             strategy.validate(game)
         return game, strategy
     except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
@@ -227,16 +226,13 @@ def _make_prover(name: str, game, kind, strategy):
             raise ConfigError("the honest prover needs a bundled strategy; "
                               "this game file carries none")
         return compilers.honest_quantum_prover(strategy)
-    target = compilers.FeasibleInconsistentProver.target
-    if name == "feasible" and kind is not target:
-        raise ConfigError("the feasible-but-inconsistent prover targets the "
-                          f"{target.value} compiler")
     try:
         if name == "truthtable":
             prover = compilers.truthtable_prover(nc_value_with_table(game)[1])
         else:
             prover = compilers.feasible_inconsistent_prover(game)
-        # the round-1 multiplexer needs one question count for every input
+        # the round-1 multiplexer needs one question count for every input,
+        # and the feasible prover refuses any kind but its target
         prover._circuit_for(game, kind)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -393,10 +389,12 @@ def _write_outputs(report: dict, config: RunConfig) -> None:
                 writer.writerow([_flat(merged.get(c)) for c in columns])
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         config = _config_from(args)
         report = COMMANDS[config.command](config, getattr(args, "transcripts", None))
     except ConfigError as exc:

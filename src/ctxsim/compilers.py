@@ -251,11 +251,11 @@ def round1_message(game: ContextualityGame, kind, value, key, opad_pk,
                    oracle: opad.PhaseOracle, rng: np.random.Generator) -> Message1:
     """Message 1 for a chosen round-1 input; key may be a secret key or a
     public encryption handle."""
-    kind = CompilerKind(kind)
-    payload = SPECS[kind].encode(game, value)
+    spec = spec_of(kind)
+    payload = spec.encode(game, value)
     handle = key.handle() if isinstance(key, qfhe.QfheSecretKey) else key
     cipher = qfhe.enc_classical(key, payload, rng)
-    return Message1(cipher, handle, opad_pk, oracle, game, kind)
+    return Message1(cipher, handle, opad_pk, oracle, game, spec.kind)
 
 
 def _decision(game: ContextualityGame, ctx_index: int, round1_questions,
@@ -304,13 +304,12 @@ class CompiledVerifier:
 
     def __init__(self, game: ContextualityGame, kind, lam: int,
                  rng: np.random.Generator, fhe_backend: str = "stub"):
-        kind = CompilerKind(kind)
-        spec = SPECS[kind]
+        spec = spec_of(kind)
         spec.check(game)
         self.game = game
-        self.kind = kind
+        self.kind = spec.kind
         self._rng = rng
-        self.fhe_sk = qfhe.gen(lam, backend=fhe_backend, rng=rng)
+        self.fhe_sk = qfhe.gen(rng, fhe_backend)
         self.opad_keys = opad.gen(lam, rng)
         self.oracle = opad.PhaseOracle("hash", seed=opad.hash_seeds(rng))
         self.ctx_index = game.sample_context(rng)
@@ -319,7 +318,7 @@ class CompiledVerifier:
         value = choices[int(rng.integers(len(choices)))] if len(choices) > 1 else choices[0]
         self.skip_pos = spec.skip_pos(value)
         self.round1_questions = spec.questions(game, value)
-        self._message1 = round1_message(game, kind, value, self.fhe_sk, self.opad_keys.pk,
+        self._message1 = round1_message(game, spec.kind, value, self.fhe_sk, self.opad_keys.pk,
                                         self.oracle, rng)
         self._message2 = None
         self.answers1 = None
@@ -329,9 +328,6 @@ class CompiledVerifier:
         self.accepted = None
         self.consistency_ok = None
         self.predicate_ok = None
-        # Negative control for the faithfulness check: reject whenever the
-        # consistency comparison succeeds.
-        self._reject_consistent = False
         self._phase = "message2"
 
     @property
@@ -360,8 +356,6 @@ class CompiledVerifier:
         accept, consistent, pred_ok = _decision(
             self.game, self.ctx_index, self.round1_questions, self.answers1,
             self.question, answer)
-        if self._reject_consistent and consistent:
-            accept = False
         self.answer2 = answer
         self.accepted = accept
         self.consistency_ok = consistent
@@ -436,12 +430,6 @@ def recompute_decision(game: ContextualityGame, transcript: CompiledTranscript,
     accept, _, _ = _decision(game, transcript.ctx_index, round1, answers1,
                              transcript.question, transcript.answer)
     return accept
-
-
-def verifier_new(game: ContextualityGame, kind, lam: int, rng: np.random.Generator,
-                 fhe_backend: str = "stub"):
-    state = CompiledVerifier(game, kind, lam, rng, fhe_backend)
-    return state, state.message1
 
 
 class HonestQuantumProver:
@@ -676,8 +664,8 @@ def feasible_inconsistent_prover(game: ContextualityGame):
 def run_session(game: ContextualityGame, kind, prover, rng: np.random.Generator,
                 lam: int = 8, fhe_backend: str = "stub"):
     """One full four-message session; returns (accept, verifier state)."""
-    state, message1 = verifier_new(game, kind, lam, rng, fhe_backend)
-    message2 = prover.round1(message1, rng)
+    state = CompiledVerifier(game, kind, lam, rng, fhe_backend)
+    message2 = prover.round1(state.message1, rng)
     question, key = state.message3(message2)
     answer = prover.round2(question, key, rng)
     return state.decide(answer), state
@@ -715,36 +703,20 @@ def estimate_win_rate(game: ContextualityGame, kind, prover, trials: int,
 
 def decision_faithfulness_check(game: ContextualityGame, kind, table: Assignment,
                                 trials: int, rng: np.random.Generator,
-                                lam: int = 8, fhe_backend: str = "stub",
-                                sabotage: bool = False) -> bool:
+                                lam: int = 8, fhe_backend: str = "stub") -> bool:
     """Against a table prover the verifier must accept exactly when either
     the decoded questions fail to cover a full context or the table
-    satisfies the sampled context's predicate.  Checked on every trial;
-    sabotage flips the consistency branch as a negative control."""
-    prover = truthtable_prover(table)
+    satisfies the sampled context's predicate.  Checked on every trial."""
+    prover = TruthTableProver(table)
     for _ in range(trials):
-        state, message1 = verifier_new(game, kind, lam, rng, fhe_backend)
-        state._reject_consistent = sabotage
-        message2 = prover.round1(message1, rng)
-        question, key = state.message3(message2)
-        accept = state.decide(prover.round2(question, key, rng))
+        accept, state = run_session(game, kind, prover, rng, lam, fhe_backend)
         context = game.contexts[state.ctx_index]
-        covered = set(context) <= set(state.round1_questions) | {question}
+        covered = set(context) <= set(state.round1_questions) | {state.question}
         expected = not covered or bool(
             game.predicate(state.ctx_index, table.on_context(context)))
         if accept != expected:
             return False
     return True
-
-
-def completeness_formula(game: ContextualityGame, kind, quantum_value: float) -> float:
-    """Honest win rate predicted for a strategy of the given game value."""
-    return spec_of(kind).completeness(game, quantum_value)
-
-
-def soundness_formula(game: ContextualityGame, kind) -> Fraction:
-    """Best classical win rate; exact from the game's weights and nc value."""
-    return spec_of(kind).soundness(game)
 
 
 def theorem_bounds(game: ContextualityGame, kind, quantum_value: float = None) -> dict:

@@ -134,7 +134,11 @@ class ContextualityGame:
 
     @classmethod
     def from_json(cls, text: str) -> "ContextualityGame":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ContextualityGame":
+        """The game of a parsed to_json object."""
         for key in data["predicate"]:
             # int() alone reads "01", " 1" and "+1" as 1, so two keys could
             # name one context and one table would be dropped
@@ -226,7 +230,11 @@ class QuantumStrategy:
 
     @classmethod
     def from_json(cls, text: str, questions=None) -> "QuantumStrategy":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text), questions)
+
+    @classmethod
+    def from_dict(cls, data: dict, questions=None) -> "QuantumStrategy":
+        """The strategy of a parsed to_json object."""
         dim = int(data["dim"])
         amps = np.array([complex(re, im) for re, im in data["state"]])
         by_name = {}

@@ -84,11 +84,9 @@ class PhaseOracle:
         self._rng = rng
         self.database = {}
         self._digests = {}
-        self.query_log = []
 
     def query(self, x: int) -> int:
         x = int(x)
-        self.query_log.append(x)
         if self.mode == "hash":
             block = x >> _BLOCK_BITS
             digest = self._digests.get(block)
@@ -102,9 +100,6 @@ class PhaseOracle:
     def bits(self, *points) -> tuple:
         """H at each point, queried in order."""
         return tuple(map(self.query, points))
-
-    def queried_points(self):
-        return set(self.query_log)
 
 
 class PhaseOracleChunk:
@@ -120,7 +115,6 @@ class PhaseOracleChunk:
 
     def __init__(self, seeds: np.ndarray, lam: int):
         self.seeds = seeds.tolist()
-        self.lam = lam
         self._shift = max(0, lam - _BLOCK_BITS)
         # a sentinel id past every pair's keeps each search in range
         self._ids = np.array([np.iinfo(np.int64).max])
@@ -195,13 +189,10 @@ def pad_bits(key, d, y, oracle):
     then x1.  d and y are ints, as an OpadString holds them, or (count,
     slots) arrays on a key chunk and a PhaseOracleChunk, row i read with
     session i's key and oracle, where d = 0 and y outside the image are
-    refused with the messages of OpadString and tcf.claw."""
-    if key.count is None:
-        x0, x1 = tcf.claw(key, y)
-    else:
-        if (d == 0).any():
-            raise ValueError("d must be nonzero")
-        x0, x1 = key.claw(y)
+    refused with the messages of OpadString and IdealKey.claw."""
+    if key.count is not None and (d == 0).any():
+        raise ValueError("d must be nonzero")
+    x0, x1 = key.claw(y)
     h0, h1 = oracle.bits(x0, x1)
     return tcf.dot_bits(d, x0 ^ x1) ^ h0 ^ h1
 
@@ -303,7 +294,7 @@ def extract_claw(oracle: PhaseOracle, pk):
     """
     if oracle.mode != "lazy":
         raise ValueError("claw extraction reads a lazy oracle database")
-    queried = oracle.queried_points()
+    queried = oracle.database  # a lazy oracle's keys are its queried points
     for x1 in sorted(queried):
         if 0 <= x1 < (1 << pk.n) and x1 ^ pk.delta in queried:
             return x1 ^ pk.delta, x1
@@ -388,7 +379,7 @@ class ClawPlantingProver:
         self.k1 = None
 
     def round1(self, rng):
-        self.oracle.bits(*tcf.claw(self.keys.sk, 0))
+        self.oracle.bits(*self.keys.sk.claw(0))
         s = samp(self.keys.pk, self.j, rng)
         self.k1 = dec(self.keys.sk, s, self.oracle)
         return s
@@ -400,10 +391,9 @@ class ClawPlantingProver:
 class UnitaryFamily:
     """Composition-closed family indexed by bit keys; apply(state, bits)."""
 
-    def __init__(self, nbits: int, apply_fn, targets):
+    def __init__(self, nbits: int, apply_fn):
         self.nbits = nbits
         self._apply = apply_fn
-        self.targets = tuple(targets)
 
     def apply(self, state: StateVector, bits) -> StateVector:
         return self._apply(state, tuple(int(b) for b in bits))
@@ -415,11 +405,11 @@ def pauli_family(targets) -> UnitaryFamily:
     def apply_fn(state, bits):
         return apply_pauli_pad(state, PauliKey.from_bits(bits), targets)
 
-    return UnitaryFamily(2 * len(targets), apply_fn, targets)
+    return UnitaryFamily(2 * len(targets), apply_fn)
 
 
 def identity_family() -> UnitaryFamily:
-    return UnitaryFamily(0, lambda state, bits: state, ())
+    return UnitaryFamily(0, lambda state, bits: state)
 
 
 def general_u_enc(pk, state: StateVector, family: UnitaryFamily, oracle: PhaseOracle, rng,

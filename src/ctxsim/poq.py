@@ -167,7 +167,7 @@ class PoqVerifier:
         if self._phase != "decide":
             raise RuntimeError("decide out of order")
         b = _checked(b, 2, "b must be a bit")
-        x0, x1 = tcf.claw(self.keys.sk, self._y)
+        x0, x1 = self.keys.sk.claw(self._y)
         self._b = b
         self._accepted = bool(_accepts(self._s, self._mu, self._d, self._c, b, x0, x1,
                                        self.keys.domain_bits))
@@ -344,7 +344,7 @@ class PeekingProver:
         if self._cheating:
             keys = self.verifier.keys
             if self.verifier.hidden_bit == 1:
-                x0, _ = tcf.claw(keys.sk, 0)
+                x0, _ = keys.sk.claw(0)
                 self._answer = tcf.first_bit(x0, keys.domain_bits)
         return 0, 0, 0
 
@@ -457,6 +457,8 @@ def estimate_rate(name: str, trials: int, rng: np.random.Generator, lam: int = 8
 
 def estimate_rewind(kind: str, trials: int, rng: np.random.Generator, lam: int = 8) -> float:
     """rewind_experiment against a classical zoo prover, run in chunks."""
+    if kind not in CLASSICAL_CLASSES:
+        raise ValueError(f"unknown prover {kind!r}")
     cls = CLASSICAL_CLASSES[kind]
     hits = 0
     for s, keys in _chunks(trials, lam, rng):

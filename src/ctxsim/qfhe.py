@@ -90,7 +90,6 @@ def key_ids(rng: np.random.Generator, count: int = None):
 class QfheSecretKey:
     scheme: str
     key_id: str
-    lam: int
 
     def handle(self) -> "QfhePublicHandle":
         return QfhePublicHandle(self.scheme, self.key_id)
@@ -135,12 +134,12 @@ class QfheCiphertext:
     pad_hat: ClassicalCiphertext
 
 
-def gen(lam: int, backend: str = "stub", rng: np.random.Generator = None) -> QfheSecretKey:
-    if rng is None:
-        raise ValueError("an explicit rng is required")
+def gen(rng: np.random.Generator, backend: str = "stub") -> QfheSecretKey:
+    """A fresh key of the stub or leaky scheme: its key id is the only draw,
+    as the stub scheme has no security parameter."""
     if backend not in ("stub", "leaky"):
         raise ValueError(f"unsupported backend {backend!r}")
-    return QfheSecretKey(backend, key_ids(rng), lam)
+    return QfheSecretKey(backend, key_ids(rng))
 
 
 def _checked_bits(bits) -> tuple:
@@ -336,7 +335,7 @@ def ceval(circuit: ClassicalCircuit, c: ClassicalCiphertext, rng: np.random.Gene
 
 
 def twoind_game(distinguisher, x0, x1, trials: int, rng: np.random.Generator,
-                lam: int = 8, backend: str = "stub") -> float:
+                backend: str = "stub") -> float:
     """Indistinguishability game: guess which of two strings was encrypted.
 
     The distinguisher is called as distinguisher(handle, ciphertext, rng)
@@ -344,13 +343,12 @@ def twoind_game(distinguisher, x0, x1, trials: int, rng: np.random.Generator,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    x0 = tuple(int(b) for b in x0)
-    x1 = tuple(int(b) for b in x1)
+    x0, x1 = _checked_bits(x0), _checked_bits(x1)
     if len(x0) != len(x1):
         raise ValueError("challenge strings must have equal length")
     wins = 0
     for _ in range(trials):
-        sk = gen(lam, backend, rng)
+        sk = gen(rng, backend)
         b = int(rng.integers(0, 2))
         cipher = enc_classical(sk, x1 if b else x0, rng)
         guess = int(distinguisher(sk.handle(), cipher, rng))

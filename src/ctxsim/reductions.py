@@ -40,7 +40,7 @@ def trials_for_precision(eps: float) -> int:
 
 def _fresh_message1(game: ContextualityGame, kind: CompilerKind, value, lam: int,
                     rng: np.random.Generator, fhe_backend: str = "stub") -> Message1:
-    sk = qfhe.gen(lam, backend=fhe_backend, rng=rng)
+    sk = qfhe.gen(rng, fhe_backend)
     keys = opad.gen(lam, rng)
     oracle = opad.PhaseOracle("hash", seed=opad.hash_seeds(rng))
     return compilers.round1_message(game, kind, value, sk.handle(), keys.pk,
@@ -161,9 +161,10 @@ def build_distinguisher(dist: ConditionalTableDistribution) -> DistinguisherPlan
 
 def run_a2_reduction(prover, game: ContextualityGame, kind, trials: int, lam: int,
                      rng: np.random.Generator, fhe_backend: str = "stub",
-                     phase1_trials: int = 200, return_plan: bool = False):
+                     phase1_trials: int = 200):
     """Learn the prover's conditional table distributions, then play the
-    two-ciphertext guessing game with the most distinguishable input pair.
+    two-ciphertext guessing game with the most distinguishable input pair;
+    returns (guessing rate, DistinguisherPlan).
 
     The pad keys come from the reduction itself and every rewind supplies
     a uniform pad key; the challenge ciphertext and handle arrive from the
@@ -183,14 +184,11 @@ def run_a2_reduction(prover, game: ContextualityGame, kind, trials: int, lam: in
         message1 = Message1(cipher, handle, keys.pk, oracle, game, kind)
         return plan.guess(extract_truthtable(prover, game, kind, None, lam, drng, message1))
 
-    rate = qfhe.twoind_game(distinguisher, x0, x1, trials, rng, lam=lam,
-                            backend=fhe_backend)
-    return (rate, plan) if return_plan else rate
+    return qfhe.twoind_game(distinguisher, x0, x1, trials, rng, fhe_backend), plan
 
 
 def dind_prime_game(distinguisher, messages, weights, trials: int,
-                    rng: np.random.Generator, lam: int = 8,
-                    backend: str = "stub") -> float:
+                    rng: np.random.Generator, backend: str = "stub") -> float:
     """Warm-up game: guess which of several known messages was encrypted.
 
     The challenger samples a message index from the prior, encrypts it
@@ -198,7 +196,7 @@ def dind_prime_game(distinguisher, messages, weights, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    msgs = [tuple(int(b) for b in m) for m in messages]
+    msgs = [qfhe._checked_bits(m) for m in messages]
     if len(msgs) < 2:
         raise ValueError("need at least two candidate messages")
     if any(len(m) != len(msgs[0]) for m in msgs):
@@ -209,7 +207,7 @@ def dind_prime_game(distinguisher, messages, weights, trials: int,
     wins = 0
     for _ in range(trials):
         idx = int(rng.choice(len(msgs), p=prior))
-        sk = qfhe.gen(lam, backend=backend, rng=rng)
+        sk = qfhe.gen(rng, backend)
         cipher = qfhe.enc_classical(sk, msgs[idx], rng)
         wins += int(int(distinguisher(sk.handle(), cipher, rng)) == idx)
     return wins / trials

@@ -375,19 +375,14 @@ def inv(sk: IdealKey, b: int, y):
     return sk.claw(checked_int(y, "y is not in the image", 1 << sk.n))[b]
 
 
-def claw(sk: IdealKey, y: int):
-    """(x0, x1) with f_0(x0) = f_1(x1) = y, via the trapdoor."""
-    return sk.claw(y)
-
-
 def public_claw(pk: IdealKey, y: int):
     """(x0, x1) for y, which the published branch tables determine.
 
-    The tables determine the trapdoor, so this is claw's lookup; simulators
-    may look claws up without the trapdoor, provers in the protocols never
-    rely on this.
+    The tables determine the trapdoor, so this is the trapdoor's lookup,
+    IdealKey.claw; simulators may look claws up without the trapdoor,
+    provers in the protocols never rely on this.
     """
-    return claw(pk, y)
+    return pk.claw(y)
 
 
 def coherent_samp(pk, state: StateVector, control: int, out) -> StateVector:

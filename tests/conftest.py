@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from ctxsim import tcf
+from ctxsim import compilers, tcf
 from ctxsim.qsim import StateVector, measure_registers, remove_registers
 
 
@@ -21,6 +21,22 @@ def dense_measure_claw(pk, state, control, rng):
     (y,), work = measure_registers(work, [base + n], rng=rng)
     x0, x1 = tcf.public_claw(pk, y)
     return y, x0, x1, remove_registers(work, [base + n])
+
+
+@contextmanager
+def consistency_rejected():
+    """Negative control for compilers.decision_faithfulness_check: inside
+    the block the compiled verifier's accept rule also rejects every round-2
+    answer that repeats its round-1 answer."""
+    decision = compilers._decision
+
+    def rejecting(*args):
+        accept, consistent, pred_ok = decision(*args)
+        return accept and not consistent, consistent, pred_ok
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compilers, "_decision", rejecting)
+        yield
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from conftest import consistency_rejected
 
 from ctxsim import compilers, games, opad, poq, reductions, tcf
 from ctxsim.games import nc_value, nc_value_with_table, quantum_value_of
@@ -162,8 +163,7 @@ def test_criterion_09_reduction_advantage_identity():
     for leak in (1.0, 0.5, 0.3):
         prover = reductions.CipherPeekingProver(game, "1-1", leak_prob=leak)
         rate, plan = reductions.run_a2_reduction(
-            prover, game, "1-1", TRIALS, LAM, rng, phase1_trials=200,
-            return_plan=True)
+            prover, game, "1-1", TRIALS, LAM, rng, phase1_trials=200)
         predicted = 0.5 + float(prover.exact_l1(plan.input0, plan.input1)) / 4
         ok &= abs(rate - predicted) <= 0.015
         details.append(f"leak={leak}: rate={rate:.4f} vs 1/2+L1/4={predicted:.4f}")
@@ -187,8 +187,9 @@ def test_criterion_10_decision_faithfulness():
                                                     rng, lam=LAM)
     game, _ = games.kcbs()
     _, table = nc_value_with_table(game)
-    control = compilers.decision_faithfulness_check(game, "1-1", table, 200,
-                                                    rng, lam=LAM, sabotage=True)
+    with consistency_rejected():
+        control = compilers.decision_faithfulness_check(game, "1-1", table, 200,
+                                                        rng, lam=LAM)
     ok &= not control
     _check("criterion 10 (decision faithfulness, 1e3 trials x "
            f"{len(pairs)} pairs)", ok,

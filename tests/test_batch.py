@@ -21,10 +21,10 @@ LAM = 5
 SESSIONS = 4000
 
 
-def rebuilt_keys(t: cp.CompiledTranscript, lam: int):
+def rebuilt_keys(t: cp.CompiledTranscript):
     """The session's secret keys, from its qfhe handle and claw-free key."""
     handle = t.message1.fhe_handle
-    sk = qfhe.QfheSecretKey(handle.scheme, handle.key_id, lam)
+    sk = qfhe.QfheSecretKey(handle.scheme, handle.key_id)
     pk = t.message1.opad_pk
     return sk, tcf.TcfKeyPair(pk, pk, pk.n, None), t.message1.oracle
 
@@ -122,18 +122,18 @@ def sessions_of(game, kind, prover, trials, seed, lam=LAM):
     spec = cp.spec_of(kind)
     cells = []
     for t in log:
-        sk, _, _ = rebuilt_keys(t, lam)
+        sk, _, _ = rebuilt_keys(t)
         value = spec.decode(game, qfhe.dec_classical(sk, t.message1.question_cipher))
         cells.append((t.ctx_index, value, t.question))
     return rate, log, cells
 
 
-def redecide_every_transcript(game, log, lam=LAM):
+def redecide_every_transcript(game, log):
     """recompute_decision with rebuilt keys gives each accept bit, and a
     tampered round-2 answer gets the restated rule's verdict: a rejection
     whenever the session was accepted, on these binary-answer games."""
     for t in log:
-        sk, opad_keys, oracle = rebuilt_keys(t, lam)
+        sk, opad_keys, oracle = rebuilt_keys(t)
         assert cp.recompute_decision(game, t, sk, opad_keys, oracle) == t.accept
         spec = cp.spec_of(t.kind)
         asked = spec.questions(game, spec.decode(
@@ -410,7 +410,7 @@ def test_batched_verifier_runs_the_scalar_checks(tamper, message, name, monkeypa
 
 def test_a_one_row_stub_chunk_is_the_scalar_encryption():
     for scheme in ("stub", "leaky"):
-        sk = qfhe.QfheSecretKey(scheme, "k" * 32, LAM)
+        sk = qfhe.QfheSecretKey(scheme, "k" * 32)
         for seed, bits in enumerate(((), (1,), (0, 1, 1, 0, 1), (1,) * 9)):
             chunk = qfhe.stub_encrypt(np.array([bits], dtype=np.int64).reshape(1, -1),
                                       np.random.default_rng(seed))
@@ -438,7 +438,7 @@ def test_batched_table_sessions_on_random_games(kind, game, seed):
         context = game.contexts[ci]
         covered = set(context) <= set(spec.questions(game, value)) | {q2}
         assert t.accept == (not covered or bool(game.predicate(ci, table.on_context(context))))
-        assert cp.recompute_decision(game, t, *rebuilt_keys(t, 3)) == t.accept
+        assert cp.recompute_decision(game, t, *rebuilt_keys(t)) == t.accept
 
 
 def test_stub_wires_on_arrays_match_the_per_session_ints():

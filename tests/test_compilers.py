@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import consistency_rejected
 from test_games import random_games
 
 from ctxsim import compilers as cp
@@ -68,11 +69,11 @@ def test_verifier_rejects_incompatible_games():
     rng = np.random.default_rng(30)
     ms, _ = games.magic_square()
     with pytest.raises(ValueError):
-        cp.verifier_new(ms, "1-1", 4, rng)
+        cp.CompiledVerifier(ms, "1-1", 4, rng)
     with pytest.raises(ValueError):
-        cp.verifier_new(nonuniform_game(), "cm1-1", 4, rng)
+        cp.CompiledVerifier(nonuniform_game(), "cm1-1", 4, rng)
     # c-1 tolerates ragged contexts on the verifier side
-    state, _ = cp.verifier_new(nonuniform_game(), "c-1", 4, rng)
+    state = cp.CompiledVerifier(nonuniform_game(), "c-1", 4, rng)
     assert state.round1_questions == state.game.contexts[state.ctx_index]
 
 
@@ -80,7 +81,8 @@ def test_truthtable_prover_needs_uniform_contexts_for_full_context_kinds():
     rng = np.random.default_rng(31)
     game = nonuniform_game()
     table = games.Assignment({0: 0, 1: 0, 2: 0})
-    state, m1 = cp.verifier_new(game, "c-1", 4, rng)
+    state = cp.CompiledVerifier(game, "c-1", 4, rng)
+    m1 = state.message1
     with pytest.raises(ValueError, match="uniform context size"):
         cp.truthtable_prover(table).round1(m1, rng)
 
@@ -89,7 +91,8 @@ def test_message_order_is_enforced():
     rng = np.random.default_rng(32)
     game, strat = games.kcbs()
     prover = cp.honest_quantum_prover(strat)
-    state, m1 = cp.verifier_new(game, "1-1", 4, rng)
+    state = cp.CompiledVerifier(game, "1-1", 4, rng)
+    m1 = state.message1
     with pytest.raises(RuntimeError):
         state.decide(0)
     with pytest.raises(RuntimeError):
@@ -119,7 +122,7 @@ def test_round1_question_sets_are_sampled_from_the_context():
     game, _ = games.kcbs()
     positions = []
     for _ in range(600):
-        state, _ = cp.verifier_new(game, "1-1", 4, rng)
+        state = cp.CompiledVerifier(game, "1-1", 4, rng)
         ctx = game.contexts[state.ctx_index]
         q1 = state.round1_questions[0]
         assert q1 in ctx
@@ -128,12 +131,12 @@ def test_round1_question_sets_are_sampled_from_the_context():
 
     ms, _ = games.magic_square()
     for _ in range(30):
-        state, _ = cp.verifier_new(ms, "cm1-1", 4, rng)
+        state = cp.CompiledVerifier(ms, "cm1-1", 4, rng)
         ctx = ms.contexts[state.ctx_index]
         assert len(state.round1_questions) == 2
         assert state.round1_questions == tuple(
             q for i, q in enumerate(ctx) if i != state.skip_pos)
-        state, _ = cp.verifier_new(ms, "c-1", 4, rng)
+        state = cp.CompiledVerifier(ms, "c-1", 4, rng)
         assert state.round1_questions == ms.contexts[state.ctx_index]
 
 
@@ -143,7 +146,8 @@ def test_round2_question_always_in_the_context():
     prover = cp.honest_quantum_prover(strat)
     for kind in ("1-1", "c-1", "cm1-1"):
         for _ in range(25):
-            state, m1 = cp.verifier_new(game, kind, 4, rng)
+            state = cp.CompiledVerifier(game, kind, 4, rng)
+            m1 = state.message1
             q, _ = state.message3(prover.round1(m1, rng))
             assert q in game.contexts[state.ctx_index]
 
@@ -236,9 +240,10 @@ def test_message3_rejects_wrong_widths():
     rng = np.random.default_rng(36)
     game, strat = games.kcbs()
     prover = cp.honest_quantum_prover(strat)
-    donor, m1 = cp.verifier_new(game, "c-1", 4, rng)
+    donor = cp.CompiledVerifier(game, "c-1", 4, rng)
+    m1 = donor.message1
     m2 = prover.round1(m1, rng)
-    other, _ = cp.verifier_new(game, "cm1-1", 4, rng)
+    other = cp.CompiledVerifier(game, "cm1-1", 4, rng)
     with pytest.raises(ValueError, match="wrong width"):
         other.message3(m2)
     short_pad = qfhe.enc_classical(donor.fhe_sk.handle(), (0, 1), rng)
@@ -250,7 +255,8 @@ def test_key_composition_is_componentwise_xor():
     rng = np.random.default_rng(37)
     game, strat = games.magic_square()
     prover = cp.honest_quantum_prover(strat)
-    state, m1 = cp.verifier_new(game, "c-1", 5, rng)
+    state = cp.CompiledVerifier(game, "c-1", 5, rng)
+    m1 = state.message1
     m2 = prover.round1(m1, rng)
     _, k = state.message3(m2)
     k_prime = opad.dec(state.opad_keys.sk, m2.pad_string, state.oracle)
@@ -287,7 +293,8 @@ def test_held_state_matches_padded_post_measurement_state():
     for kind in ("c-1", "cm1-1"):
         for _ in range(8):
             prover = cp.honest_quantum_prover(strat)
-            state, m1 = cp.verifier_new(game, kind, 5, rng)
+            state = cp.CompiledVerifier(game, kind, 5, rng)
+            m1 = state.message1
             _, k = state.message3(prover.round1(m1, rng))
             psi = emb.psi
             for q, a in zip(state.round1_questions, state.answers1):
@@ -444,7 +451,7 @@ def test_feasible_inconsistent_targets_the_all_one_kind():
     rng = np.random.default_rng(50)
     game, _ = games.kcbs()
     prover = cp.feasible_inconsistent_prover(game)
-    _, m1 = cp.verifier_new(game, "1-1", 4, rng)
+    m1 = cp.CompiledVerifier(game, "1-1", 4, rng).message1
     with pytest.raises(ValueError, match="c-1"):
         prover.round1(m1, rng)
 
@@ -458,7 +465,7 @@ def test_theorem_formula_consistency_honest():
     ms = games.magic_square()
     rows += [(ms[0], ms[1], "c-1"), (ms[0], ms[1], "cm1-1")]
     for game, strat, kind in rows:
-        target = cp.completeness_formula(game, kind, quantum_value_of(game, strat))
+        target = cp.spec_of(kind).completeness(game, quantum_value_of(game, strat))
         prover = cp.honest_quantum_prover(strat)
         rate, _ = cp.estimate_win_rate(game, kind, prover, trials, rng, lam=6)
         assert abs(rate - target) <= three_sigma(target, trials) + 0.005, (kind, rate, target)
@@ -482,7 +489,7 @@ def test_theorem_formula_consistency_classical():
         (ms, "cm1-1", cp.truthtable_prover(ms_table)),
     ]
     for game, kind, prover in specs:
-        bound = float(cp.soundness_formula(game, kind))
+        bound = float(cp.spec_of(kind).soundness(game))
         rate, _ = cp.estimate_win_rate(game, kind, prover, trials, rng, lam=6)
         assert rate <= bound + three_sigma(bound, trials) + 0.005, (kind, rate, bound)
 
@@ -491,12 +498,12 @@ def test_soundness_formula_values():
     kcbs, _ = games.kcbs()
     ms, _ = games.magic_square()
     chsh, _ = games.chsh()
-    assert cp.soundness_formula(kcbs, "1-1") == Fraction(9, 10)
-    assert cp.soundness_formula(kcbs, "c-1") == Fraction(9, 10)
-    assert cp.soundness_formula(kcbs, "cm1-1") == Fraction(9, 10)
-    assert cp.soundness_formula(ms, "c-1") == Fraction(17, 18)
-    assert cp.soundness_formula(ms, "cm1-1") == Fraction(17, 18)
-    assert cp.soundness_formula(chsh, "1-1") == Fraction(7, 8)
+    assert cp.spec_of("1-1").soundness(kcbs) == Fraction(9, 10)
+    assert cp.spec_of("c-1").soundness(kcbs) == Fraction(9, 10)
+    assert cp.spec_of("cm1-1").soundness(kcbs) == Fraction(9, 10)
+    assert cp.spec_of("c-1").soundness(ms) == Fraction(17, 18)
+    assert cp.spec_of("cm1-1").soundness(ms) == Fraction(17, 18)
+    assert cp.spec_of("1-1").soundness(chsh) == Fraction(7, 8)
     assert cp.theorem_bounds(ms, "c-1")["soundness_bound"] == pytest.approx(17 / 18)
     report = cp.theorem_bounds(kcbs, "1-1", quantum_value=2 / math.sqrt(5))
     assert report["completeness_bound"] == pytest.approx((1 + 2 / math.sqrt(5)) / 2)
@@ -524,8 +531,8 @@ def test_decision_faithfulness_negative_control():
     _, ms_table = nc_value_with_table(ms)
     for game, kind, table in ((kcbs, "1-1", kcbs_table), (ms, "c-1", ms_table),
                               (ms, "cm1-1", ms_table)):
-        assert not cp.decision_faithfulness_check(game, kind, table, 250, rng,
-                                                  lam=5, sabotage=True)
+        with consistency_rejected():
+            assert not cp.decision_faithfulness_check(game, kind, table, 250, rng, lam=5)
 
 
 def test_estimate_win_rate_validates_trials():
@@ -645,7 +652,7 @@ def test_decision_faithfulness_on_random_games(kind, game, lam, seed):
     sessions = [cp.run_session(game, kind, prover, rng, lam=lam) for _ in range(trials)]
     bites = any(accept and state.question in state.round1_questions
                 for accept, state in sessions)
-    sabotaged = cp.decision_faithfulness_check(game, kind, table, trials,
-                                               np.random.default_rng(seed), lam=lam,
-                                               sabotage=True)
+    with consistency_rejected():
+        sabotaged = cp.decision_faithfulness_check(game, kind, table, trials,
+                                                   np.random.default_rng(seed), lam=lam)
     assert sabotaged is not bites

@@ -73,7 +73,7 @@ def check_honest_leftover_is_the_predicted_bb84_state(lam):
             for _ in range(25):
                 prover = poq.HonestProver(keys.pk, rng, path=path)
                 mu, d, y = prover.round1()
-                x0, x1 = tcf.claw(keys.sk, y)
+                x0, x1 = keys.sk.claw(y)
                 if s == 1:
                     expected = StateVector.basis((2,), (mu ^ tcf.first_bit(x0, n),))
                 else:
@@ -181,7 +181,7 @@ def test_circuit_prover_runs_at_the_domain_bound():
     keys = tcf.gen(tcf.MAX_DOMAIN_BITS, hidden=1, rng=rng)
     prover = poq.HonestProver(keys.pk, rng, path="circuit")
     mu, d, y = prover.round1()
-    x0, _ = tcf.claw(keys.sk, y)
+    x0, _ = keys.sk.claw(y)
     expected = StateVector.basis((2,), (mu ^ tcf.first_bit(x0, tcf.MAX_DOMAIN_BITS),))
     assert equal_up_to_global_phase(StateVector((2,), prover.leftover), expected, tol=1e-10)
 

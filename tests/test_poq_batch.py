@@ -137,7 +137,7 @@ def test_accept_rule_on_arrays_is_decide():
                             v = poq.PoqVerifier(n, rng)
                         v.round1()
                         c = v.round2(mu, d, y)
-                        x0, x1 = tcf.claw(v.keys.sk, y)
+                        x0, x1 = v.keys.sk.claw(y)
                         decided.append(v.decide(b))
                         rows.append((s, mu, d, c, b, x0, x1))
                         # the rule, restated
@@ -330,8 +330,9 @@ def test_the_engine_refuses_bad_arguments_before_drawing():
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="unknown prover"):
         poq.estimate_rate("peeking", 3, rng)
-    with pytest.raises(KeyError):
-        poq.estimate_rewind("honest", 3, rng)
+    for name in ("honest", "bogus"):
+        with pytest.raises(ValueError, match=f"unknown prover '{name}'"):
+            poq.estimate_rewind(name, 3, rng)
     with pytest.raises(ValueError, match="domain must have"):
         poq.estimate_rate("honest", 3, rng, lam=tcf.MAX_DOMAIN_BITS + 1)
     assert rng.bit_generator.state == before

@@ -21,9 +21,9 @@ from ctxsim.qsim import (
 )
 
 
-def fresh(backend="stub", seed=0, lam=8):
+def fresh(backend="stub", seed=0):
     rng = np.random.default_rng(seed)
-    return qfhe.gen(lam, backend, rng), rng
+    return qfhe.gen(rng, backend), rng
 
 
 def test_classical_roundtrip_many():
@@ -33,10 +33,9 @@ def test_classical_roundtrip_many():
         assert qfhe.dec_classical(sk, qfhe.enc_classical(sk, m, rng)) == tuple(int(b) for b in m)
 
 
-def test_lambda_recorded_and_keys_distinct():
-    sk1, _ = fresh(seed=1, lam=12)
-    sk2, _ = fresh(seed=2, lam=12)
-    assert sk1.lam == 12
+def test_fresh_keys_have_distinct_ids():
+    sk1, _ = fresh(seed=1)
+    sk2, _ = fresh(seed=2)
     assert sk1.key_id != sk2.key_id
 
 
@@ -432,6 +431,16 @@ def test_twoind_game_leaky_backend_is_broken():
     assert rate == 1.0
 
 
+def test_twoind_game_refuses_a_challenge_that_is_not_bits_before_any_draw():
+    # int() would play (0.9,) as (0,), and a pad reader would always win
+    rng = np.random.default_rng(22)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="payload must be bits, got 0.9"):
+        qfhe.twoind_game(lambda h, c, r: int(qfhe.peek_bits(c) == (1,)),
+                         (0.9,), (1,), 100, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_stub_json_hides_pads_leaky_json_exposes_them():
     sk, rng = fresh(seed=20)
     c = qfhe.enc_classical(sk, (1, 0), rng)
@@ -448,4 +457,4 @@ def test_stub_json_hides_pads_leaky_json_exposes_them():
 def test_gen_rejects_unknown_backend():
     for backend in ("paillier", "lwe"):
         with pytest.raises(ValueError, match="unsupported backend"):
-            qfhe.gen(8, backend, np.random.default_rng(0))
+            qfhe.gen(np.random.default_rng(0), backend)

@@ -30,7 +30,7 @@ def qfhe_calls(monkeypatch):
 
 
 def fresh_message1(game, kind, value, lam, rng):
-    sk = qfhe.gen(lam, rng=rng)
+    sk = qfhe.gen(rng)
     keys = opad.gen(lam, rng)
     oracle = opad.PhaseOracle("hash", seed=11)
     return cp.round1_message(game, kind, value, sk.handle(), keys.pk, oracle, rng)
@@ -203,7 +203,7 @@ def test_advantage_identity_for_white_box_provers():
     for leak_prob in (1.0, 0.5, 0.3):
         prover = rd.CipherPeekingProver(game, "1-1", leak_prob=leak_prob)
         rate, plan = rd.run_a2_reduction(prover, game, "1-1", trials, 6, rng,
-                                         phase1_trials=200, return_plan=True)
+                                         phase1_trials=200)
         predicted = 0.5 + float(prover.exact_l1(plan.input0, plan.input1)) / 4
         assert predicted == pytest.approx(0.5 + leak_prob / 2)
         assert abs(rate - predicted) <= three_sigma(predicted, trials) + 0.005
@@ -214,8 +214,8 @@ def test_question_independent_prover_stays_at_one_half():
     rng = np.random.default_rng(82)
     game, _ = games.kcbs()
     _, table = nc_value_with_table(game)
-    rate = rd.run_a2_reduction(cp.truthtable_prover(table), game, "1-1",
-                               3000, 6, rng, phase1_trials=100)
+    rate, _ = rd.run_a2_reduction(cp.truthtable_prover(table), game, "1-1",
+                                  3000, 6, rng, phase1_trials=100)
     assert abs(rate - 0.5) <= three_sigma(0.5, 3000) + 0.005
 
 
@@ -225,8 +225,8 @@ def test_reduction_rate_survives_the_leaky_backend():
     for backend in ("stub", "leaky"):
         rng = np.random.default_rng(83)
         prover = rd.CipherPeekingProver(game, "1-1", leak_prob=0.5)
-        rates[backend] = rd.run_a2_reduction(prover, game, "1-1", 3000, 6, rng,
-                                             fhe_backend=backend, phase1_trials=200)
+        rates[backend], _ = rd.run_a2_reduction(prover, game, "1-1", 3000, 6, rng,
+                                                fhe_backend=backend, phase1_trials=200)
     for rate in rates.values():
         assert abs(rate - 0.75) <= three_sigma(0.75, 3000) + 0.005
     assert abs(rates["stub"] - rates["leaky"]) < 0.05
@@ -236,11 +236,11 @@ def test_reduction_works_for_full_context_kinds():
     rng = np.random.default_rng(84)
     ms, _ = games.magic_square()
     prover = rd.CipherPeekingProver(ms, "c-1", leak_prob=1.0)
-    rate = rd.run_a2_reduction(prover, ms, "c-1", 1500, 6, rng, phase1_trials=60)
+    rate, _ = rd.run_a2_reduction(prover, ms, "c-1", 1500, 6, rng, phase1_trials=60)
     assert rate == 1.0
     kcbs, _ = games.kcbs()
     prover = rd.CipherPeekingProver(kcbs, "cm1-1", leak_prob=1.0)
-    rate = rd.run_a2_reduction(prover, kcbs, "cm1-1", 1500, 6, rng, phase1_trials=60)
+    rate, _ = rd.run_a2_reduction(prover, kcbs, "cm1-1", 1500, 6, rng, phase1_trials=60)
     assert rate == 1.0
 
 
@@ -272,30 +272,38 @@ def test_dind_prime_game_rates():
     uniform = (0.25,) * 4
 
     rate = rd.dind_prime_game(lambda h, c, r: int(r.integers(4)), msgs, uniform,
-                              4000, rng, lam=6)
+                              4000, rng)
     assert abs(rate - 0.25) <= three_sigma(0.25, 4000) + 0.005
 
     skewed = (0.5, 0.2, 0.2, 0.1)
-    rate = rd.dind_prime_game(lambda h, c, r: 0, msgs, skewed, 4000, rng, lam=6)
+    rate = rd.dind_prime_game(lambda h, c, r: 0, msgs, skewed, 4000, rng)
     assert abs(rate - 0.5) <= three_sigma(0.5, 4000) + 0.005
 
     def leak_reader(handle, cipher, r):
         return msgs.index(tuple(qfhe.leak_bits(cipher)))
 
-    rate = rd.dind_prime_game(leak_reader, msgs, uniform, 400, rng, lam=6,
-                              backend="leaky")
+    rate = rd.dind_prime_game(leak_reader, msgs, uniform, 400, rng, backend="leaky")
     assert rate == 1.0
+
+
+def test_dind_prime_game_refuses_a_message_that_is_not_bits_before_any_draw():
+    rng = np.random.default_rng(87)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="payload must be bits, got 0.9"):
+        rd.dind_prime_game(lambda h, c, r: int(qfhe.peek_bits(c) == (1,)),
+                           [(0.9,), (1,)], (0.5, 0.5), 100, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_dind_prime_game_validates_inputs():
     rng = np.random.default_rng(86)
     guesser = lambda h, c, r: 0
     with pytest.raises(ValueError, match="two candidate"):
-        rd.dind_prime_game(guesser, [(0, 1)], (1.0,), 5, rng, lam=4)
+        rd.dind_prime_game(guesser, [(0, 1)], (1.0,), 5, rng)
     with pytest.raises(ValueError, match="share a length"):
-        rd.dind_prime_game(guesser, [(0, 1), (1,)], (0.5, 0.5), 5, rng, lam=4)
+        rd.dind_prime_game(guesser, [(0, 1), (1,)], (0.5, 0.5), 5, rng)
     with pytest.raises(ValueError, match="distribution"):
-        rd.dind_prime_game(guesser, [(0,), (1,)], (0.9, 0.2), 5, rng, lam=4)
+        rd.dind_prime_game(guesser, [(0,), (1,)], (0.9, 0.2), 5, rng)
 
 
 def test_cipher_peeking_prover_validates_and_predicts():

@@ -25,14 +25,14 @@ def ideal_pair(bits=8, hidden=None, seed=0):
 def test_hidden_bit_one_on_every_claw():
     kp = ideal_pair(8, hidden=1)
     for y in range(256):
-        x0, x1 = tcf.claw(kp.sk, y)
+        x0, x1 = kp.sk.claw(y)
         assert tcf.first_bit(x0, 8) ^ tcf.first_bit(x1, 8) == 1
 
 
 def test_hidden_bit_zero_on_every_claw():
     kp = ideal_pair(8, hidden=0)
     for y in range(256):
-        x0, x1 = tcf.claw(kp.sk, y)
+        x0, x1 = kp.sk.claw(y)
         assert tcf.first_bit(x0, 8) == tcf.first_bit(x1, 8)
 
 
@@ -125,7 +125,7 @@ def test_coherent_samp_plus_control_leaves_claw_superposition():
     (y,), post = measure_registers(state, [bits + 1], rng=rng)
     leftover = remove_registers(post, [bits + 1])
 
-    x0, x1 = tcf.claw(kp.sk, y)
+    x0, x1 = kp.sk.claw(y)
     expected = np.zeros(2 ** (bits + 1), dtype=complex)
     expected[x0] = 1 / np.sqrt(2)  # |0>|x0>
     expected[(1 << bits) | x1] = 1 / np.sqrt(2)  # |1>|x1>
@@ -219,7 +219,7 @@ def test_measure_claw_matches_the_dense_reference(bits, dims, control, dense_cla
         y, x0, x1, post = tcf.measure_claw(kp.pk, state, control, rng)
         with dense_claw():
             ref_y, ref_x0, ref_x1, ref_post = tcf.measure_claw(kp.pk, state, control, ref_rng)
-        assert (y, x0, x1) == (ref_y, ref_x0, ref_x1) == (y,) + tcf.claw(kp.sk, y)
+        assert (y, x0, x1) == (ref_y, ref_x0, ref_x1) == (y,) + kp.sk.claw(y)
         assert post.dims == ref_post.dims == dims + (2,) * bits
         assert np.allclose(post.amps, ref_post.amps, rtol=0, atol=1e-12)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -379,7 +379,7 @@ def test_key_json_holds_delta_and_the_fixed_points_and_draws_nothing():
     assert body["assigned"] == sorted([[5, fixed[0]], [fixed[1], 3], [4000, fixed[2]]])
     back = tcf.TcfKeyPair.from_json(text)
     assert back == kp and back.pk == kp.pk and back.pk.rng is None
-    assert tcf.claw(back.sk, 3) == tcf.claw(kp.sk, 3)
+    assert back.sk.claw(3) == kp.sk.claw(3)
     with pytest.raises(ValueError, match="no generator"):
         back.pk.image(6)
 
@@ -407,7 +407,7 @@ def test_public_claw_is_the_inverse_of_both_tables():
     for y in range(64):
         claw = tcf.public_claw(kp.pk, y)
         assert claw == (int(np.argsort(t0)[y]), int(np.argsort(t1)[y]))
-        assert claw == tcf.claw(kp.sk, y)
+        assert claw == kp.sk.claw(y)
         assert all(type(x) is int for x in claw)
 
 
@@ -415,7 +415,7 @@ def test_the_first_claw_lookup_builds_no_table():
     kp = ideal_pair(16, seed=23)
     tracemalloc.start()
     try:
-        claws = [tcf.public_claw(kp.pk, 12345), tcf.claw(kp.sk, 54321)]
+        claws = [tcf.public_claw(kp.pk, 12345), kp.sk.claw(54321)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -426,11 +426,11 @@ def test_the_first_claw_lookup_builds_no_table():
 def test_claw_lookups_refuse_non_integers():
     kp = ideal_pair(5, seed=24)
     for y in (3.7, 3.0, "3", None):
-        for lookup in (tcf.public_claw, tcf.claw):
+        for lookup in (tcf.public_claw, tcf.IdealKey.claw):
             with pytest.raises(ValueError, match="not in the image"):
                 lookup(kp.pk, y)
     for y in (np.int64(3), np.uint8(3), np.array(3)):
-        assert tcf.public_claw(kp.pk, y) == tcf.claw(kp.sk, y) == tcf.claw(kp.sk, 3)
+        assert tcf.public_claw(kp.pk, y) == kp.sk.claw(y) == kp.sk.claw(3)
 
 
 def test_key_lookups_take_ints_and_arrays():
@@ -453,7 +453,7 @@ def test_a_key_and_its_one_row_chunk_answer_alike():
         key = ideal_pair(5, hidden=seed % 2, seed=30 + seed).pk
         row = tcf.gen_many(5, 1, np.random.default_rng(30 + seed), hidden=[seed % 2])
         assert (row.n, row.count, row.delta.tolist()) == (5, 1, [key.delta])
-        assert tuple(int(x[0]) for x in row.claw(np.array([7]))) == tcf.claw(key, 7)
+        assert tuple(int(x[0]) for x in row.claw(np.array([7]))) == key.claw(7)
         points = np.arange(32)
         assert np.array_equal(row.image(points[:1]), [key.image(0)])
         assert np.array_equal(row.image(points[None]), [[key.image(x) for x in range(32)]])
