@@ -11,10 +11,12 @@ row of up to 4096 trials runs as one chunk: a chunk's claw-free keys are
 sampled lazily and its oracles keep only the digests they touch, so
 nothing in a chunk grows with 2^lambda.  Each protocol step makes one rng
 call per chunk.  No layer is skipped.  This module keeps
-the session bookkeeping: the plan of a kind on a game, and each chunk's
-contexts, inputs, questions and transcripts.  The rules are the scalar
-engine's, in chunk form: the kind's CompilerSpec, the honest programs of
-HonestQuantumProver._programs_for and its answer rule (answer_for),
+the session bookkeeping: each chunk's contexts, inputs, questions and
+transcripts.  The rules are the scalar engine's, in chunk form: the
+kind's rules on the game from the game's compilers.KindPlan, which the
+scalar verifier and provers read too (the verifier's input draw, the
+payloads, and the questions each input asks, which the honest prover
+measures in order), HonestQuantumProver's answer rule (answer_for),
 compilers._decode_answers and compilers._decision, the context draw
 ContextualityGame.contexts_at, the per-session qfhe key ids, claw-free
 keys and oracle seeds of qfhe.key_ids, tcf.gen_many and opad.hash_seeds,
@@ -44,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import compilers, opad, qfhe, tcf
+from .compilers import KindPlan
 from .qfhe import StubCipher
 from .qsim import BORN_FLOOR, PauliKey, check_norms
 
@@ -101,43 +104,15 @@ def _pauli(states: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Plan:
-    """One kind's rules on one game, as tables over the round-1 inputs."""
-
-    def __init__(self, game, kind, lam: int):
-        tcf.check_domain_bits(lam)
-        kind = compilers.CompilerKind(kind)
-        spec = compilers.spec_of(kind)
-        spec.check(game)
-        self.game, self.kind, self.spec, self.lam = game, kind, spec, lam
-        self.inputs = spec.inputs(game)
-        where = {value: i for i, value in enumerate(self.inputs)}
-        choices = [[where[value] for value in spec.context_inputs(game, ci)]
-                   for ci in range(len(game.contexts))]
-        self.counts = np.array([len(c) for c in choices])
-        most = int(self.counts.max())
-        self.choices = np.array([c + c[:1] * (most - len(c)) for c in choices])
-        self.payloads = np.array([qfhe._checked_bits(spec.encode(game, value))
-                                  for value in self.inputs], dtype=np.int64)
-        self.asked = [spec.questions(game, value) for value in self.inputs]
-        self.asked_count = np.array([len(q) for q in self.asked])
-        qindex = {q: i for i, q in enumerate(game.questions)}
-        self.ctx_sizes = np.array([len(c) for c in game.contexts])
-        most = int(self.ctx_sizes.max())
-        self.ctx_questions = np.array([[qindex[q] for q in c] + [0] * (most - len(c))
-                                       for c in game.contexts])
-        self.answer_width = compilers._answer_width(game)
-
-
 class _Sessions:
     """The verifier's side of a chunk of sessions."""
 
-    def __init__(self, plan: _Plan, n: int, rng: np.random.Generator):
-        self.n = n
+    def __init__(self, plan: KindPlan, lam: int, n: int, rng: np.random.Generator):
+        self.n, self.lam = n, lam
         self.key_ids = qfhe.key_ids(rng, n)
         # claw-free keys f_0 = P and f_1(x) = P(x ^ delta), P sampled lazily
-        self.keys = tcf.gen_many(plan.lam, n, rng)
-        self.oracles = opad.PhaseOracleChunk(opad.hash_seeds(rng, n), plan.lam)
+        self.keys = tcf.gen_many(lam, n, rng)
+        self.oracles = opad.PhaseOracleChunk(opad.hash_seeds(rng, n), lam)
         self.ctx = plan.game.contexts_at(rng.random(n))
         # one uniform draw only for sessions whose context offers several inputs
         pick = np.zeros(n, dtype=np.int64)
@@ -147,7 +122,7 @@ class _Sessions:
         self.inp = plan.choices[self.ctx, pick]
         self.question_cipher = qfhe.stub_encrypt(plan.payloads[self.inp], rng)
 
-    def message3(self, plan: _Plan, answer_cipher: StubCipher, pad_cipher: StubCipher,
+    def message3(self, plan: KindPlan, answer_cipher: StubCipher, pad_cipher: StubCipher,
                  d: np.ndarray, y: np.ndarray, rng: np.random.Generator):
         """Decrypt the round-1 replies and draw the round-2 questions.
 
@@ -170,7 +145,7 @@ class _Sessions:
         self.key_z = k_prime[:, 1::2] ^ k_dbl[:, m:]
         self.question = plan.ctx_questions[self.ctx, rng.integers(0, plan.ctx_sizes[self.ctx])]
 
-    def decide(self, plan: _Plan, answers: np.ndarray) -> list:
+    def decide(self, plan: KindPlan, answers: np.ndarray) -> list:
         """Each session's accept bit, decided once per distinct (context,
         reply, question, answer) row."""
         game = plan.game
@@ -187,16 +162,14 @@ class _Sessions:
 class _Honest:
     """HonestQuantumProver on the collapsed pad path, over a chunk."""
 
-    def __init__(self, prover, plan: _Plan):
+    def __init__(self, prover, plan: KindPlan):
         game = plan.game
         emb = prover._embed_for(game)
-        programs = prover._programs_for(game, plan.kind)
         self.prover, self.game, self.emb = prover, game, emb
         self.m = emb.psi.num_registers
         self.psi = emb.psi.amps
-        # observables are indexed like game.questions; the programs measure them too
+        # observables are indexed like game.questions, as the plan's asked questions are
         observables = [emb.observables[q] for q in game.questions]
-        where = {id(obs): i for i, obs in enumerate(observables)}
         self.observables = observables
         clusters = max(len(obs.eigensystem) for obs in observables)
         dim = len(self.psi)
@@ -205,14 +178,6 @@ class _Honest:
         for i, obs in enumerate(observables):
             for v, (_, proj) in enumerate(obs.eigensystem):
                 self.proj[i, v] = proj
-        self.select = np.full(1 << plan.payloads.shape[1], -1)
-        most = max(len(program) for program in programs.values())
-        self.steps = np.zeros((len(programs), most), dtype=np.int64)
-        self.nsteps = np.zeros(len(programs), dtype=np.int64)
-        for p, (code, program) in enumerate(programs.items()):
-            self.select[code] = p
-            self.nsteps[p] = len(program)
-            self.steps[p, :len(program)] = [where[id(obs)] for obs in program]
         self.held = None
 
     def _measure(self, states: np.ndarray, obs: np.ndarray, r: np.ndarray):
@@ -232,8 +197,8 @@ class _Honest:
         (observable, cluster) row, as _per_row's (values, where)."""
         return _per_row(lambda o, v: rule(self.observables[o].eigensystem[v][0]), obs, pick)
 
-    def round1(self, plan: _Plan, s: _Sessions, rng: np.random.Generator):
-        n, m, size = s.n, self.m, 1 << plan.lam
+    def round1(self, plan: KindPlan, s: _Sessions, rng: np.random.Generator):
+        n, m, size = s.n, self.m, 1 << s.lam
         # enc_quantum: pad the strategy state with a uniform key, encrypt the key
         k_in = rng.integers(0, 2, size=(n, 2 * m))
         pad_hat = qfhe.stub_encrypt(k_in, rng)
@@ -242,16 +207,16 @@ class _Honest:
         seen = pad_hat.bits()
         states = _pauli(states, seen[:, :m], seen[:, m:])
         code = s.question_cipher.bits() @ _msb_weights(plan.payloads.shape[1])
-        program = self.select[code]
+        program = plan.select[code]
         if (program < 0).any():
             raise ValueError(f"encrypted selector {code[program < 0][0]} has no program")
-        steps = self.steps.shape[1]
+        steps = plan.asked_questions.shape[1]
         width = plan.answer_width
         r = rng.random((n, steps))
         answer_bits = np.zeros((n, steps * width), dtype=np.int64)
         for step in range(steps):
-            rows = np.flatnonzero(self.nsteps[program] > step)
-            obs = self.steps[program[rows], step]
+            rows = np.flatnonzero(plan.asked_count[program] > step)
+            obs = plan.asked_questions[program[rows], step]
             pick, states[rows] = self._measure(states[rows], obs, r[rows, step])
             bits, where = self._answers(self.prover._answer_bits, obs, pick)
             bits = np.array(bits, dtype=np.int64).reshape(-1, width)
@@ -267,7 +232,7 @@ class _Honest:
         self.held = _pauli(states, bits[:, 0::2], bits[:, 1::2])
         return answer_cipher, pad_cipher, d, y
 
-    def round2(self, plan: _Plan, s: _Sessions, rng: np.random.Generator) -> np.ndarray:
+    def round2(self, plan: KindPlan, s: _Sessions, rng: np.random.Generator) -> np.ndarray:
         """Measure each question's observable between undoing and re-applying U_k."""
         unpadded = _pauli(self.held, s.key_x, s.key_z)
         obs = s.question
@@ -282,7 +247,7 @@ class _Honest:
 class _Table:
     """TruthTableProver (or the feasible prover) over a chunk."""
 
-    def __init__(self, prover, plan: _Plan):
+    def __init__(self, prover, plan: KindPlan):
         self.prover = prover
         self.circuit = prover._circuit_for(plan.game, plan.kind)
         sources = self.circuit.nonce_sources
@@ -291,8 +256,8 @@ class _Table:
     # stays a twin of qfhe.ceval's output assembly (masks, pads, and fresh or
     # carried nonces): a one-row StubCipher form would give the same outputs,
     # but slow the scalar ceval that every white-box prover runs
-    def round1(self, plan: _Plan, s: _Sessions, rng: np.random.Generator):
-        n, size, circuit = s.n, 1 << plan.lam, self.circuit
+    def round1(self, plan: KindPlan, s: _Sessions, rng: np.random.Generator):
+        n, size, circuit = s.n, 1 << s.lam, self.circuit
         q = s.question_cipher
         if q.masked.shape[1] != circuit.n_inputs:
             raise ValueError("ciphertext width does not match circuit inputs")
@@ -312,7 +277,7 @@ class _Table:
         d = rng.integers(1, size, size=(n, 2))
         return answer_cipher, pad_cipher, d, y
 
-    def round2(self, plan: _Plan, s: _Sessions, rng: np.random.Generator) -> np.ndarray:
+    def round2(self, plan: KindPlan, s: _Sessions, rng: np.random.Generator) -> np.ndarray:
         game = plan.game
 
         def answer(q):
@@ -325,7 +290,7 @@ class _Table:
         return np.array(answers, dtype=np.int64)[where]
 
 
-def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: StubCipher,
+def _transcripts(plan: KindPlan, s: _Sessions, fhe_backend: str, answer_cipher: StubCipher,
                  pad_cipher: StubCipher, d, y, answers, accepts):
     """The CompiledTranscript of each session of a chunk, in session order."""
     game, kind = plan.game, plan.kind
@@ -341,17 +306,17 @@ def _transcripts(plan: _Plan, s: _Sessions, fhe_backend: str, answer_cipher: Stu
             reply, pad, opad.OpadString(tuple(zip(d[i].tolist(), y[i].tolist())), "pauli"))
         yield compilers.CompiledTranscript(
             kind=kind.value, ctx_index=int(s.ctx[i]),
-            skip_pos=plan.spec.skip_pos(plan.inputs[s.inp[i]]),
+            skip_pos=plan.skip_pos[s.inp[i]],
             message1=message1, message2=message2,
             question=game.questions[s.question[i]],
             key=PauliKey(tuple(s.key_x[i].tolist()), tuple(s.key_z[i].tolist())),
             answer=game.answers[answers[i]], accept=accepts[i])
 
 
-def _chunk_wins(plan: _Plan, run, n: int, rng: np.random.Generator, fhe_backend: str,
-                on_transcript) -> int:
+def _chunk_wins(plan: KindPlan, lam: int, run, n: int, rng: np.random.Generator,
+                fhe_backend: str, on_transcript) -> int:
     """Accepted sessions among n, run as one chunk; its arrays die on return."""
-    s = _Sessions(plan, n, rng)
+    s = _Sessions(plan, lam, n, rng)
     answer_cipher, pad_cipher, d, y = run.round1(plan, s, rng)
     s.message3(plan, answer_cipher, pad_cipher, d, y, rng)
     answers = run.round2(plan, s, rng)
@@ -367,9 +332,10 @@ def win_count(game, kind, prover, trials: int, rng: np.random.Generator, lam: in
               fhe_backend: str, on_transcript=None) -> int:
     """Accepted sessions among trials fresh-key sessions, run in chunks; on_transcript,
     when given, gets each session's CompiledTranscript as its chunk finishes."""
-    plan = _Plan(game, kind, lam)
+    tcf.check_domain_bits(lam)
+    plan = compilers.plan_of(game, kind)
     run = (_Honest if type(prover) is compilers.HonestQuantumProver else _Table)(prover, plan)
     size = tcf.CHUNK_SIZE
-    return sum(_chunk_wins(plan, run, min(size, trials - start), rng, fhe_backend,
+    return sum(_chunk_wins(plan, lam, run, min(size, trials - start), rng, fhe_backend,
                            on_transcript)
                for start in range(0, trials, size))

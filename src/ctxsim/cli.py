@@ -243,7 +243,7 @@ def cmd_compile(config: RunConfig, transcripts: str | None):
     game, strategy = load_game(config.game)
     kind = compilers.CompilerKind(config.compiler)
     # every precondition and prover is checked before any row runs
-    _precondition(compilers.spec_of(kind).check, game)
+    _precondition(lambda g: compilers.plan_of(g, kind), game)
     _precondition(check_nc_search, game)
     provers = {name: _make_prover(name, game, kind, strategy)
                for name in _compile_row_names(config.prover, kind, strategy)}

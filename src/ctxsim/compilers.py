@@ -23,18 +23,22 @@ the encryption, which is what the completeness/soundness gap tests.
 
 What differs between the kinds lives in one CompilerSpec each (SPECS):
 the game precondition, the round-1 inputs and how the verifier draws one
-from the sampled context, the questions an input asks, the payload codec
-and the theorem formulas.  The accept rule needs no kind: the round-2
-answer is compared with a round-1 answer when its question was asked in
-round 1, and the context's predicate is checked when the answers of both
-rounds cover the context.
+from the sampled context, the questions an input asks, the payload
+encoding and the theorem formulas.  A kind's rules on a game are worked
+out once, as the game's KindPlan (plan_of), the one caller of the spec's
+rule functions: the verifier, the provers, recompute_decision, the
+reductions, the CLI and the batched engine read the plan, and its map
+from payload code to input is the one inverse of the encoding.  The
+accept rule needs no kind: the round-2 answer is compared with a round-1
+answer when its question was asked in round 1, and the context's
+predicate is checked when the answers of both rounds cover the context.
 
 The state machines below (CompiledVerifier, the provers, run_session) are
 the protocol reference.  estimate_win_rate runs its sessions through them
 for the circuit pad path and any prover class but the three named next;
 sessions of a TruthTableProver, a FeasibleInconsistentProver or an
 HonestQuantumProver on the collapsed pad path run in chunks through the
-batched engine of ctxsim.batch, which reads the same spec, programs,
+batched engine of ctxsim.batch, which reads the same plan, programs,
 answer rule, answer decoding and accept rule, and runs the chunk forms of
 opad.pad_bits and qfhe.stub_encrypt.
 """
@@ -50,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import opad, qfhe
+from . import opad, qfhe, tcf
 from .games import (
     Assignment,
     ContextualityGame,
@@ -135,10 +139,6 @@ def _context_bits(game: ContextualityGame, ctx_index) -> tuple:
     return bits_of(int(ctx_index), _index_width(len(game.contexts)))
 
 
-def _skip_width(game: ContextualityGame) -> int:
-    return _index_width(game.uniform_context_size())
-
-
 def _skip_questions(game: ContextualityGame, value) -> tuple:
     ctx_index, skip_pos = value
     return tuple(q for i, q in enumerate(game.contexts[ctx_index]) if i != skip_pos)
@@ -146,12 +146,8 @@ def _skip_questions(game: ContextualityGame, value) -> tuple:
 
 def _skip_encode(game: ContextualityGame, value) -> tuple:
     ctx_index, skip_pos = value
-    return _context_bits(game, ctx_index) + bits_of(int(skip_pos), _skip_width(game))
-
-
-def _skip_decode(game: ContextualityGame, bits) -> tuple:
-    swidth = _skip_width(game)
-    return int_of(bits[:-swidth]), int_of(bits[-swidth:])
+    width = _index_width(game.uniform_context_size())
+    return _context_bits(game, ctx_index) + bits_of(int(skip_pos), width)
 
 
 def _skip_completeness(game: ContextualityGame, quantum_value: float) -> float:
@@ -179,7 +175,6 @@ class CompilerSpec:
     skip_pos: Callable        # (input) -> the skipped position a transcript records, or None
     questions: Callable       # (game, input) -> the questions round 1 asks
     encode: Callable          # (game, input) -> payload bits, msb first
-    decode: Callable          # (game, payload bits) -> input
     completeness: Callable    # (game, quantum value) -> honest win rate
     completeness_text: str
     soundness: Callable       # (game) -> best classical win rate
@@ -195,7 +190,6 @@ SPECS = {spec.kind: spec for spec in (
         skip_pos=lambda q: None,
         questions=lambda game, q: (q,),
         encode=_question_bits,
-        decode=lambda game, bits: game.questions[int_of(bits)],
         completeness=lambda game, qv: (1 + qv) / 2,
         completeness_text="(1 + quantum_value) / 2",
         soundness=lambda game: (1 + nc_value(game)) / 2,
@@ -209,7 +203,6 @@ SPECS = {spec.kind: spec for spec in (
         skip_pos=lambda ci: None,
         questions=lambda game, ci: game.contexts[ci],
         encode=_context_bits,
-        decode=lambda game, bits: int_of(bits),
         completeness=lambda game, qv: float(qv),
         completeness_text="quantum_value",
         soundness=lambda game: 1 - min(w / len(c) for w, c in
@@ -226,7 +219,6 @@ SPECS = {spec.kind: spec for spec in (
         skip_pos=lambda value: value[1],
         questions=_skip_questions,
         encode=_skip_encode,
-        decode=_skip_decode,
         completeness=_skip_completeness,
         completeness_text="1 - 1/size + quantum_value/size",
         soundness=_skip_soundness,
@@ -240,22 +232,85 @@ def spec_of(kind) -> CompilerSpec:
     return SPECS[CompilerKind(kind)]
 
 
+def _padded(rows) -> tuple:
+    """(lengths, the int rows zero-padded into one array)."""
+    lengths = np.array([len(row) for row in rows])
+    most = int(lengths.max())
+    return lengths, np.array([list(row) + [0] * (most - len(row)) for row in rows],
+                             dtype=np.int64)
+
+
+class KindPlan:
+    """One kind's rules on one game, worked out once by plan_of: per round-1
+    input (in spec.inputs order) its payload bits and code, asked questions
+    and skip position, per context the indices of the inputs the verifier
+    draws from, and their array forms, which the batched engine reads."""
+
+    def __init__(self, game: ContextualityGame, spec: CompilerSpec):
+        spec.check(game)
+        self.game, self.kind = game, spec.kind
+        self.inputs = spec.inputs(game)
+        self._index = {value: i for i, value in enumerate(self.inputs)}
+        self.payload_bits = tuple(qfhe._checked_bits(spec.encode(game, value))
+                                  for value in self.inputs)
+        self.codes = tuple(int_of(bits) for bits in self.payload_bits)
+        self.asked = tuple(spec.questions(game, value) for value in self.inputs)
+        self.skip_pos = tuple(spec.skip_pos(value) for value in self.inputs)
+        self.context_choices = tuple(
+            tuple(self._index[value] for value in spec.context_inputs(game, ci))
+            for ci in range(len(game.contexts)))
+        self.payloads = np.array(self.payload_bits, dtype=np.int64)
+        # select[code] is the input of a payload code, -1 where the code encodes none
+        self.select = np.full(1 << self.payloads.shape[1], -1)
+        self.select[list(self.codes)] = np.arange(len(self.codes))
+        self.counts, self.choices = _padded(self.context_choices)
+        qindex = {q: i for i, q in enumerate(game.questions)}
+        self.asked_count, self.asked_questions = _padded(
+            [[qindex[q] for q in asked] for asked in self.asked])
+        self.ctx_sizes, self.ctx_questions = _padded(
+            [[qindex[q] for q in c] for c in game.contexts])
+        self.answer_width = _answer_width(game)
+
+    def payload(self, value) -> tuple:
+        """The payload bits of a round-1 input; ValueError on any other value."""
+        if value not in self._index:
+            raise ValueError(f"{value!r} is not a {self.kind.value} round-1 input of this game")
+        return self.payload_bits[self._index[value]]
+
+    def decode(self, payload) -> int:
+        """The index of the input a payload encodes, the one inverse of the
+        encoding; ValueError on any other payload."""
+        index = self.select[int_of(payload)] if len(payload) == self.payloads.shape[1] else -1
+        if index < 0:
+            raise ValueError(f"payload {tuple(payload)} encodes no {self.kind.value} "
+                             "round-1 input of this game")
+        return int(index)
+
+
+def plan_of(game: ContextualityGame, kind) -> KindPlan:
+    """The plan of a kind (or its token) on a game, built on first use and
+    held by the game; ValueError on a game the kind cannot compile."""
+    kind = CompilerKind(kind)
+    plans = game._compiler_plans
+    if kind not in plans:
+        plans[kind] = KindPlan(game, SPECS[kind])
+    return plans[kind]
+
+
 def round1_inputs(game: ContextualityGame, kind) -> tuple:
     """Every round-1 input the verifier can ask under this kind."""
-    spec = spec_of(kind)
-    spec.check(game)
-    return spec.inputs(game)
+    return plan_of(game, kind).inputs
 
 
 def round1_message(game: ContextualityGame, kind, value, key, opad_pk,
                    oracle: opad.PhaseOracle, rng: np.random.Generator) -> Message1:
     """Message 1 for a chosen round-1 input; key may be a secret key or a
-    public encryption handle."""
-    spec = spec_of(kind)
-    payload = spec.encode(game, value)
+    public encryption handle.  Any other input is refused before any draw."""
+    plan = plan_of(game, kind)
+    payload = plan.payload(value)
     handle = key.handle() if isinstance(key, qfhe.QfheSecretKey) else key
     cipher = qfhe.enc_classical(key, payload, rng)
-    return Message1(cipher, handle, opad_pk, oracle, game, spec.kind)
+    return Message1(cipher, handle, opad_pk, oracle, game, plan.kind)
 
 
 def _decision(game: ContextualityGame, ctx_index: int, round1_questions,
@@ -304,22 +359,22 @@ class CompiledVerifier:
 
     def __init__(self, game: ContextualityGame, kind, lam: int,
                  rng: np.random.Generator, fhe_backend: str = "stub"):
-        spec = spec_of(kind)
-        spec.check(game)
+        tcf.check_domain_bits(lam)
+        plan = plan_of(game, kind)
         self.game = game
-        self.kind = spec.kind
+        self.kind = plan.kind
         self._rng = rng
         self.fhe_sk = qfhe.gen(rng, fhe_backend)
         self.opad_keys = opad.gen(lam, rng)
         self.oracle = opad.PhaseOracle("hash", seed=opad.hash_seeds(rng))
         self.ctx_index = game.sample_context(rng)
-        choices = spec.context_inputs(game, self.ctx_index)
+        choices = plan.context_choices[self.ctx_index]
         # a lone choice is taken without a draw
-        value = choices[int(rng.integers(len(choices)))] if len(choices) > 1 else choices[0]
-        self.skip_pos = spec.skip_pos(value)
-        self.round1_questions = spec.questions(game, value)
-        self._message1 = round1_message(game, spec.kind, value, self.fhe_sk, self.opad_keys.pk,
-                                        self.oracle, rng)
+        i = choices[int(rng.integers(len(choices)))] if len(choices) > 1 else choices[0]
+        self.skip_pos = plan.skip_pos[i]
+        self.round1_questions = plan.asked[i]
+        self._message1 = round1_message(game, plan.kind, plan.inputs[i], self.fhe_sk,
+                                        self.opad_keys.pk, self.oracle, rng)
         self._message2 = None
         self.answers1 = None
         self.question = None
@@ -413,16 +468,15 @@ class CompiledTranscript:
 def recompute_decision(game: ContextualityGame, transcript: CompiledTranscript,
                        fhe_sk, opad_keys, oracle) -> bool:
     """Re-derive the accept bit from a transcript and the secret keys."""
-    spec = spec_of(transcript.kind)
-    payload = qfhe.dec_classical(fhe_sk, transcript.message1.question_cipher)
-    value = spec.decode(game, payload)
-    if value not in spec.context_inputs(game, transcript.ctx_index):
+    plan = plan_of(game, transcript.kind)
+    i = plan.decode(qfhe.dec_classical(fhe_sk, transcript.message1.question_cipher))
+    if i not in plan.context_choices[transcript.ctx_index]:
         raise ValueError("transcript context disagrees with the t1 payload")
-    if spec.skip_pos(value) != transcript.skip_pos:
+    if plan.skip_pos[i] != transcript.skip_pos:
         raise ValueError("transcript skip position disagrees with the t1 payload")
     if transcript.question not in game.contexts[transcript.ctx_index]:
         raise ValueError("transcript question lies outside its context")
-    round1 = spec.questions(game, value)
+    round1 = plan.asked[i]
     answers1, key = _open_reply(game, transcript.message2, len(round1), fhe_sk,
                                 opad_keys.sk, oracle)
     if key != transcript.key:
@@ -471,10 +525,9 @@ class HonestQuantumProver:
         """{payload code: the observables of the questions it asks, in order}."""
         emb = self._embed_for(game)
         if kind not in self._programs:
-            spec = spec_of(kind)
-            self._programs[kind] = {int_of(spec.encode(game, value)):
-                                    [emb.observables[q] for q in spec.questions(game, value)]
-                                    for value in spec.inputs(game)}
+            plan = plan_of(game, kind)
+            self._programs[kind] = {code: [emb.observables[q] for q in asked]
+                                    for code, asked in zip(plan.codes, plan.asked)}
         return self._programs[kind]
 
     def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:
@@ -550,24 +603,6 @@ def _selection_circuit(n_inputs: int, rows: dict, out_width: int) -> qfhe.Classi
     return qfhe.ClassicalCircuit(n_inputs, tuple(gates), tuple(outputs))
 
 
-def _table_rows(game: ContextualityGame, spec: CompilerSpec, submit):
-    """Row table for the round-1 multiplexer; submit(game, value, questions)
-    gives the answers submitted for the round-1 questions of input value."""
-    asked = {value: spec.questions(game, value) for value in spec.inputs(game)}
-    counts = {len(questions) for questions in asked.values()}
-    if len(counts) != 1:
-        raise ValueError("blind table evaluation needs a uniform context size; "
-                         "pad the game's contexts first")
-    rows = {}
-    for value, questions in asked.items():
-        payload = spec.encode(game, value)
-        bits = ()
-        for a in submit(game, value, questions):
-            bits += _encode_answer(game, a)
-        rows[int_of(payload)] = bits
-    return len(payload), rows, counts.pop() * _answer_width(game)
-
-
 class TruthTableProver:
     """Classical prover that answers both rounds from one fixed assignment.
 
@@ -592,8 +627,18 @@ class TruthTableProver:
             self._game = game
             self._circuits = {}
         if kind not in self._circuits:
-            n_inputs, rows, out_width = _table_rows(game, spec_of(kind), self._submit)
-            self._circuits[kind] = _selection_circuit(n_inputs, rows, out_width)
+            # the multiplexer's row for each payload code: the answer bits
+            # _submit(game, input, its round-1 questions) submits
+            plan = plan_of(game, kind)
+            counts = set(plan.asked_count.tolist())
+            if len(counts) != 1:
+                raise ValueError("blind table evaluation needs a uniform context size; "
+                                 "pad the game's contexts first")
+            rows = {code: tuple(bit for a in self._submit(game, value, asked)
+                                for bit in _encode_answer(game, a))
+                    for value, code, asked in zip(plan.inputs, plan.codes, plan.asked)}
+            self._circuits[kind] = _selection_circuit(plan.payloads.shape[1], rows,
+                                                      counts.pop() * plan.answer_width)
         return self._circuits[kind]
 
     def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:

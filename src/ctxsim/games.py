@@ -109,6 +109,11 @@ class ContextualityGame:
         bounds[-1] = np.inf
         return bounds
 
+    @cached_property
+    def _compiler_plans(self) -> dict:
+        # each compiler kind's rules on this game, filled by compilers.plan_of
+        return {}
+
     def contexts_at(self, r):
         """The context a uniform r in [0, 1) draws, or one per uniform of an
         array: the first whose running float sum of weights exceeds r, else

@@ -312,6 +312,8 @@ def security_game(prover_factory, trials: int, rng: np.random.Generator,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if oracle_mode not in ("hash", "lazy"):
+        raise ValueError(f"unknown oracle mode {oracle_mode!r}")
     wins = 0
     for _ in range(trials):
         keys = gen(lam, rng)

@@ -134,6 +134,7 @@ class PoqVerifier:
     """
 
     def __init__(self, lam: int, rng: np.random.Generator):
+        tcf.check_domain_bits(lam)
         self.lam = lam
         self._rng = rng
         self._s = int(rng.integers(0, 2))
@@ -372,6 +373,8 @@ def classical(kind: str):
 
 
 def peeking(cheat_prob: float = 0.2):
+    if not 0 <= cheat_prob <= 1:
+        raise ValueError("cheat_prob must lie in [0, 1]")
     return lambda verifier, rng: PeekingProver(verifier, rng, cheat_prob)
 
 

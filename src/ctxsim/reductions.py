@@ -40,6 +40,8 @@ def trials_for_precision(eps: float) -> int:
 
 def _fresh_message1(game: ContextualityGame, kind: CompilerKind, value, lam: int,
                     rng: np.random.Generator, fhe_backend: str = "stub") -> Message1:
+    # refuses a game the kind cannot compile, or a foreign input, before any draw
+    compilers.plan_of(game, kind).payload(value)
     sk = qfhe.gen(rng, fhe_backend)
     keys = opad.gen(lam, rng)
     oracle = opad.PhaseOracle("hash", seed=opad.hash_seeds(rng))
@@ -108,6 +110,9 @@ def estimate_table_distributions(prover, game: ContextualityGame, kind, inputs,
     kind = CompilerKind(kind)
     if trials <= 0:
         raise ValueError("trials must be positive")
+    plan = compilers.plan_of(game, kind)
+    for value in inputs:
+        plan.payload(value)  # every input is refused before any draw
     tables, assignments = {}, {}
     for value in inputs:
         counts = {}
@@ -171,12 +176,13 @@ def run_a2_reduction(prover, game: ContextualityGame, kind, trials: int, lam: in
     game, so no secret key is reachable from the reduction's inputs.
     """
     kind = CompilerKind(kind)
-    inputs = compilers.round1_inputs(game, kind)
-    dist = estimate_table_distributions(prover, game, kind, inputs,
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    kind_plan = compilers.plan_of(game, kind)
+    dist = estimate_table_distributions(prover, game, kind, kind_plan.inputs,
                                         phase1_trials, lam, rng, fhe_backend)
     plan = build_distinguisher(dist)
-    spec = compilers.spec_of(kind)
-    x0, x1 = spec.encode(game, plan.input0), spec.encode(game, plan.input1)
+    x0, x1 = kind_plan.payload(plan.input0), kind_plan.payload(plan.input1)
 
     def distinguisher(handle, cipher, drng):
         keys = opad.gen(lam, drng)
@@ -231,7 +237,7 @@ class CipherPeekingProver:
         if not 0 <= leak_prob <= 1:
             raise ValueError("leak_prob must lie in [0, 1]")
         self.game = game
-        self.kind = CompilerKind(kind)
+        self.kind = compilers.plan_of(game, kind).kind
         self.leak_prob = Fraction(leak_prob).limit_denominator(10 ** 6)
         self._code = None
         self._leaking = None
@@ -245,7 +251,7 @@ class CipherPeekingProver:
         return Assignment({q: self.game.answers[0] for q in self.game.questions})
 
     def exact_distribution(self, value) -> dict:
-        code = int_of(compilers.spec_of(self.kind).encode(self.game, value))
+        code = int_of(compilers.plan_of(self.game, self.kind).payload(value))
         dist = {}
         for key, p in ((self.table_for(code).key(), self.leak_prob),
                        (self.fallback_table().key(), 1 - self.leak_prob)):
@@ -261,11 +267,9 @@ class CipherPeekingProver:
 
     def _round1_answer_bits(self, kind: CompilerKind, payload: tuple) -> tuple:
         game, table = self.game, self._session_table()
-        spec = compilers.spec_of(kind)
-        bits = ()
-        for q in spec.questions(game, spec.decode(game, payload)):
-            bits += compilers._encode_answer(game, table(q))
-        return bits
+        plan = compilers.plan_of(game, kind)
+        return tuple(bit for q in plan.asked[plan.decode(payload)]
+                     for bit in compilers._encode_answer(game, table(q)))
 
     def round1(self, message1: Message1, rng: np.random.Generator) -> Message2:
         payload = qfhe.peek_bits(message1.question_cipher)

@@ -119,11 +119,11 @@ def sessions_of(game, kind, prover, trials, seed, lam=LAM):
     log = []
     rate, _ = cp.estimate_win_rate(game, kind, prover, trials, np.random.default_rng(seed),
                                    lam=lam, on_transcript=log.append)
-    spec = cp.spec_of(kind)
+    plan = cp.plan_of(game, kind)
     cells = []
     for t in log:
         sk, _, _ = rebuilt_keys(t)
-        value = spec.decode(game, qfhe.dec_classical(sk, t.message1.question_cipher))
+        value = plan.inputs[plan.decode(qfhe.dec_classical(sk, t.message1.question_cipher))]
         cells.append((t.ctx_index, value, t.question))
     return rate, log, cells
 
@@ -135,9 +135,8 @@ def redecide_every_transcript(game, log):
     for t in log:
         sk, opad_keys, oracle = rebuilt_keys(t)
         assert cp.recompute_decision(game, t, sk, opad_keys, oracle) == t.accept
-        spec = cp.spec_of(t.kind)
-        asked = spec.questions(game, spec.decode(
-            game, qfhe.dec_classical(sk, t.message1.question_cipher)))
+        plan = cp.plan_of(game, t.kind)
+        asked = plan.asked[plan.decode(qfhe.dec_classical(sk, t.message1.question_cipher))]
         given = cp._decode_answers(game, qfhe.dec_classical(sk, t.message2.answer_cipher),
                                    len(asked))
         other = next(a for a in game.answers if a != t.answer)
@@ -206,10 +205,11 @@ def test_batched_and_scalar_acceptance_agree():
     batched = Counter(cell + (t.accept,) for cell, t in zip(cells, log))
     rng = np.random.default_rng(12)
     scalar = Counter()
+    plan = cp.plan_of(game, "1-1")
     for _ in range(1500):
         accept, state = cp.run_session(game, "1-1", prover, rng, lam=4)
-        value = cp.spec_of("1-1").decode(
-            game, qfhe.dec_classical(state.fhe_sk, state.message1.question_cipher))
+        value = plan.inputs[plan.decode(
+            qfhe.dec_classical(state.fhe_sk, state.message1.question_cipher))]
         scalar[(state.ctx_index, value, state.question, accept)] += 1
     # two-sample chi-square over the bins both runs can fill
     stat, dof = 0.0, -1
@@ -255,9 +255,9 @@ def test_chunks_hold_4096_sessions_at_every_lambda(monkeypatch):
     sizes = []
     sessions = batch._Sessions.__init__
 
-    def spy(self, plan, n, rng):
-        sizes.append((plan.lam, n))
-        sessions(self, plan, n, rng)
+    def spy(self, plan, lam, n, rng):
+        sizes.append((lam, n))
+        sessions(self, plan, lam, n, rng)
 
     monkeypatch.setattr(batch._Sessions, "__init__", spy)
     game, _ = games.kcbs()

@@ -13,7 +13,8 @@ from conftest import consistency_rejected
 from test_games import random_games
 
 from ctxsim import compilers as cp
-from ctxsim import games, opad, qfhe, tcf
+from ctxsim import cli, games, opad, qfhe, tcf
+from ctxsim import reductions as rd
 from ctxsim.compilers import CompilerKind
 from ctxsim.games import ContextualityGame, nc_value_with_table, quantum_value_of
 from ctxsim.qsim import (
@@ -584,8 +585,9 @@ def test_recompute_decision_matches_and_detects_tampering():
             cp.recompute_decision(game, dataclasses.replace(t, ctx_index=other), *keys)
         # nor can any other context, unless it holds both the round-1 input and
         # the round-2 question: then the transcript fits it as well
-        spec = cp.spec_of(kind)
-        value = spec.decode(game, qfhe.dec_classical(state.fhe_sk, t.message1.question_cipher))
+        spec, plan = cp.spec_of(kind), cp.plan_of(game, kind)
+        value = plan.inputs[plan.decode(
+            qfhe.dec_classical(state.fhe_sk, t.message1.question_cipher))]
         for i in range(len(game.contexts)):
             if i == t.ctx_index:
                 continue
@@ -656,3 +658,133 @@ def test_decision_faithfulness_on_random_games(kind, game, lam, seed):
         sabotaged = cp.decision_faithfulness_check(game, kind, table, trials,
                                                    np.random.default_rng(seed), lam=lam)
     assert sabotaged is not bites
+
+
+RULES = ("check", "inputs", "context_inputs", "skip_pos", "questions", "encode")
+
+
+def test_spec_rules_run_only_while_the_plan_is_built(monkeypatch):
+    """Scalar sessions, batched rows, recompute_decision and extraction read
+    the plan; the spec's rule functions run once per (game, kind), in the
+    plan builder."""
+    game, strategy = games.kcbs()
+    _, table = nc_value_with_table(game)
+    building, calls, builds = [False], [], []
+    for kind, spec in list(cp.SPECS.items()):
+        def wrapped(rule, name):
+            def call(*args):
+                calls.append((name, building[0]))
+                return rule(*args)
+            return call
+        monkeypatch.setitem(cp.SPECS, kind, dataclasses.replace(
+            spec, **{name: wrapped(getattr(spec, name), name) for name in RULES}))
+    build = cp.KindPlan.__init__
+
+    def spy(self, game, spec):
+        builds.append(spec.kind)
+        building[0] = True
+        try:
+            build(self, game, spec)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(cp.KindPlan, "__init__", spy)
+    rng = np.random.default_rng(80)
+    honest = cp.honest_quantum_prover(strategy)
+    for kind in CompilerKind:
+        for _ in range(50):
+            _, state = cp.run_session(game, kind, honest, rng, lam=4)
+        keys = (state.fhe_sk, state.opad_keys, state.oracle)
+        cp.recompute_decision(game, state.transcript(), *keys)
+        for prover in (honest, cp.truthtable_prover(table)):
+            cp.estimate_win_rate(game, kind, prover, 20, rng, lam=4)
+        rd.extract_truthtable(rd.CipherPeekingProver(game, kind), game, kind,
+                              cp.round1_inputs(game, kind)[-1], 4, rng)
+    assert builds == list(CompilerKind)
+    assert {name for name, _ in calls} == set(RULES)
+    assert all(inside for _, inside in calls)
+
+
+def assert_plan_inverts_its_encoding(game, kind):
+    plan = cp.plan_of(game, kind)
+    width = plan.payloads.shape[1]
+    for i, value in enumerate(plan.inputs):
+        assert plan.decode(plan.payload(value)) == i
+        assert plan.payload(value) == bits_of(plan.codes[i], width)
+    for code in sorted(set(range(1 << width)) - set(plan.codes)):
+        with pytest.raises(ValueError, match="encodes no"):
+            plan.decode(bits_of(code, width))
+    with pytest.raises(ValueError, match="encodes no"):
+        plan.decode((0,) * (width + 1))
+
+
+@pytest.mark.parametrize("name,kind", [(g, k) for g in ("kcbs", "chsh", "magic-square")
+                                       for k in ("1-1", "c-1", "cm1-1")
+                                       if (g, k) != ("magic-square", "1-1")])
+def test_plan_decode_inverts_the_encoding_on_builtin_games(name, kind):
+    game, _ = cli.BUILTIN_GAMES[name]()
+    assert_plan_inverts_its_encoding(game, kind)
+    assert cp.plan_of(game, kind) is cp.plan_of(game, CompilerKind(kind))
+
+
+@pytest.mark.parametrize("kind", ["1-1", "c-1", "cm1-1"])
+@settings(max_examples=30, deadline=None)
+@given(game=st.one_of(random_games(), random_games(context_size=2)))
+def test_plan_decode_inverts_the_encoding_on_random_games(kind, game):
+    try:
+        cp.plan_of(game, kind)
+    except ValueError:
+        assume(False)
+    assert_plan_inverts_its_encoding(game, kind)
+
+
+@pytest.mark.parametrize("name,kind,value", [
+    ("magic-square", "c-1", 9), ("magic-square", "c-1", -1),
+    ("magic-square", "cm1-1", (1, 5)), ("magic-square", "cm1-1", (6, 0)),
+    ("kcbs", "1-1", 5), ("kcbs", "1-1", "0")])
+def test_round1_message_refuses_inputs_the_kind_has_not(name, kind, value):
+    game, _ = cli.BUILTIN_GAMES[name]()
+    rng = np.random.default_rng(81)
+    sk, keys = qfhe.gen(rng), opad.gen(4, rng)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="round-1 input"):
+        cp.round1_message(game, kind, value, sk, keys.pk, opad.PhaseOracle("hash", seed=1), rng)
+    assert rng.bit_generator.state == before
+
+
+def test_recompute_decision_refuses_payloads_that_encode_no_input():
+    game, strategy = games.kcbs()
+    rng = np.random.default_rng(82)
+    prover = cp.honest_quantum_prover(strategy)
+    _, state = cp.run_session(game, "1-1", prover, rng, lam=4)
+    t, keys = state.transcript(), (state.fhe_sk, state.opad_keys, state.oracle)
+    # five questions take three bits, so codes 5 to 7 ask none of them
+    for code in (5, 6, 7):
+        cipher = qfhe.enc_classical(state.fhe_sk, bits_of(code, 3), rng)
+        forged = dataclasses.replace(t, message1=dataclasses.replace(t.message1,
+                                                                     question_cipher=cipher))
+        with pytest.raises(ValueError, match="encodes no 1-1 round-1 input"):
+            cp.recompute_decision(game, forged, *keys)
+    # under a wrong qfhe key every payload is garbage: refused, or decided
+    wrong = qfhe.QfheSecretKey(state.fhe_sk.scheme, "0" * 32)
+    for _ in range(40):
+        _, state = cp.run_session(game, "1-1", prover, rng, lam=4)
+        try:
+            verdict = cp.recompute_decision(game, state.transcript(), wrong,
+                                            state.opad_keys, state.oracle)
+        except ValueError:
+            continue
+        assert verdict in (True, False)
+
+
+@pytest.mark.parametrize("lam", [2, tcf.MAX_DOMAIN_BITS + 1])
+def test_verifier_refuses_lambda_before_any_draw(lam):
+    game, _ = games.kcbs()
+    rng = np.random.default_rng(83)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="domain must have"):
+        cp.CompiledVerifier(game, "1-1", lam, rng)
+    with pytest.raises(ValueError, match="domain must have"):
+        cp.estimate_win_rate(game, "1-1", cp.truthtable_prover(nc_value_with_table(game)[1]),
+                             5, rng, lam=lam)
+    assert rng.bit_generator.state == before

@@ -314,6 +314,14 @@ def test_security_game_rejects_malformed_string():
         opad.security_game(Bad, 5, rng, lam=4, j=1)
 
 
+def test_security_game_refuses_an_unknown_oracle_mode_before_any_draw():
+    rng = np.random.default_rng(65)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown oracle mode 'bogus'"):
+        opad.security_game(opad.RandomGuessProver, 50, rng, lam=4, oracle_mode="bogus")
+    assert rng.bit_generator.state == before
+
+
 def test_whitebox_prover_wins_always_and_plants_claws():
     rng = np.random.default_rng(64)
     factory = lambda keys, oracle: opad.ClawPlantingProver(keys, oracle, j=7)

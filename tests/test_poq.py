@@ -268,6 +268,21 @@ def test_rewinding_full_cheat_recovers_the_bit_always():
     assert poq.rewind_experiment(poq.peeking(1.0), 2000, rng, lam=5) == 1.0
 
 
+@pytest.mark.parametrize("cheat_prob", [-0.1, 1.5, float("nan")])
+def test_peeking_refuses_a_cheat_probability_outside_the_unit_interval(cheat_prob):
+    with pytest.raises(ValueError, match="cheat_prob must lie in"):
+        poq.peeking(cheat_prob)
+
+
+@pytest.mark.parametrize("lam", [2, tcf.MAX_DOMAIN_BITS + 1])
+def test_verifier_refuses_lambda_before_any_draw(lam):
+    rng = np.random.default_rng(24)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="domain must have"):
+        poq.PoqVerifier(lam, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_honest_rate_beats_every_classical_prover():
     rng = np.random.default_rng(23)
     honest_rate, _ = poq.run_protocol(poq.honest(), 20_000, rng, lam=6)

@@ -244,6 +244,7 @@ def test_reduction_works_for_full_context_kinds():
     assert rate == 1.0
 
 
+KCBS, _ = games.kcbs()
 SCALAR_GAMES = {
     "run_protocol": lambda trials, rng: poq.run_protocol(poq.honest(), trials, rng),
     "rewind_experiment": lambda trials, rng: poq.rewind_experiment(
@@ -253,6 +254,8 @@ SCALAR_GAMES = {
         lambda h, c, r: 0, (0, 0), (1, 1), trials, rng),
     "dind_prime_game": lambda trials, rng: rd.dind_prime_game(
         lambda h, c, r: 0, [(0,), (1,)], (0.5, 0.5), trials, rng),
+    "run_a2_reduction": lambda trials, rng: rd.run_a2_reduction(
+        rd.CipherPeekingProver(KCBS, "1-1"), KCBS, "1-1", trials, 4, rng, phase1_trials=5),
 }
 
 
@@ -317,3 +320,26 @@ def test_cipher_peeking_prover_validates_and_predicts():
     dist = prover.exact_distribution(q0)
     assert sum(dist.values()) == 1
     assert dist[prover.table_for(0).key()] == Fraction(1, 4)
+
+
+def test_reductions_refuse_foreign_games_and_inputs_before_any_draw():
+    ms, _ = games.magic_square()
+    prover = cp.truthtable_prover(nc_value_with_table(ms)[1])
+    rng = np.random.default_rng(88)
+    before = rng.bit_generator.state
+    # the square's contexts hold three questions, which 1-1 refuses
+    with pytest.raises(ValueError, match="uniform context size 2"):
+        rd.CipherPeekingProver(ms, "1-1")
+    with pytest.raises(ValueError, match="uniform context size 2"):
+        rd.extract_truthtable(prover, ms, "1-1", ms.questions[0], 4, rng)
+    with pytest.raises(ValueError, match="uniform context size 2"):
+        rd.estimate_table_distributions(prover, ms, "1-1", ms.questions[:2], 5, 4, rng)
+    # six contexts of three questions: no context 9 or -1, no skip position 5
+    for kind, inputs in (("c-1", [0, 9]), ("c-1", [-1]), ("cm1-1", [(1, 5)])):
+        with pytest.raises(ValueError, match="round-1 input"):
+            rd.estimate_table_distributions(prover, ms, kind, inputs, 5, 4, rng)
+        with pytest.raises(ValueError, match="round-1 input"):
+            rd.extract_truthtable(prover, ms, kind, inputs[-1], 4, rng)
+        with pytest.raises(ValueError, match="round-1 input"):
+            rd.CipherPeekingProver(ms, kind).exact_distribution(inputs[-1])
+    assert rng.bit_generator.state == before
